@@ -3,12 +3,45 @@
 Runs T independent trials of one method in lock step, with every trial
 consuming uniforms from its own ``trial_rng(seed, trial)`` stream in
 exactly the order the sequential per-step functions would (row draw
-before column draw, U-side before V-side).  Index draws therefore match
-the sequential path bit-for-bit; iterate arithmetic may differ from it
-in the last ulp because sums are evaluated in a different order.
+before column draw, U-side before V-side).  Uniforms are drawn and mapped
+to indices 1024 steps at a time (a sampling block), so index draws match
+the sequential path bit-for-bit.
 
-Per step everything is one gather plus a few (T, dim) array operations,
-which keeps a 200-trial, 50k-step run in the low seconds.
+Each sampling block is advanced in sub-blocks of up to L(T) steps.  A
+sub-block also ends at the next recorded iteration, at the next
+tolerance check (every m steps, when a tolerance is set) and at the end
+of the sampling block, so records and checks see the same iterate, at
+the same step, as they would step by step.
+
+A sub-block of B > 1 steps is block-exact (s-step) stepping: B
+consecutive projections written as one triangular system per sketch
+side.  For row projections onto rows I against right-hand sides r,
+
+    tril(A_I A_I^T) c = r - A_I beta_0,    beta_B = beta_0 + A_I^T c,
+
+and column projections of z onto columns J solve tril(A_J^T A_J) d =
+A_J^T z_0 likewise.  The couplings between sides enter as inclusive
+lower-triangular cross matrices: rek's z[i_s] (from U[I][:, J]), the
+V subsystem's moving right-hand side x[p_s] (from U[I][:, P]^T), the
+res_v patch of rgs-rgs (from V[J][:, Q]^T) and the coordinate patches
+of the regs correction.  Each side thus costs one gather of the B rows
+or columns, a Gram matrix and a (T, B, B) ``np.linalg.solve`` instead
+of B rounds of per-step numpy calls (communication-avoiding block
+coordinate descent, Devarakonda et al., arXiv:1612.04003).
+
+L(T) is 32 at T = 1 and 1 (``_Batch.step``, one step per round trip) at
+T >= 2.  At T = 1 nearly all of a step's time is interpreter overhead,
+which a sub-block pays once.  As T grows the per-step loop spreads that
+overhead over the trials while the Gram matrix and solve grow as B^2 per
+trial, so the gain shrinks (measured on S3b 200x150x100: 1.4-5.8x at
+T = 2-8, 1.2-1.4x at T = 16).  Multi-trial runs keep the per-step
+summation order anyway: it tracks the sequential functions to ~5e-10
+relative on errors near 1e-13, where the block path's reordered sums
+move them by up to ~5e-9 (the float64 error of the sequential path
+itself is ~3e-9 there).
+
+The two paths agree to rounding, not bit for bit.
+The flop count is the per-step model however the steps are grouped.
 """
 from __future__ import annotations
 
@@ -40,6 +73,33 @@ DRAWS_PER_STEP = {
 }
 
 _BLOCK = 1024
+# Longest sub-block (L at T = 1); see the module docstring.
+_MAX_ROUND = 32
+_LOWER = np.tril(np.ones((_MAX_ROUND, _MAX_ROUND)))
+
+
+def _round_steps(trials: int) -> int:
+    """L(T): the longest sub-block at ``trials`` lock-step trials (1: per-step path)."""
+    return _MAX_ROUND if trials == 1 else 1
+
+
+def _mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Batched matrix-vector product: (T, p, q) with (T, q) gives (T, p)."""
+    return (mat @ vec[..., None])[..., 0]
+
+
+def _lower(mat: np.ndarray) -> np.ndarray:
+    """Inclusive lower triangle of each (B, B) matrix in a stack."""
+    b = mat.shape[-1]
+    return mat * _LOWER[:b, :b]
+
+
+def _solve_lower(gram: np.ndarray, rhs: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Solve tril(gram) c = rhs per trial, with the cached squared norms on the diagonal."""
+    low = _lower(gram)
+    r = np.arange(diag.shape[1])
+    low[:, r, r] = diag
+    return np.linalg.solve(low, rhs[..., None])[..., 0]
 
 
 def step_flops(method: str, target) -> int:
@@ -109,12 +169,12 @@ class _Batch:
         iterate += coef[:, None] * rows
 
     def _col_project(self, M: DenseMatrix, z: np.ndarray, idx: np.ndarray) -> None:
-        cols = M.data[:, idx].T
+        cols = M.data_t[idx]
         coef = np.einsum("ij,ij->i", cols, z) / M.col_sqnorms[idx]
         z -= coef[:, None] * cols
 
     def _coord_action(self, M: DenseMatrix, iterate: np.ndarray, res: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        cols = M.data[:, idx].T
+        cols = M.data_t[idx]
         gamma = np.einsum("ij,ij->i", cols, res) / M.col_sqnorms[idx]
         iterate[self.ar, idx] += gamma
         res -= gamma[:, None] * cols
@@ -163,6 +223,82 @@ class _Batch:
         rows = M.data[idx]
         coef = np.einsum("ij,ij->i", rows, z) / M.row_sqnorms[idx]
         z -= coef[:, None] * rows
+
+    # -- sub-block updates, one (T, B) index array per draw ----------------
+
+    def _rows_block(self, M: DenseMatrix, iterate: np.ndarray, idx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """Row projections onto rows idx[:, 0], idx[:, 1], ... against rhs[:, s].
+
+        Returns the (T, B) step coefficients.
+        """
+        rows = M.data[idx]
+        coef = _solve_lower(rows @ rows.swapaxes(1, 2), rhs - _mv(rows, iterate), M.row_sqnorms[idx])
+        iterate += (coef[:, None, :] @ rows)[:, 0]
+        return coef
+
+    def _cols_block(self, M: DenseMatrix, z: np.ndarray, idx: np.ndarray, extra=0.0) -> np.ndarray:
+        """Column projections of z onto columns idx[:, s]; extra[:, s] joins step s's inner product.
+
+        Returns the (T, B) step coefficients.
+        """
+        cols = M.data_t[idx]
+        coef = _solve_lower(cols @ cols.swapaxes(1, 2), _mv(cols, z) + extra, M.col_sqnorms[idx])
+        z -= (coef[:, None, :] @ cols)[:, 0]
+        return coef
+
+    def _rek_block(self, M, z, iterate, rows, cols, rhs) -> np.ndarray:
+        """rek steps: project z onto column s, then the row step against rhs[:, s] - z[row s]."""
+        z_rows = z[self.ar[:, None], rows]
+        d = self._cols_block(M, z, cols)
+        z_rows -= _mv(_lower(M.data[rows[:, :, None], cols[:, None, :]]), d)
+        return self._rows_block(M, iterate, rows, rhs - z_rows)
+
+    def advance(self, draws: tuple[np.ndarray, ...]) -> None:
+        """B steps at once: the block-exact equivalent of B calls to ``step``."""
+        method = self.method
+        ar = self.ar[:, None]
+        if method == "rk":
+            (i,) = draws
+            self._rows_block(self.A, self.B, i, self.y[i])
+        elif method == "rek":
+            i, j = draws
+            self._rek_block(self.A, self.Z, self.B, i, j, self.y[i])
+        elif method == "rgs":
+            (j,) = draws
+            np.add.at(self.B, (ar, j), self._cols_block(self.A, self.RES, j))
+        elif method == "regs":
+            i, j = draws
+            gamma = self._cols_block(self.A, self.RES, j)
+            np.add.at(self.B, (ar, j), gamma)
+            # Row step s projects z + sum_{r<=s} gamma_r e_{j_r}: the patches enter its rhs.
+            cross = _lower(self.A.data[i[:, :, None], j[:, None, :]])
+            self._rows_block(self.A, self.Z, i, -_mv(cross, gamma))
+            np.add.at(self.Z, (ar, j), gamma)
+        elif method == "rgs-rgs":
+            j, q = draws
+            U, V = self.sys.U, self.sys.V
+            gamma = self._cols_block(U, self.RES_U, j)
+            np.add.at(self.X, (ar, j), gamma)
+            # V-side step s sees the patches res_v[j_r] += gamma_r for r <= s.
+            patch = _mv(_lower(V.data[j[:, None, :], q[:, :, None]]), gamma)
+            eta = self._cols_block(V, self.RES_V, q, patch)
+            np.add.at(self.RES_V, (ar, j), gamma)
+            np.add.at(self.B, (ar, q), eta)
+        else:  # rk-rk, rek-rk, rek-rek
+            U, V = self.sys.U, self.sys.V
+            # Draw order as in DRAWS_PER_STEP: U row, [U col], V row, [V col].
+            i, p = draws[0], draws[1 if method == "rk-rk" else 2]
+            x_p = self.X[ar, p]
+            if method == "rk-rk":
+                coef = self._rows_block(U, self.X, i, self.sys.y[i])
+            else:
+                coef = self._rek_block(U, self.Z, self.X, i, draws[1], self.sys.y[i])
+            # V-side step s reads x[p_s] after U-side steps r <= s.
+            x_p += _mv(_lower(U.data[i[:, None, :], p[:, :, None]]), coef)
+            if method == "rek-rek":
+                self._rek_block(V, self.ZV, self.B, p, draws[3], x_p)
+            else:
+                self._rows_block(V, self.B, p, x_p)
 
     def estimates(self) -> np.ndarray:
         if self.method == "regs":
@@ -214,6 +350,7 @@ def run_trials(
         raise ValueError("record iterations must lie in [1, budget]")
     rngs = [trial_rng(seed, tr) for tr in range(trials)]
 
+    round_steps = _round_steps(trials)
     iters: list[int] = []
     errors: list[np.ndarray] = []
     next_rec = 0
@@ -227,9 +364,19 @@ def run_trials(
         idx = tuple(
             batch.samplers[d].draw_many(np.ascontiguousarray(u[:, :, d])) for d in range(draws)
         )
-        for s in range(block):
-            batch.step(tuple(ix[:, s] for ix in idx))
-            t += 1
+        start = t
+        while t < start + block:
+            # A sub-block ends at the next record, tolerance check or block end.
+            end = min(t + round_steps, start + block)
+            if next_rec < len(schedule):
+                end = min(end, schedule[next_rec])
+            if tolerance is not None:
+                end = min(end, (t // check_every + 1) * check_every)
+            if end - t == 1:
+                batch.step(tuple(ix[:, t - start] for ix in idx))
+            else:
+                batch.advance(tuple(ix[:, t - start : end - start] for ix in idx))
+            t = end
             if tolerance is not None and t % check_every == 0 and batch.max_residual() <= tolerance:
                 stopped = True
             record_now = stopped

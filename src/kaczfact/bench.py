@@ -202,8 +202,13 @@ def emit_summary_csv(traj: Trajectory, path, target=None, inputs: BoundInputs | 
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def write_run_manifest(path, config: RunConfig, target, scenario: str | None = None) -> None:
-    """Append one JSON line describing the invocation."""
+def write_run_manifest(
+    path, config: RunConfig, target, scenario: str | None = None, inputs: BoundInputs | None = None
+) -> None:
+    """Append one JSON line describing the invocation.
+
+    inputs, when given, are ``bound_inputs(target)`` computed by the caller.
+    """
     entry: dict = {
         "method": config.method,
         "trials": config.trials,
@@ -212,7 +217,8 @@ def write_run_manifest(path, config: RunConfig, target, scenario: str | None = N
         "stride": config.effective_stride,
     }
     if isinstance(target, FactoredSystem):
-        inputs = bound_inputs(target)
+        if inputs is None:
+            inputs = bound_inputs(target)
         entry.update(
             scenario=scenario or target.scenario,
             m=target.m,

@@ -90,12 +90,14 @@ def _cmd_solve(args) -> int:
         tolerance=args.tolerance,
     )
     traj = run_experiment(config, target)
+    # One set of oracle constants serves both the bound column and the manifest.
+    inputs = bound_inputs(system) if args.method in PAIRINGS else None
     out = Path(args.out)
     emit_csv(traj, out)
     summary_path = out.with_name(out.stem + "_summary.csv")
-    emit_summary_csv(traj, summary_path, target=target if args.method in PAIRINGS else None)
+    emit_summary_csv(traj, summary_path, target=target if args.method in PAIRINGS else None, inputs=inputs)
     manifest_path = out.with_name(out.stem + "_manifest.jsonl")
-    write_run_manifest(manifest_path, config, target, scenario=scenario)
+    write_run_manifest(manifest_path, config, target, scenario=scenario, inputs=inputs)
     final_mean = traj.mean_errors()[-1] if traj.iters.size else float("nan")
     print(f"{args.method} on {args.dir}: {args.trials} trials x {args.budget} iterations, final mean error_sq {final_mean:.6e}")
     print(f"wrote {out}, {summary_path}, {manifest_path}")

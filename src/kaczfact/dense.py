@@ -2,7 +2,8 @@
 
 Every solver in this package samples rows or columns proportionally to
 their squared Euclidean norms, so the norm caches are computed once at
-construction and reused for the whole run.  Matrices are immutable:
+construction and reused for the whole run, as is a contiguous
+transposed copy for column gathers.  Matrices are immutable:
 the backing array is marked read-only and ``row``/``col`` hand out
 read-only views.
 
@@ -52,6 +53,9 @@ class DenseMatrix:
         Read-only (rows, cols) float64 array.
     row_sqnorms : np.ndarray
         ``row_sqnorms[i] == ||data[i, :]||^2``.
+    data_t : np.ndarray
+        Read-only C-contiguous copy of ``data.T``: row ``j`` is column
+        ``j``, so column gathers read contiguous memory.
     col_sqnorms : np.ndarray
         ``col_sqnorms[j] == ||data[:, j]||^2``.
     frob_sq : float
@@ -68,6 +72,8 @@ class DenseMatrix:
             raise ValueError("matrix contains a non-finite entry")
         arr.setflags(write=False)
         self._data = arr
+        self._data_t = np.ascontiguousarray(arr.T)
+        self._data_t.setflags(write=False)
         sq = arr * arr
         self._row_sqnorms = sq.sum(axis=1)
         self._col_sqnorms = sq.sum(axis=0)
@@ -78,6 +84,10 @@ class DenseMatrix:
     @property
     def data(self) -> np.ndarray:
         return self._data
+
+    @property
+    def data_t(self) -> np.ndarray:
+        return self._data_t
 
     @property
     def rows(self) -> int:
@@ -113,7 +123,7 @@ class DenseMatrix:
         """Read-only view of column ``j``."""
         if not 0 <= j < self.cols:
             raise IndexError(f"column index {j} out of range for {self.rows}x{self.cols} matrix")
-        return self._data[:, j]
+        return self._data_t[j]
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols}, frob_sq={self._frob_sq:.6g})"

@@ -130,25 +130,42 @@ class TestEngineMatchesSequentialPath:
             rows.append([values[t] for t in self.GRID])
         return np.array(rows)
 
-    @pytest.mark.parametrize("method", ["rk", "rek", "rgs", "regs"])
-    def test_single_system_methods(self, method):
+    def check_single_system(self, method, trials):
         a, y, _ = inconsistent_system(24, 9, seed=96)
         star = pinv_solve(a, y)
-        config = RunConfig(method=method, seed=11, trials=2, budget=300, stride=25)
+        config = RunConfig(method=method, seed=11, trials=trials, budget=300, stride=25)
         traj = run_experiment(config, (a, y), beta_star=star)
-        reference = self.sequential_errors(method, (a, y), star, seed=11, trials=2)
+        reference = self.sequential_errors(method, (a, y), star, seed=11, trials=trials)
         assert traj.iters.tolist() == self.GRID
         assert np.allclose(traj.errors, reference, rtol=1e-9, atol=1e-300)
 
-    @pytest.mark.parametrize("method", ["rk-rk", "rek-rk", "rek-rek", "rgs-rgs"])
-    def test_interlaced_methods(self, method):
+    def check_interlaced(self, method, trials):
         inst = gen_gaussian_factored(ScenarioSpec("S3b", m=24, n=15, k=8, seed=97))
         sys_ = inst.system
         star = factored_full_solution(sys_.U, sys_.V, sys_.y)
-        config = RunConfig(method=method, seed=12, trials=2, budget=300, stride=25)
+        config = RunConfig(method=method, seed=12, trials=trials, budget=300, stride=25)
         traj = run_experiment(config, sys_, beta_star=star)
-        reference = self.sequential_errors(method, sys_, star, seed=12, trials=2)
+        reference = self.sequential_errors(method, sys_, star, seed=12, trials=trials)
         assert np.allclose(traj.errors, reference, rtol=1e-9, atol=1e-300)
+
+    @pytest.mark.parametrize("method", ["rk", "rek", "rgs", "regs"])
+    def test_single_system_methods(self, method):
+        self.check_single_system(method, trials=2)
+
+    @pytest.mark.parametrize("method", ["rk-rk", "rek-rk", "rek-rek", "rgs-rgs"])
+    def test_interlaced_methods(self, method):
+        self.check_interlaced(method, trials=2)
+
+    # T=1 runs in sub-blocks (block-exact stepping), T=16 one step at a time.
+    @pytest.mark.parametrize("trials", [1, 16])
+    @pytest.mark.parametrize("method", ["rk", "rek", "rgs", "regs"])
+    def test_single_system_methods_at_trial_counts(self, method, trials):
+        self.check_single_system(method, trials)
+
+    @pytest.mark.parametrize("trials", [1, 16])
+    @pytest.mark.parametrize("method", ["rk-rk", "rek-rk", "rek-rek", "rgs-rgs"])
+    def test_interlaced_methods_at_trial_counts(self, method, trials):
+        self.check_interlaced(method, trials)
 
     def test_record_ts_must_lie_in_budget(self):
         sys_, _ = small_factored(8, 3, 5, seed=98)
@@ -251,6 +268,13 @@ class TestOutputFiles:
         rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
         for t_str, _, _, bound_str in rows:
             assert float(bound_str) == expected_error_bound(inputs, "a", int(t_str))
+
+    def test_manifest_with_precomputed_inputs_is_byte_identical(self, tmp_path):
+        sys_, config, _ = self.make_traj()
+        computed, passed = tmp_path / "computed.jsonl", tmp_path / "passed.jsonl"
+        write_run_manifest(computed, config, sys_)
+        write_run_manifest(passed, config, sys_, inputs=bound_inputs(sys_))
+        assert passed.read_bytes() == computed.read_bytes()
 
     def test_manifest_lines(self, tmp_path):
         sys_, config, _ = self.make_traj()

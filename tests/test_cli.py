@@ -96,6 +96,24 @@ class TestSolve:
         assert entry["scenario"] == "S3b"
         assert (entry["m"], entry["n"]) == (24, 15)
 
+    def test_bound_inputs_computed_once_per_factored_solve(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        def counted(system):
+            calls.append(system)
+            return bound_inputs(system)
+
+        monkeypatch.setattr("kaczfact.cli.bound_inputs", counted)
+        monkeypatch.setattr("kaczfact.bench.bound_inputs", counted)
+        code, csv = self.run_solve(tmp_path, "rek-rk")  # S3b: bound column and manifest
+        assert code == 0
+        assert len(calls) == 1
+        entry = json.loads(csv.with_name("rek-rk_manifest.jsonl").read_text())
+        assert entry["alpha_u"] == bound_inputs(load_instance(tmp_path / "inst")).alpha_u
+        calls.clear()
+        assert self.run_solve(tmp_path, "rek")[0] == 0
+        assert calls == []
+
     def test_repeat_runs_are_byte_identical(self, tmp_path, capsys):
         code, first = self.run_solve(tmp_path, "rk-rk")
         assert code == 0

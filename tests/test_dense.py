@@ -74,6 +74,15 @@ class TestConstruction:
         with pytest.raises(IndexError):
             a.col(-5)
 
+    def test_transposed_copy_is_contiguous_and_read_only(self):
+        a = random_dense(3, 4, seed=9)
+        assert np.array_equal(a.data_t, a.data.T)
+        assert a.data_t.flags.c_contiguous
+        with pytest.raises(ValueError):
+            a.data_t[0, 0] = 99.0
+        # Column views and gathers read the transposed copy.
+        assert a.col(1).flags.c_contiguous
+
     def test_norm_caches_match_direct_computation(self):
         for seed in range(5):
             a = random_dense(6 + seed, 4 + seed, seed=seed)

@@ -1,0 +1,149 @@
+"""The lock-step engine against the per-step reference, block path included.
+
+At T=1 the engine advances in sub-blocks (block-exact stepping); these
+tests hold it to ``run`` / ``run_interlaced`` on recorded iterations,
+stop steps and errors.
+"""
+
+from contextlib import nullcontext
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kaczfact import _engine
+from kaczfact.bench import RunConfig, oracle_solution, run_experiment
+from kaczfact.dense import DenseMatrix
+from kaczfact.interlaced import PAIRINGS, FactoredSystem, run_interlaced
+from kaczfact.sampling import master_rng, trial_rng
+from kaczfact.solvers import METHODS, estimate, run
+
+from conftest import consistent_system, small_factored
+
+
+def sequential(method, target, budget, seed, trial, stride, tolerance, star):
+    """(records {t: error_sq}, final state) of one trial on the per-step path."""
+    records = {}
+    recorder = lambda t, value, flops: records.__setitem__(t, value)
+    err = lambda b: float(np.sum((b - star) ** 2))
+    rng = trial_rng(seed, trial)
+    if isinstance(target, FactoredSystem):
+        state = run_interlaced(
+            method, target, budget, rng, recorder=recorder, stride=stride, tolerance=tolerance, error_fn=err
+        )
+    else:
+        a, y = target
+        state = run(method, a, y, budget, rng, recorder=recorder, stride=stride, tolerance=tolerance, error_fn=err)
+    return records, state
+
+
+def stop_residual(method, target, state) -> float:
+    """The quantity the tolerance check compares, for one trial."""
+    if isinstance(target, FactoredSystem):
+        res_u = target.y - target.U.data @ state.x
+        res_v = state.x - target.V.data @ state.b
+        return max(np.linalg.norm(res_u), np.linalg.norm(res_v))
+    a, y = target
+    return np.linalg.norm(y - a.data @ estimate(method, state))
+
+
+def expected_run(method, target, budget, seed, trials, stride, tolerance, star):
+    """Last step and per-trial records the engine must reproduce.
+
+    Each trial alone stops at its first passing check; the lock-step run
+    stops at the first check from there on at which every trial passes.
+    """
+    check_every = target.m if isinstance(target, FactoredSystem) else target[0].rows
+    last = budget
+    if tolerance is not None:
+        first = max(max(sequential(method, target, budget, seed, tr, stride, tolerance, star)[0]) for tr in range(trials))
+        last = first
+        while last < budget:
+            states = [sequential(method, target, last, seed, tr, stride, None, star)[1] for tr in range(trials)]
+            if all(stop_residual(method, target, s) <= tolerance for s in states):
+                break
+            last = min(last + check_every, budget)
+    return last, [sequential(method, target, last, seed, tr, stride, None, star)[0] for tr in range(trials)]
+
+
+def make_target(method, m, k, n, seed, consistent):
+    rng = master_rng(seed)
+    if method in PAIRINGS:
+        u = DenseMatrix(rng.standard_normal((m, k)))
+        v = DenseMatrix(rng.standard_normal((k, n)))
+        y = u.data @ (v.data @ rng.standard_normal(n)) if consistent else rng.standard_normal(m)
+        return FactoredSystem(u, v, y)
+    a = DenseMatrix(rng.standard_normal((m, n)))
+    return a, (a.data @ rng.standard_normal(n) if consistent else rng.standard_normal(m))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    method=st.sampled_from(METHODS + PAIRINGS),
+    dims=st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+    seed=st.integers(0, 2**16),
+    consistent=st.booleans(),
+    trials=st.sampled_from([1, 2, 3]),
+    stride=st.sampled_from([1, 3, 7, 33]),
+    budget=st.one_of(st.integers(1, 100), st.integers(1025, 1100)),
+    tolerance=st.booleans(),
+    # None keeps the engine's own sub-block rule; the others force the
+    # block path at every trial count.
+    round_steps=st.sampled_from([None, 2, 5, 32]),
+)
+def test_engine_matches_sequential_path(method, dims, seed, consistent, trials, stride, budget, tolerance, round_steps):
+    target = make_target(method, *dims, seed, consistent)
+    star = oracle_solution(target)
+    y = target.y if isinstance(target, FactoredSystem) else target[1]
+    tol = 1e-6 * (1.0 + float(np.linalg.norm(y))) if tolerance else None
+    config = RunConfig(method=method, seed=seed, trials=trials, budget=budget, stride=stride, tolerance=tol)
+    forced = mock.patch.object(_engine, "_round_steps", lambda t: round_steps) if round_steps else nullcontext()
+    with forced:
+        traj = run_experiment(config, target, beta_star=star)
+    last, records = expected_run(method, target, budget, seed, trials, stride, tol, star)
+    assert traj.iters[-1] == last
+    for tr in range(trials):
+        assert traj.iters.tolist() == sorted(records[tr])
+        reference = np.array([records[tr][t] for t in traj.iters])
+        assert np.all(np.abs(traj.errors[tr] - reference) <= 1e-10 * (1.0 + float(star @ star)))
+
+
+@pytest.mark.parametrize("method", ["rk", "rk-rk"])
+def test_one_trial_tolerance_checks_every_m_steps(method, monkeypatch):
+    """A tolerance-stopped T=1 run checks at m, 2m, ... and stops where the per-step path does."""
+    if method == "rk-rk":
+        target, _ = small_factored(20, 5, 10, seed=94)
+    else:
+        a, y, _ = consistent_system(20, 6, seed=95)
+        target = (a, y)
+    star = oracle_solution(target)
+    steps, checks = [0], []
+    real_step, real_advance, real_check = _engine._Batch.step, _engine._Batch.advance, _engine._Batch.max_residual
+
+    def step(self, draws):
+        steps[0] += 1
+        real_step(self, draws)
+
+    def advance(self, draws):
+        steps[0] += draws[0].shape[1]
+        real_advance(self, draws)
+
+    def max_residual(self):
+        checks.append(steps[0])
+        return real_check(self)
+
+    monkeypatch.setattr(_engine._Batch, "step", step)
+    monkeypatch.setattr(_engine._Batch, "advance", advance)
+    monkeypatch.setattr(_engine._Batch, "max_residual", max_residual)
+    budget, tol = 100_000, 1e-10
+    traj = run_experiment(RunConfig(method=method, seed=9, trials=1, budget=budget, tolerance=tol), target, beta_star=star)
+    stop = int(traj.iters[-1])
+    assert stop < budget
+    assert checks == list(range(20, stop + 1, 20))
+    records, _ = sequential(method, target, budget, 9, 0, budget // 500, tol, star)
+    assert max(records) == stop
+    assert traj.iters.tolist() == sorted(records)
+    reference = np.array([records[t] for t in traj.iters])
+    assert np.all(np.abs(traj.errors[0] - reference) <= 1e-10 * (1.0 + float(star @ star)))
