@@ -9,7 +9,9 @@ inside the solver loop.
 Trial j draws from the stream ``trial_rng(config.seed, j)``, so a
 (config, seed) pair pins every number in the output.  CSV values are
 written with ``repr``, the shortest exact float64 representation, which
-makes identical runs byte-identical.
+makes identical runs byte-identical.  Each trial's rows (and the whole
+summary) are formatted by one ``%`` template, whose ``%r`` gives the
+same bytes as ``repr`` value by value.
 
 Output schema:
   trajectory CSV    trial,iter,error_sq,flops      one row per sample
@@ -28,6 +30,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import json
+import math
 
 import numpy as np
 
@@ -78,6 +81,8 @@ class RunConfig:
             raise ValueError("seed must be non-negative")
         if self.stride is not None and self.stride < 1:
             raise ValueError("stride must be at least 1")
+        if self.tolerance is not None and not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise ValueError(f"tolerance must be finite and non-negative, got {self.tolerance!r}")
 
     @property
     def effective_stride(self) -> int:
@@ -178,13 +183,20 @@ def bound_variant_for(method: str, target) -> str | None:
 
 
 def emit_csv(traj: Trajectory, path) -> None:
-    """Write the per-trial trajectory table (trial-major, iter-minor)."""
-    lines = ["trial,iter,error_sq,flops"]
-    for tr in range(traj.trials):
-        row_err = traj.errors[tr]
-        for r in range(traj.iters.size):
-            lines.append(f"{tr},{traj.iters[r]},{float(row_err[r])!r},{traj.flops[r]}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    """Write the per-trial trajectory table (trial-major, iter-minor).
+
+    Each trial's rows are one ``%`` template over its errors; ``%r`` of a
+    Python float is its ``repr``.
+    """
+    suffixes = [f",{t},%r,{f}" for t, f in zip(traj.iters.tolist(), traj.flops.tolist())]
+    with open(path, "w") as fh:
+        fh.write("trial,iter,error_sq,flops\n")
+        if not suffixes:
+            return
+        for tr in range(traj.trials):
+            prefix = str(tr)
+            template = prefix + ("\n" + prefix).join(suffixes) + "\n"
+            fh.write(template % tuple(traj.errors[tr].tolist()))
 
 
 def emit_summary_csv(traj: Trajectory, path, target=None, inputs: BoundInputs | None = None) -> None:
@@ -192,14 +204,13 @@ def emit_summary_csv(traj: Trajectory, path, target=None, inputs: BoundInputs | 
     variant = bound_variant_for(traj.method, target) if target is not None else None
     if variant is not None and inputs is None:
         inputs = bound_inputs(target)
-    means = traj.mean_errors()
-    stds = traj.std_errors()
-    lines = ["iter,mean_error_sq,std_error_sq,bound"]
-    for r in range(traj.iters.size):
-        t = int(traj.iters[r])
+    rows = ["iter,mean_error_sq,std_error_sq,bound"]
+    for t in traj.iters.tolist():
         bound = repr(float(expected_error_bound(inputs, variant, t))) if variant is not None else ""
-        lines.append(f"{t},{float(means[r])!r},{float(stds[r])!r},{bound}")
-    Path(path).write_text("\n".join(lines) + "\n")
+        rows.append(f"{t},%r,%r,{bound}")
+    template = "\n".join(rows)
+    values = np.column_stack((traj.mean_errors(), traj.std_errors())).ravel().tolist()
+    Path(path).write_text(template % tuple(values) + "\n")
 
 
 def write_run_manifest(

@@ -182,15 +182,15 @@ def axpy(alpha: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
 #
 # Matrix: first line "rows cols", then one line of space-separated values
 # per row.  Vector: first line "len", then one value per line.  Values are
-# written with 17 significant digits so that float64 round-trips exactly.
+# written with 17 significant digits so that float64 round-trips exactly,
+# the whole file by one ``%`` template.
 # ---------------------------------------------------------------------------
 
 
 def save_matrix(A: DenseMatrix, path) -> None:
-    lines = [f"{A.rows} {A.cols}"]
-    for i in range(A.rows):
-        lines.append(" ".join(_FLOAT_FMT % x for x in A.data[i, :]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    row = " ".join([_FLOAT_FMT] * A.cols)
+    template = "\n".join([f"{A.rows} {A.cols}"] + [row] * A.rows)
+    Path(path).write_text(template % tuple(A.data.ravel().tolist()) + "\n")
 
 
 def load_matrix(path) -> DenseMatrix:
@@ -214,9 +214,8 @@ def load_matrix(path) -> DenseMatrix:
 
 def save_vector(v: np.ndarray, path) -> None:
     v = _as_float_vector(v)
-    lines = [str(v.size)]
-    lines.extend(_FLOAT_FMT % x for x in v)
-    Path(path).write_text("\n".join(lines) + "\n")
+    template = "\n".join([str(v.size)] + [_FLOAT_FMT] * v.size)
+    Path(path).write_text(template % tuple(v.tolist()) + "\n")
 
 
 def load_vector(path) -> np.ndarray:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseMatrix, matvec
+from .dense import DenseMatrix
 
 __all__ = [
     "SvdFactors",
@@ -26,7 +26,6 @@ __all__ = [
     "rate_constants",
     "projector_rowspace",
     "factored_full_solution",
-    "residual_norm",
 ]
 
 # Singular values at or below rank_tol * sigma_max are treated as zero.
@@ -146,8 +145,3 @@ def factored_full_solution(U: DenseMatrix, V: DenseMatrix, y: np.ndarray) -> np.
         raise ValueError(f"factor dimension mismatch: U is {U.rows}x{U.cols}, V is {V.rows}x{V.cols}")
     X = DenseMatrix(U.data @ V.data)
     return pinv_solve(X, y)
-
-
-def residual_norm(A: DenseMatrix, y: np.ndarray, beta: np.ndarray) -> float:
-    """||y - A @ beta||, the plain residual used by stopping checks."""
-    return float(np.linalg.norm(y - matvec(A, beta)))

@@ -53,6 +53,14 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(method="rk", seed=1, stride=0)
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+    def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
+        with pytest.raises(ValueError, match="tolerance"):
+            RunConfig(method="rk", seed=1, tolerance=tolerance)
+
+    def test_zero_tolerance_accepted(self):
+        assert RunConfig(method="rk", seed=1, tolerance=0.0).tolerance == 0.0
+
 
 class TestRecordSchedule:
     def test_exact_multiples(self):

@@ -1,6 +1,7 @@
 """End-to-end command-line interface checks."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +131,13 @@ class TestSolve:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tolerance", ["nan", "-1e-3"])
+    def test_invalid_tolerance_exits_2(self, tmp_path, capsys, tolerance):
+        code, csv = self.run_solve(tmp_path, "rk-rk", extra=(f"--tolerance={tolerance}",))
+        assert code == 2
+        assert "error: tolerance" in capsys.readouterr().err
+        assert not csv.exists()
+
     def test_unknown_method_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["solve", "--method", "cg", "--dir", str(tmp_path), "--out", "x.csv"])
@@ -177,13 +185,21 @@ class TestVersion:
         assert capsys.readouterr().out.strip() == kaczfact.__version__
 
     def test_console_script_is_installed(self):
+        """The installed script, or ``python -m kaczfact.cli`` without one."""
+        import os
         import shutil
         import subprocess
+        import sys
 
         exe = shutil.which("kaczfact")
+        env = None
         if exe is None:
-            pytest.skip("console script not on PATH")
-        proc = subprocess.run([exe, "version"], capture_output=True, text=True)
+            src = str(Path(kaczfact.__file__).resolve().parents[1])
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+            cmd = [sys.executable, "-m", "kaczfact.cli", "version"]
+        else:
+            cmd = [exe, "version"]
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert proc.stdout.strip() == kaczfact.__version__
 

@@ -10,7 +10,6 @@ from kaczfact.oracle import (
     pinv_solve,
     projector_rowspace,
     rate_constants,
-    residual_norm,
     svd,
 )
 from kaczfact.sampling import master_rng
@@ -156,11 +155,6 @@ class TestProjectorAndResiduals:
         v = rng.standard_normal(7)
         complement = v - project(v)
         assert np.linalg.norm(project(complement)) < 1e-10
-
-    def test_residual_norm(self):
-        a = make_matrix(2, 2, [1.0, 0.0, 0.0, 1.0])
-        value = residual_norm(a, np.array([3.0, 4.0]), np.array([0.0, 0.0]))
-        assert value == pytest.approx(5.0, rel=1e-15)
 
     def test_factored_full_solution_matches_product_pinv(self, rng):
         u = random_dense(9, 4, seed=52)

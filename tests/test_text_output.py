@@ -1,0 +1,203 @@
+"""The text writers, byte for byte.
+
+Trajectory and summary CSVs, instance files and the ``bound`` curve are
+the package's output formats, and reruns must reproduce them exactly.
+The golden cases pin the SHA-256 of what each writer produces on fixed
+inputs, edge floats included.  The property tests hold the writers to
+plain per-value loops, kept here as the reference.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kaczfact.bench import Trajectory, bound_variant_for, emit_csv, emit_summary_csv
+from kaczfact.cli import main
+from kaczfact.dense import DenseMatrix, save_matrix, save_vector
+from kaczfact.interlaced import BoundInputs, FactoredSystem, expected_error_bound
+
+EDGE = [0.0, -0.0, 5e-324, 1e-5, 9.999999999999998e15, 1e16, 0.1]
+INPUTS = BoundInputs(alpha_u=0.9, alpha_v=0.75, theta_v=2.0, kappa_sq_u=3.5, b_star_sq=1.25, x_star_sq=0.1)
+
+
+def trajectory(method: str, iters: list[int], per_step: int, errors) -> Trajectory:
+    it = np.asarray(iters, dtype=np.int64)
+    return Trajectory(method=method, iters=it, flops=it * per_step, errors=np.asarray(errors, dtype=np.float64))
+
+
+def tagged_system(scenario: str) -> FactoredSystem:
+    one = DenseMatrix([[1.0]])
+    return FactoredSystem(one, one, np.array([1.0]), scenario=scenario)
+
+
+TRAJECTORIES = {
+    "edge": trajectory(
+        "rk-rk",
+        [1, 7, 500, 70_000, 10**6],
+        1234,
+        np.array(EDGE + [float("nan"), float("inf"), 1 / 3, 2.5e-300, 123456.789, 7e22, 1.0, 0.5]).reshape(3, 5),
+    ),
+    "t1": trajectory("rek-rk", [10, 20, 30], 17, [[1e16, 0.1, 5e-324]]),
+    "one-record": trajectory("rk", [70_000], 96, [[0.1], [1e-5]]),
+    "zero-records": trajectory("rk", [], 96, np.empty((2, 0))),
+}
+
+
+def write_instance(out_dir) -> None:
+    """A diagonal 2x2x2 instance whose oracle constants are exact."""
+    out_dir.mkdir(exist_ok=True)
+    (out_dir / "U.mat").write_text("2 2\n2 0\n0 1\n")
+    (out_dir / "V.mat").write_text("2 2\n1 0\n0 0.5\n")
+    (out_dir / "y.vec").write_text("2\n2\n3\n")
+
+
+def bound_case(variant: str):
+    def write(path):
+        write_instance(path.parent / "instance")
+        args = ["bound", "--dir", str(path.parent / "instance"), "--variant", variant]
+        assert main(args + ["--tmax", "10", "--stride", "3", "--out", str(path)]) == 0
+
+    return write
+
+
+CASES = {
+    **{f"csv-{name}": (lambda p, t=traj: emit_csv(t, p)) for name, traj in TRAJECTORIES.items()},
+    **{f"summary-{name}": (lambda p, t=traj: emit_summary_csv(t, p)) for name, traj in TRAJECTORIES.items()},
+    "summary-bound-a": lambda p: emit_summary_csv(TRAJECTORIES["edge"], p, target=tagged_system("S1"), inputs=INPUTS),
+    "summary-bound-b": lambda p: emit_summary_csv(TRAJECTORIES["t1"], p, target=tagged_system("S3b"), inputs=INPUTS),
+    "matrix-edge": lambda p: save_matrix(DenseMatrix(np.array(EDGE + [1.5, -2.0]).reshape(3, 3)), p),
+    "matrix-1x1": lambda p: save_matrix(DenseMatrix([[9.999999999999998e15]]), p),
+    "vector-edge": lambda p: save_vector(np.array(EDGE + [-7.25]), p),
+    "vector-1": lambda p: save_vector(np.array([5e-324]), p),
+    "bound-a": bound_case("a"),
+    "bound-b": bound_case("b"),
+}
+
+# SHA-256 of each case's bytes.
+GOLDEN = {
+    "bound-a": "e48271552582c3b6c1ec5ed9357bdce0678f010d2ce5a5656f79e4fe12845ddf",
+    "bound-b": "b8435b50d853a75641755062d01601e6b94571653d33d6895bfb7643f0641905",
+    "csv-edge": "1a252f7f28ab34396fe4aaa52b72476debf57a6b3720e388bee59fdd7c8de818",
+    "csv-one-record": "a612d68e0f40057699386c33493cbbc2731d1d19b10a29168af0ccf38fe452d1",
+    "csv-t1": "b873588fabf04a51cb8099d8f52291b83b90f4d04d8bfa91e92c7c956b19f8c1",
+    "csv-zero-records": "5c98f3f980b898c0be43244d4e90fc8b5f0b8151f4514cc77a746145815a94a0",
+    "matrix-1x1": "0a1b7af79433b94c21173cb3d6817773cb570adb2fdb9fb03ea55c7f6860da8a",
+    "matrix-edge": "2d1565cf63c7e0d027be152c0c3258e80dc5b8b9c92337686493e0076329d517",
+    "summary-bound-a": "922daaa7b179ca47404cb97b1fa5e8ee366ef39a5979074c6f5689130ce1797c",
+    "summary-bound-b": "2b9a1f5597ed5f3e5bd80b4afa61d52620bc202f7cd9e7f4dfe6f5e767425193",
+    "summary-edge": "f1c549d046d84e2dfed9c892433193a513ff7c27ded67adb12e408e166f5748b",
+    "summary-one-record": "58e0ebae8ec70a075433e7dfa1d025f5aa9a5d9f2230e5e827715958da6e827e",
+    "summary-t1": "c20a48d5ca5248ef98803d7f21e3933fee79661366b8e0c85b6b33e2fcf6b0cb",
+    "summary-zero-records": "60fd035f3c57983e5a4fa5ac3032737f00da7c82e6ce7fa552a19a718ce9eec2",
+    "vector-1": "f60dc5a4f61f0132ccf4b9c2e837698b2c59f2a093fd56e5803d5d4bc6a0e2a1",
+    "vector-edge": "f2afb4573061aa6ddf23d4a73cca3441807eac224865cb7768b28516b260407b",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_bytes(case, tmp_path):
+    path = tmp_path / "out.txt"
+    with np.errstate(invalid="ignore"):
+        CASES[case](path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN[case]
+
+
+# ---------------------------------------------------------------------------
+# Reference writers: one formatted value at a time.
+# ---------------------------------------------------------------------------
+
+
+def reference_csv(traj: Trajectory) -> str:
+    lines = ["trial,iter,error_sq,flops"]
+    for tr in range(traj.trials):
+        row_err = traj.errors[tr]
+        for r in range(traj.iters.size):
+            lines.append(f"{tr},{traj.iters[r]},{float(row_err[r])!r},{traj.flops[r]}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_summary(traj: Trajectory, target, inputs) -> str:
+    variant = bound_variant_for(traj.method, target) if target is not None else None
+    means = traj.mean_errors()
+    stds = traj.std_errors()
+    lines = ["iter,mean_error_sq,std_error_sq,bound"]
+    for r in range(traj.iters.size):
+        t = int(traj.iters[r])
+        bound = repr(float(expected_error_bound(inputs, variant, t))) if variant is not None else ""
+        lines.append(f"{t},{float(means[r])!r},{float(stds[r])!r},{bound}")
+    return "\n".join(lines) + "\n"
+
+
+def reference_matrix(A: DenseMatrix) -> str:
+    lines = [f"{A.rows} {A.cols}"]
+    for i in range(A.rows):
+        lines.append(" ".join("%.17g" % x for x in A.data[i, :]))
+    return "\n".join(lines) + "\n"
+
+
+def reference_vector(v: np.ndarray) -> str:
+    return "\n".join([str(v.size)] + ["%.17g" % x for x in v]) + "\n"
+
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+finite_float = st.floats(allow_nan=False, allow_infinity=False)
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def trajectories(draw, method: str = "rk"):
+    trials = draw(st.integers(1, 4))
+    records = draw(st.integers(0, 6))
+    iters = sorted(draw(st.lists(st.integers(1, 10**7), min_size=records, max_size=records, unique=True)))
+    errors = draw(st.lists(any_float, min_size=trials * records, max_size=trials * records))
+    return trajectory(method, iters, draw(st.integers(1, 10**6)), np.reshape(errors, (trials, records)))
+
+
+@PROPERTY
+@given(traj=trajectories())
+def test_emit_csv_matches_reference(traj, tmp_path_factory):
+    path = tmp_path_factory.mktemp("csv") / "traj.csv"
+    emit_csv(traj, path)
+    assert path.read_text() == reference_csv(traj)
+
+
+@PROPERTY
+@given(
+    data=st.data(),
+    scenario=st.sampled_from([None, "S1", "S3b"]),
+    alphas=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+    scales=st.tuples(*[st.floats(0.0, 1e300)] * 4),
+)
+def test_emit_summary_csv_matches_reference(data, scenario, alphas, scales, tmp_path_factory):
+    method = {None: "rk-rk", "S1": "rk-rk", "S3b": "rek-rk"}[scenario]
+    traj = data.draw(trajectories(method))
+    target = tagged_system(scenario) if scenario else None
+    inputs = BoundInputs(*alphas, *scales)
+    path = tmp_path_factory.mktemp("summary") / "summary.csv"
+    with np.errstate(all="ignore"):
+        emit_summary_csv(traj, path, target=target, inputs=inputs)
+        expected = reference_summary(traj, target, inputs)
+    assert path.read_text() == expected
+
+
+@PROPERTY
+@given(rows=st.integers(1, 4), cols=st.integers(1, 4), data=st.data())
+def test_save_matrix_matches_reference(rows, cols, data, tmp_path_factory):
+    values = data.draw(st.lists(finite_float, min_size=rows * cols, max_size=rows * cols))
+    with np.errstate(over="ignore"):
+        A = DenseMatrix(np.reshape(values, (rows, cols)))
+    path = tmp_path_factory.mktemp("matrix") / "A.mat"
+    save_matrix(A, path)
+    assert path.read_text() == reference_matrix(A)
+
+
+@PROPERTY
+@given(values=st.lists(finite_float, max_size=8))
+def test_save_vector_matches_reference(values, tmp_path_factory):
+    v = np.asarray(values, dtype=np.float64)
+    path = tmp_path_factory.mktemp("vector") / "v.vec"
+    save_vector(v, path)
+    assert path.read_text() == reference_vector(v)
