@@ -9,14 +9,10 @@ scenario generators, expected-error bound curves, and a benchmark CLI.
 """
 from .dense import (
     DenseMatrix,
-    axpy,
-    dot,
     load_matrix,
     load_vector,
     make_matrix,
     make_vector,
-    matvec,
-    matvec_adjoint,
     save_matrix,
     save_vector,
 )
@@ -71,10 +67,6 @@ __all__ = [
     "DenseMatrix",
     "make_matrix",
     "make_vector",
-    "matvec",
-    "matvec_adjoint",
-    "dot",
-    "axpy",
     "save_matrix",
     "load_matrix",
     "save_vector",

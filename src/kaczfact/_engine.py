@@ -29,48 +29,36 @@ or columns, a Gram matrix and a (T, B, B) ``np.linalg.solve`` instead
 of B rounds of per-step numpy calls (communication-avoiding block
 coordinate descent, Devarakonda et al., arXiv:1612.04003).
 
-L(T) is 32 at T = 1 and 1 (``_Batch.step``, one step per round trip) at
-T >= 2.  At T = 1 nearly all of a step's time is interpreter overhead,
-which a sub-block pays once.  As T grows the per-step loop spreads that
-overhead over the trials while the Gram matrix and solve grow as B^2 per
-trial, so the gain shrinks (measured on S3b 200x150x100: 1.4-5.8x at
-T = 2-8, 1.2-1.4x at T = 16).  Multi-trial runs keep the per-step
-summation order anyway: it tracks the sequential functions to ~5e-10
-relative on errors near 1e-13, where the block path's reordered sums
-move them by up to ~5e-9 (the float64 error of the sequential path
-itself is ~3e-9 there).
+L(T) is 32 at T = 1 and 1 at T >= 2.  A 1-step sub-block runs the
+per-step kernel shared with ``run`` and ``run_interlaced``
+(``solvers.step_kernel`` and ``interlaced.pairing_kernel``); this module
+holds no per-step algebra of its own.  At T = 1 nearly all of a step's
+time is interpreter overhead, which a sub-block pays once.  As T grows
+the per-step loop spreads that overhead over the trials while the Gram
+matrix and solve grow as B^2 per trial, so the gain shrinks (measured on
+S3b 200x150x100: 1.4-5.8x at T = 2-8, 1.2-1.4x at T = 16).  Multi-trial
+runs keep the per-step kernel anyway: each trial then performs the same
+floating-point operations as the sequential functions, so at T >= 2 its
+iterates, and errors computed by the same formula, equal theirs bit for
+bit.  The block path's reordered sums would move errors near 1e-13 by
+up to ~5e-9 relative (the float64 error of the sequential path itself is
+~3e-9 there).
 
-The two paths agree to rounding, not bit for bit.
+At T = 1 the two paths agree to rounding, not bit for bit.
 The flop count is the per-step model however the steps are grouped.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .dense import DenseMatrix
-from .interlaced import (
-    FactoredSystem,
-    rekrek_step_flops,
-    rekrk_step_flops,
-    rgsrgs_step_flops,
-    rkrk_step_flops,
-)
-from .sampling import col_sampler, row_sampler, trial_rng
-from .solvers import regs_step_flops, rek_step_flops, rgs_step_flops, rk_step_flops
+from .interlaced import FactoredSystem, init_interlaced, pairing_cost, pairing_kernel, pairing_samplers
+from .sampling import trial_rng
+from .solvers import init_state, samplers, step_cost, step_kernel
 
-__all__ = ["run_trials", "DRAWS_PER_STEP", "step_flops"]
-
-# Uniforms consumed per step, in draw order.
-DRAWS_PER_STEP = {
-    "rk": 1,  # row
-    "rek": 2,  # row, col
-    "rgs": 1,  # col
-    "regs": 2,  # row, col
-    "rk-rk": 2,  # U row, V row
-    "rek-rk": 3,  # U row, U col, V row
-    "rek-rek": 4,  # U row, U col, V row, V col
-    "rgs-rgs": 2,  # U col, V col
-}
+__all__ = ["run_trials", "step_flops"]
 
 _BLOCK = 1024
 # Longest sub-block (L at T = 1); see the module docstring.
@@ -105,24 +93,16 @@ def _solve_lower(gram: np.ndarray, rhs: np.ndarray, diag: np.ndarray) -> np.ndar
 def step_flops(method: str, target) -> int:
     """Cost of one step of ``method`` on ``target`` under the flop model."""
     if isinstance(target, FactoredSystem):
-        m, k, n = target.m, target.k, target.n
-        return {
-            "rk-rk": rkrk_step_flops(k, n),
-            "rek-rk": rekrk_step_flops(m, k, n),
-            "rek-rek": rekrek_step_flops(m, k, n),
-            "rgs-rgs": rgsrgs_step_flops(m, k),
-        }[method]
-    A, _ = target
-    return {
-        "rk": rk_step_flops(A.cols),
-        "rek": rek_step_flops(A.rows, A.cols),
-        "rgs": rgs_step_flops(A.rows),
-        "regs": regs_step_flops(A.rows, A.cols),
-    }[method]
+        return pairing_cost(method, target)
+    return step_cost(method, target[0])
+
+
+def _tiled(vec: np.ndarray | None, trials: int) -> np.ndarray | None:
+    return None if vec is None else np.tile(vec, (trials, 1))
 
 
 class _Batch:
-    """State arrays (one row per trial) plus the per-step update."""
+    """(T, dim) state arrays, one row per trial, the shared per-step kernel and the sub-block update."""
 
     def __init__(self, method: str, target, trials: int):
         self.method = method
@@ -130,99 +110,17 @@ class _Batch:
         self.ar = np.arange(trials)
         if isinstance(target, FactoredSystem):
             self.sys = target
-            U, V = target.U, target.V
-            self.samplers = {
-                "rk-rk": (row_sampler(U), row_sampler(V)),
-                "rek-rk": (row_sampler(U), col_sampler(U), row_sampler(V)),
-                "rek-rek": (row_sampler(U), col_sampler(U), row_sampler(V), col_sampler(V)),
-                "rgs-rgs": (col_sampler(U), col_sampler(V)),
-            }[method]
-            self.X = np.zeros((trials, target.k))
-            self.B = np.zeros((trials, target.n))
-            if method in ("rek-rk", "rek-rek"):
-                self.Z = np.tile(target.y, (trials, 1))
-            if method == "rek-rek":
-                self.ZV = np.zeros((trials, target.k))
-            if method == "rgs-rgs":
-                self.RES_U = np.tile(target.y, (trials, 1))
-                self.RES_V = np.zeros((trials, target.k))
+            s = init_interlaced(method, target)
+            state = tuple(_tiled(a, trials) for a in (s.x, s.b, s.z, s.zv, s.res_u, s.res_v))
+            self.X, self.B, self.Z, self.ZV, self.RES_U, self.RES_V = state
+            self.samplers = pairing_samplers(method, target)
+            self.kernel = functools.partial(pairing_kernel, method, target, *state, self.ar)
         else:
             self.A, self.y = target
-            A = self.A
-            self.samplers = {
-                "rk": (row_sampler(A),),
-                "rek": (row_sampler(A), col_sampler(A)),
-                "rgs": (col_sampler(A),),
-                "regs": (row_sampler(A), col_sampler(A)),
-            }[method]
-            self.B = np.zeros((trials, A.cols))
-            if method in ("rek", "regs"):
-                self.Z = np.tile(self.y, (trials, 1)) if method == "rek" else np.zeros((trials, A.cols))
-            if method in ("rgs", "regs"):
-                self.RES = np.tile(self.y, (trials, 1))
-
-    # -- per-step updates, one (T,) index vector per draw ------------------
-
-    def _row_action(self, M: DenseMatrix, rhs: np.ndarray, iterate: np.ndarray, idx: np.ndarray) -> None:
-        rows = M.data[idx]
-        coef = (rhs - np.einsum("ij,ij->i", rows, iterate)) / M.row_sqnorms[idx]
-        iterate += coef[:, None] * rows
-
-    def _col_project(self, M: DenseMatrix, z: np.ndarray, idx: np.ndarray) -> None:
-        cols = M.data_t[idx]
-        coef = np.einsum("ij,ij->i", cols, z) / M.col_sqnorms[idx]
-        z -= coef[:, None] * cols
-
-    def _coord_action(self, M: DenseMatrix, iterate: np.ndarray, res: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        cols = M.data_t[idx]
-        gamma = np.einsum("ij,ij->i", cols, res) / M.col_sqnorms[idx]
-        iterate[self.ar, idx] += gamma
-        res -= gamma[:, None] * cols
-        return gamma
-
-    def step(self, draws: tuple[np.ndarray, ...]) -> None:
-        method = self.method
-        if method == "rk":
-            (i,) = draws
-            self._row_action(self.A, self.y[i], self.B, i)
-        elif method == "rek":
-            i, j = draws
-            self._col_project(self.A, self.Z, j)
-            self._row_action(self.A, self.y[i] - self.Z[self.ar, i], self.B, i)
-        elif method == "rgs":
-            (j,) = draws
-            self._coord_action(self.A, self.B, self.RES, j)
-        elif method == "regs":
-            i, j = draws
-            gamma = self._coord_action(self.A, self.B, self.RES, j)
-            self.Z[self.ar, j] += gamma
-            self._col_project_rows(self.A, self.Z, i)
-        elif method == "rk-rk":
-            i, p = draws
-            self._row_action(self.sys.U, self.sys.y[i], self.X, i)
-            self._row_action(self.sys.V, self.X[self.ar, p], self.B, p)
-        elif method == "rek-rk":
-            i, j, p = draws
-            self._col_project(self.sys.U, self.Z, j)
-            self._row_action(self.sys.U, self.sys.y[i] - self.Z[self.ar, i], self.X, i)
-            self._row_action(self.sys.V, self.X[self.ar, p], self.B, p)
-        elif method == "rek-rek":
-            i, j, p, q = draws
-            self._col_project(self.sys.U, self.Z, j)
-            self._row_action(self.sys.U, self.sys.y[i] - self.Z[self.ar, i], self.X, i)
-            self._col_project(self.sys.V, self.ZV, q)
-            self._row_action(self.sys.V, self.X[self.ar, p] - self.ZV[self.ar, p], self.B, p)
-        else:  # rgs-rgs
-            j, q = draws
-            gamma = self._coord_action(self.sys.U, self.X, self.RES_U, j)
-            self.RES_V[self.ar, j] += gamma
-            self._coord_action(self.sys.V, self.B, self.RES_V, q)
-
-    def _col_project_rows(self, M: DenseMatrix, z: np.ndarray, idx: np.ndarray) -> None:
-        # regs projects out a *row* of M from the length-n correction.
-        rows = M.data[idx]
-        coef = np.einsum("ij,ij->i", rows, z) / M.row_sqnorms[idx]
-        z -= coef[:, None] * rows
+            s = init_state(method, self.A, self.y)
+            self.B, self.Z, self.RES = (_tiled(a, trials) for a in (s.beta, s.z, s.residual))
+            self.samplers = samplers(method, self.A)
+            self.kernel = functools.partial(step_kernel, method, self.A, self.y, self.B, self.Z, self.RES, self.ar)
 
     # -- sub-block updates, one (T, B) index array per draw ----------------
 
@@ -254,7 +152,7 @@ class _Batch:
         return self._rows_block(M, iterate, rows, rhs - z_rows)
 
     def advance(self, draws: tuple[np.ndarray, ...]) -> None:
-        """B steps at once: the block-exact equivalent of B calls to ``step``."""
+        """B steps at once: the block-exact equivalent of B calls to ``kernel``."""
         method = self.method
         ar = self.ar[:, None]
         if method == "rk":
@@ -286,7 +184,7 @@ class _Batch:
             np.add.at(self.B, (ar, q), eta)
         else:  # rk-rk, rek-rk, rek-rek
             U, V = self.sys.U, self.sys.V
-            # Draw order as in DRAWS_PER_STEP: U row, [U col], V row, [V col].
+            # Draw order: U row, [U col], V row, [V col].
             i, p = draws[0], draws[1 if method == "rk-rk" else 2]
             x_p = self.X[ar, p]
             if method == "rk-rk":
@@ -340,8 +238,8 @@ def run_trials(
         raise ValueError("budget must be non-negative")
     if trials < 1:
         raise ValueError("need at least one trial")
-    draws = DRAWS_PER_STEP[method]
     batch = _Batch(method, target, trials)
+    draws = len(batch.samplers)
     per_step = step_flops(method, target)
     check_every = target.m if isinstance(target, FactoredSystem) else target[0].rows
 
@@ -361,9 +259,7 @@ def run_trials(
         u = np.empty((trials, block, draws))
         for tr in range(trials):
             u[tr] = rngs[tr].random((block, draws))
-        idx = tuple(
-            batch.samplers[d].draw_many(np.ascontiguousarray(u[:, :, d])) for d in range(draws)
-        )
+        idx = tuple(s.draw_many(np.ascontiguousarray(u[:, :, d])) for d, s in enumerate(batch.samplers))
         start = t
         while t < start + block:
             # A sub-block ends at the next record, tolerance check or block end.
@@ -373,7 +269,7 @@ def run_trials(
             if tolerance is not None:
                 end = min(end, (t // check_every + 1) * check_every)
             if end - t == 1:
-                batch.step(tuple(ix[:, t - start] for ix in idx))
+                batch.kernel(tuple(ix[:, t - start] for ix in idx))
             else:
                 batch.advance(tuple(ix[:, t - start : end - start] for ix in idx))
             t = end

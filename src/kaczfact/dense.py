@@ -21,10 +21,6 @@ __all__ = [
     "DenseMatrix",
     "make_matrix",
     "make_vector",
-    "matvec",
-    "matvec_adjoint",
-    "dot",
-    "axpy",
     "save_matrix",
     "load_matrix",
     "save_vector",
@@ -148,33 +144,6 @@ def make_matrix(rows: int, cols: int, values) -> DenseMatrix:
 def make_vector(values) -> np.ndarray:
     """Validate and return a finite 1-D float64 array."""
     return _as_float_vector(values).copy()
-
-
-def matvec(A: DenseMatrix, v: np.ndarray) -> np.ndarray:
-    """Return ``A @ v``."""
-    if v.shape != (A.cols,):
-        raise ValueError(f"matvec dimension mismatch: matrix is {A.rows}x{A.cols}, vector has shape {v.shape}")
-    return A.data @ v
-
-
-def matvec_adjoint(A: DenseMatrix, v: np.ndarray) -> np.ndarray:
-    """Return ``A* @ v`` (transpose for real matrices)."""
-    if v.shape != (A.rows,):
-        raise ValueError(f"matvec_adjoint dimension mismatch: matrix is {A.rows}x{A.cols}, vector has shape {v.shape}")
-    return A.data.T @ v
-
-
-def dot(u: np.ndarray, v: np.ndarray) -> float:
-    if u.shape != v.shape:
-        raise ValueError(f"dot dimension mismatch: {u.shape} vs {v.shape}")
-    return float(np.dot(u, v))
-
-
-def axpy(alpha: float, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Return ``alpha * u + v`` without mutating the inputs."""
-    if u.shape != v.shape:
-        raise ValueError(f"axpy dimension mismatch: {u.shape} vs {v.shape}")
-    return alpha * u + v
 
 
 # ---------------------------------------------------------------------------

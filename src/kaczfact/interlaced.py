@@ -6,9 +6,16 @@ problem into two coupled subsystems
     U x = y        (m equations, k unknowns)
     V b = x        (k equations, n unknowns)
 
-and each interlaced step advances both: one step of a row/column method
-on (U, y) updates x, then one step on (V, x) updates b against the
-*current* x.  Supported pairings:
+and each interlaced step advances both.  A pairing "outer-inner" is
+the outer method's step on (U, y, x), which updates x, followed by the
+inner method's step on (V, x, b), which updates b against the *current*
+x; both are ``solvers.step_kernel``.  Each side starts from its
+method's initial state (on (V, x_0 = 0) for the inner one), and the
+pairing's draws, samplers and flops are the outer method's followed by
+the inner one's.  The one coupling beyond the shared x: when an outer
+rgs step moves x in one coordinate, the inner rgs residual
+res_v = x - V b is patched in that coordinate before the inner step.
+Supported pairings:
 
 rk-rk     rk on U, rk on V.  Converges when both subsystems behave as
           consistent systems (U overdetermined with consistent data).
@@ -27,7 +34,7 @@ rgs-rgs   rgs on both.  The V-side residual x - V b is kept in sync
 
 Any other pairing is rejected loudly.
 
-Step costs add the component costs from the flop model in
+Step costs add the two methods' costs from the flop model in
 ``solvers``: a row action on U touches k entries (4k + 2), a column
 action on U touches m (4m + 2), a row action on V touches n (4n + 2),
 a column action on V touches k (4k + 2).
@@ -40,8 +47,18 @@ import numpy as np
 
 from .dense import DenseMatrix
 from .oracle import pinv_solve, rate_constants
-from .sampling import col_sampler, row_sampler
-from .solvers import apply_col_project, apply_coord_step, apply_row_step
+from .solvers import (
+    DRAWS,
+    drive,
+    init_state,
+    one_trial_step,
+    rek_step_flops,
+    rgs_step_flops,
+    rk_step_flops,
+    samplers,
+    step_cost,
+    step_kernel,
+)
 
 __all__ = [
     "PAIRINGS",
@@ -120,33 +137,72 @@ class InterlacedState:
 
 
 def rkrk_step_flops(k: int, n: int) -> int:
-    return (4 * k + 2) + (4 * n + 2)
+    return rk_step_flops(k) + rk_step_flops(n)
 
 
 def rekrk_step_flops(m: int, k: int, n: int) -> int:
-    return (4 * k + 2) + (4 * m + 2) + (4 * n + 2)
+    return rek_step_flops(m, k) + rk_step_flops(n)
 
 
 def rekrek_step_flops(m: int, k: int, n: int) -> int:
-    return (4 * k + 2) + (4 * m + 2) + (4 * n + 2) + (4 * k + 2)
+    return rek_step_flops(m, k) + rek_step_flops(k, n)
 
 
 def rgsrgs_step_flops(m: int, k: int) -> int:
-    return (4 * m + 2) + (4 * k + 2)
+    return rgs_step_flops(m) + rgs_step_flops(k)
+
+
+def _split(method: str) -> list[str]:
+    """[outer, inner] methods of a supported pairing."""
+    if method not in PAIRINGS:
+        raise ValueError(f"unsupported pairing {method!r}; supported pairings are {PAIRINGS}")
+    return method.split("-")
+
+
+def pairing_cost(method: str, sys: FactoredSystem) -> int:
+    """Flops of one interlaced step: its outer step on U plus its inner step on V."""
+    outer, inner = _split(method)
+    return step_cost(outer, sys.U) + step_cost(inner, sys.V)
+
+
+def pairing_samplers(method: str, sys: FactoredSystem) -> tuple:
+    """The samplers of one interlaced step in draw order: the outer method's on U, then the inner's on V."""
+    outer, inner = _split(method)
+    return samplers(outer, sys.U) + samplers(inner, sys.V)
 
 
 def init_interlaced(method: str, sys: FactoredSystem) -> InterlacedState:
-    if method not in PAIRINGS:
-        raise ValueError(f"unsupported pairing {method!r}; supported pairings are {PAIRINGS}")
-    x = np.zeros(sys.k)
-    b = np.zeros(sys.n)
-    if method == "rk-rk":
-        return InterlacedState(x=x, b=b)
-    if method == "rek-rk":
-        return InterlacedState(x=x, b=b, z=sys.y.copy())
-    if method == "rek-rek":
-        return InterlacedState(x=x, b=b, z=sys.y.copy(), zv=np.zeros(sys.k))
-    return InterlacedState(x=x, b=b, res_u=sys.y.copy(), res_v=np.zeros(sys.k))
+    """The outer method's initial state on (U, y) and the inner one's on (V, x_0 = 0)."""
+    outer, inner = _split(method)
+    u = init_state(outer, sys.U, sys.y)
+    v = init_state(inner, sys.V, np.zeros(sys.k))
+    return InterlacedState(x=u.beta, b=v.beta, z=u.z, zv=v.z, res_u=u.residual, res_v=v.residual)
+
+
+def pairing_kernel(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v, ar, draws) -> None:
+    """One interlaced step for every trial: the outer method on (U, y, x), then the inner one on (V, x, b).
+
+    State arrays, ar and draws are as in ``step_kernel``; draws are the
+    pairing's, in draw order.
+    """
+    outer, inner = _split(method)
+    split = len(DRAWS[outer])
+    gamma = step_kernel(outer, sys.U, sys.y, x, z, res_u, ar, draws[:split])
+    if res_v is not None:
+        # The outer rgs step moved x along its column draw: patch x - V b there.
+        res_v[ar, draws[split - 1]] += gamma
+    step_kernel(inner, sys.V, x, b, zv, res_v, ar, draws[split:])
+
+
+def _trial_step(method: str, sys: FactoredSystem, state: InterlacedState, rng: np.random.Generator):
+    vectors = (state.x, state.b, state.z, state.zv, state.res_u, state.res_v)
+    cost = pairing_cost(method, sys)
+    return one_trial_step(pairing_kernel, (method, sys), vectors, pairing_samplers(method, sys), cost, state, rng)
+
+
+def interlaced_step(method: str, sys: FactoredSystem, state: InterlacedState, rng: np.random.Generator):
+    """One interlaced step of ``method``.  Returns its draws in draw order."""
+    return _trial_step(method, sys, state, rng)()
 
 
 def rkrk_step(sys: FactoredSystem, state: InterlacedState, rng: np.random.Generator) -> tuple[int, int]:
@@ -154,14 +210,7 @@ def rkrk_step(sys: FactoredSystem, state: InterlacedState, rng: np.random.Genera
 
     Draws: U row index, then V row index.  Returns both.
     """
-    U, V = sys.U, sys.V
-    i = row_sampler(U).draw(rng)
-    apply_row_step(state.x, U.row(i), sys.y[i], U.row_sqnorms[i])
-    p = row_sampler(V).draw(rng)
-    apply_row_step(state.b, V.row(p), state.x[p], V.row_sqnorms[p])
-    state.t += 1
-    state.flops += rkrk_step_flops(sys.k, sys.n)
-    return i, p
+    return interlaced_step("rk-rk", sys, state, rng)
 
 
 def rekrk_step(sys: FactoredSystem, state: InterlacedState, rng: np.random.Generator) -> tuple[int, int, int]:
@@ -169,17 +218,7 @@ def rekrk_step(sys: FactoredSystem, state: InterlacedState, rng: np.random.Gener
 
     Draws: U row, U column, V row.  Returns all three.
     """
-    U, V = sys.U, sys.V
-    i = row_sampler(U).draw(rng)
-    j = col_sampler(U).draw(rng)
-    z = state.z
-    apply_col_project(z, U.col(j), U.col_sqnorms[j])
-    apply_row_step(state.x, U.row(i), sys.y[i] - z[i], U.row_sqnorms[i])
-    p = row_sampler(V).draw(rng)
-    apply_row_step(state.b, V.row(p), state.x[p], V.row_sqnorms[p])
-    state.t += 1
-    state.flops += rekrk_step_flops(sys.m, sys.k, sys.n)
-    return i, j, p
+    return interlaced_step("rek-rk", sys, state, rng)
 
 
 def rekrek_step(sys: FactoredSystem, state: InterlacedState, rng: np.random.Generator) -> tuple[int, int, int, int]:
@@ -187,20 +226,7 @@ def rekrek_step(sys: FactoredSystem, state: InterlacedState, rng: np.random.Gene
 
     Draws: U row, U column, V row, V column.  Returns all four.
     """
-    U, V = sys.U, sys.V
-    i = row_sampler(U).draw(rng)
-    j = col_sampler(U).draw(rng)
-    z = state.z
-    apply_col_project(z, U.col(j), U.col_sqnorms[j])
-    apply_row_step(state.x, U.row(i), sys.y[i] - z[i], U.row_sqnorms[i])
-    p = row_sampler(V).draw(rng)
-    q = col_sampler(V).draw(rng)
-    zv = state.zv
-    apply_col_project(zv, V.col(q), V.col_sqnorms[q])
-    apply_row_step(state.b, V.row(p), state.x[p] - zv[p], V.row_sqnorms[p])
-    state.t += 1
-    state.flops += rekrek_step_flops(sys.m, sys.k, sys.n)
-    return i, j, p, q
+    return interlaced_step("rek-rek", sys, state, rng)
 
 
 def rgsrgs_step(sys: FactoredSystem, state: InterlacedState, rng: np.random.Generator) -> tuple[int, int]:
@@ -210,29 +236,7 @@ def rgsrgs_step(sys: FactoredSystem, state: InterlacedState, rng: np.random.Gene
     coordinate, so the V-side residual x - V b is patched there before
     the V-side step uses it.
     """
-    U, V = sys.U, sys.V
-    j = col_sampler(U).draw(rng)
-    gamma = apply_coord_step(state.x, state.res_u, U.col(j), j, U.col_sqnorms[j])
-    state.res_v[j] += gamma
-    q = col_sampler(V).draw(rng)
-    apply_coord_step(state.b, state.res_v, V.col(q), q, V.col_sqnorms[q])
-    state.t += 1
-    state.flops += rgsrgs_step_flops(sys.m, sys.k)
-    return j, q
-
-
-_STEPS = {
-    "rk-rk": rkrk_step,
-    "rek-rk": rekrk_step,
-    "rek-rek": rekrek_step,
-    "rgs-rgs": rgsrgs_step,
-}
-
-
-def interlaced_step(method: str, sys: FactoredSystem, state: InterlacedState, rng: np.random.Generator):
-    if method not in _STEPS:
-        raise ValueError(f"unsupported pairing {method!r}; supported pairings are {PAIRINGS}")
-    return _STEPS[method](sys, state, rng)
+    return interlaced_step("rgs-rgs", sys, state, rng)
 
 
 def run_interlaced(
@@ -257,31 +261,18 @@ def run_interlaced(
     if budget < 0:
         raise ValueError("budget must be non-negative")
     state = init_interlaced(method, sys)
-    step = _STEPS[method]
-    if stride is None:
-        stride = max(1, budget // 500)
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
-    check_every = sys.m
-    for t in range(1, budget + 1):
-        step(sys, state, rng)
-        stopped = False
-        if tolerance is not None and t % check_every == 0:
-            res_u = sys.y - sys.U.data @ state.x
-            res_v = state.x - sys.V.data @ state.b
-            if np.linalg.norm(res_u) <= tolerance and np.linalg.norm(res_v) <= tolerance:
-                stopped = True
-        if recorder is not None and (t % stride == 0 or t == budget or stopped):
-            if error_fn is not None:
-                value = float(error_fn(state.b))
-            else:
-                res_u = sys.y - sys.U.data @ state.x
-                res_v = state.x - sys.V.data @ state.b
-                value = float(np.dot(res_u, res_u) + np.dot(res_v, res_v))
-            recorder(t, value, state.flops)
-        if stopped:
-            break
-    return state
+    return drive(
+        state,
+        _trial_step(method, sys, state, rng),
+        lambda: (sys.y - sys.U.data @ state.x, state.x - sys.V.data @ state.b),
+        lambda: state.b,
+        sys.m,
+        budget,
+        recorder=recorder,
+        stride=stride,
+        tolerance=tolerance,
+        error_fn=error_fn,
+    )
 
 
 # --- expected-error bounds ---------------------------------------------------

@@ -108,10 +108,6 @@ class GeneratedInstance:
     beta: np.ndarray
     residual_ratio: float
 
-    @property
-    def spec_dims(self) -> tuple[int, int, int]:
-        return self.system.m, self.system.n, self.system.k
-
 
 def make_inconsistent_rhs(U: DenseMatrix, V: DenseMatrix, beta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """y = U V beta + r with r orthogonal to range(U V), ||r|| = 0.5 ||U V beta||.

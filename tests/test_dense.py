@@ -1,18 +1,14 @@
-"""Dense matrix container, BLAS-1/2 helpers, and text serialization."""
+"""Dense matrix container and text serialization."""
 
 import numpy as np
 import pytest
 
 from kaczfact.dense import (
     DenseMatrix,
-    axpy,
-    dot,
     load_matrix,
     load_vector,
     make_matrix,
     make_vector,
-    matvec,
-    matvec_adjoint,
     save_matrix,
     save_vector,
 )
@@ -90,37 +86,6 @@ class TestConstruction:
             assert np.allclose(a.row_sqnorms, (dense * dense).sum(axis=1), rtol=1e-14)
             assert np.allclose(a.col_sqnorms, (dense * dense).sum(axis=0), rtol=1e-14)
             assert np.isclose(a.frob_sq, (dense * dense).sum(), rtol=1e-14)
-
-
-class TestKernels:
-    def test_matvec_matches_reference(self, rng):
-        a = random_dense(5, 7, seed=3)
-        x = rng.standard_normal(7)
-        assert np.allclose(matvec(a, x), a.data @ x, rtol=1e-14)
-
-    def test_matvec_adjoint_matches_reference(self, rng):
-        a = random_dense(5, 7, seed=4)
-        u = rng.standard_normal(5)
-        assert np.allclose(matvec_adjoint(a, u), a.data.T @ u, rtol=1e-14)
-
-    def test_dot_and_axpy(self):
-        x = np.array([1.0, 2.0, 3.0])
-        y = np.array([4.0, -5.0, 6.0])
-        assert dot(x, y) == 4.0 - 10.0 + 18.0
-        out = axpy(2.0, x, y)
-        assert out.tolist() == [6.0, -1.0, 12.0]
-        assert y.tolist() == [4.0, -5.0, 6.0]
-
-    def test_dimension_mismatches_raise(self, rng):
-        a = random_dense(4, 6, seed=5)
-        with pytest.raises(ValueError):
-            matvec(a, rng.standard_normal(5))
-        with pytest.raises(ValueError):
-            matvec_adjoint(a, rng.standard_normal(6))
-        with pytest.raises(ValueError):
-            dot(np.zeros(3), np.zeros(4))
-        with pytest.raises(ValueError):
-            axpy(1.0, np.zeros(3), np.zeros(4))
 
 
 class TestSerialization:

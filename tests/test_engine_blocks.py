@@ -2,7 +2,8 @@
 
 At T=1 the engine advances in sub-blocks (block-exact stepping); these
 tests hold it to ``run`` / ``run_interlaced`` on recorded iterations,
-stop steps and errors.
+stop steps and errors.  At T >= 2 it runs the same per-step kernel as
+``run`` / ``run_interlaced``, and its errors match them bit for bit.
 """
 
 from contextlib import nullcontext
@@ -19,15 +20,17 @@ from kaczfact.dense import DenseMatrix
 from kaczfact.interlaced import PAIRINGS, FactoredSystem, run_interlaced
 from kaczfact.sampling import master_rng, trial_rng
 from kaczfact.solvers import METHODS, estimate, run
+from kaczfact.systems import ScenarioSpec, gen_gaussian_factored
 
-from conftest import consistent_system, small_factored
+from conftest import consistent_system, inconsistent_system, small_factored
 
 
-def sequential(method, target, budget, seed, trial, stride, tolerance, star):
+def sequential(method, target, budget, seed, trial, stride, tolerance, star, err=None):
     """(records {t: error_sq}, final state) of one trial on the per-step path."""
     records = {}
     recorder = lambda t, value, flops: records.__setitem__(t, value)
-    err = lambda b: float(np.sum((b - star) ** 2))
+    if err is None:
+        err = lambda b: float(np.sum((b - star) ** 2))
     rng = trial_rng(seed, trial)
     if isinstance(target, FactoredSystem):
         state = run_interlaced(
@@ -110,6 +113,28 @@ def test_engine_matches_sequential_path(method, dims, seed, consistent, trials, 
         assert np.all(np.abs(traj.errors[tr] - reference) <= 1e-10 * (1.0 + float(star @ star)))
 
 
+@pytest.mark.parametrize("trials", [2, 3])
+@pytest.mark.parametrize("method", METHODS + PAIRINGS)
+def test_multi_trial_errors_are_bit_identical(method, trials):
+    """At T >= 2 the engine steps with the per-step path's kernel, so recorded errors match exactly."""
+    if method in PAIRINGS:
+        target, seed = gen_gaussian_factored(ScenarioSpec("S3b", m=24, n=15, k=8, seed=97)).system, 12
+    else:
+        a, y, _ = inconsistent_system(24, 9, seed=96)
+        target, seed = (a, y), 11
+    star = oracle_solution(target)
+
+    def engine_error(b):
+        # The engine's error formula, applied to one trial.
+        diff = (b - star)[None]
+        return np.einsum("ij,ij->i", diff, diff)[0]
+
+    traj = run_experiment(RunConfig(method, seed, trials=trials, budget=300, stride=25), target, beta_star=star)
+    for tr in range(trials):
+        records, _ = sequential(method, target, 300, seed, tr, 25, None, star, err=engine_error)
+        assert traj.errors[tr].tolist() == [records[t] for t in traj.iters.tolist()]
+
+
 @pytest.mark.parametrize("method", ["rk", "rk-rk"])
 def test_one_trial_tolerance_checks_every_m_steps(method, monkeypatch):
     """A tolerance-stopped T=1 run checks at m, 2m, ... and stops where the per-step path does."""
@@ -120,11 +145,14 @@ def test_one_trial_tolerance_checks_every_m_steps(method, monkeypatch):
         target = (a, y)
     star = oracle_solution(target)
     steps, checks = [0], []
-    real_step, real_advance, real_check = _engine._Batch.step, _engine._Batch.advance, _engine._Batch.max_residual
+    real_advance, real_check = _engine._Batch.advance, _engine._Batch.max_residual
 
-    def step(self, draws):
-        steps[0] += 1
-        real_step(self, draws)
+    def counted(kernel):
+        def one_step(*args):
+            steps[0] += 1
+            kernel(*args)
+
+        return one_step
 
     def advance(self, draws):
         steps[0] += draws[0].shape[1]
@@ -134,7 +162,9 @@ def test_one_trial_tolerance_checks_every_m_steps(method, monkeypatch):
         checks.append(steps[0])
         return real_check(self)
 
-    monkeypatch.setattr(_engine._Batch, "step", step)
+    # 1-step sub-blocks run the shared kernel, which the batch binds from these names.
+    monkeypatch.setattr(_engine, "step_kernel", counted(_engine.step_kernel))
+    monkeypatch.setattr(_engine, "pairing_kernel", counted(_engine.pairing_kernel))
     monkeypatch.setattr(_engine._Batch, "advance", advance)
     monkeypatch.setattr(_engine._Batch, "max_residual", max_residual)
     budget, tol = 100_000, 1e-10

@@ -11,7 +11,6 @@ from kaczfact.solvers import (
     DEFAULT_TOLERANCE,
     METHODS,
     apply_col_project,
-    apply_coord_step,
     apply_row_step,
     estimate,
     init_state,
@@ -24,6 +23,7 @@ from kaczfact.solvers import (
     rk_step,
     rk_step_flops,
     run,
+    step_kernel,
 )
 
 from conftest import FixedUniforms, consistent_system, inconsistent_system
@@ -91,23 +91,26 @@ class TestUpdateAlgebra:
         # so the reported estimate equals the plain iterate.
         a = make_matrix(2, 2, [1.0, 0.0, 0.0, 1.0])
         y = np.array([1.0, 2.0])
-        beta = np.zeros(2)
-        z = np.zeros(2)
-        residual = y.copy()
+        beta = np.zeros((1, 2))
+        z = np.zeros((1, 2))
+        residual = y[None].copy()
         for j in (0, 1, 0):
-            gamma = apply_coord_step(beta, residual, a.col(j), j, a.col_sqnorms[j])
-            z[j] += gamma
-            apply_col_project(z, a.row(j), a.row_sqnorms[j])
+            draw = np.array([j])
+            gamma = step_kernel("regs", a, y, beta, z, residual, np.arange(1), (draw, draw))
+            assert gamma.shape == (1,)
             assert np.allclose(z, 0.0, atol=1e-15)
-        assert np.allclose(beta, y, atol=1e-15)
+        assert np.allclose(beta[0], y, atol=1e-15)
 
     def test_kernel_return_values(self):
-        beta = np.zeros(2)
-        coef = apply_row_step(beta, np.array([3.0, 4.0]), 10.0, 25.0)
-        assert coef == pytest.approx(0.4, rel=1e-15)
-        z = np.array([10.0, 5.0])
-        coef = apply_col_project(z, np.array([3.0, 0.0]), 9.0)
-        assert coef == pytest.approx(10.0 / 3.0, rel=1e-15)
+        # Two trials at once: each row is its own projection.
+        beta = np.zeros((2, 2))
+        coef = apply_row_step(beta, np.array([[3.0, 4.0], [0.0, 5.0]]), np.array([10.0, 5.0]), np.array([25.0, 25.0]))
+        assert coef == pytest.approx([0.4, 0.2], rel=1e-15)
+        assert np.allclose(beta, [[1.2, 1.6], [0.0, 1.0]], rtol=1e-15)
+        z = np.array([[10.0, 5.0], [10.0, 5.0]])
+        coef = apply_col_project(z, np.array([[3.0, 0.0], [0.0, 5.0]]), np.array([9.0, 25.0]))
+        assert coef == pytest.approx([10.0 / 3.0, 1.0], rel=1e-15)
+        assert np.allclose(z, [[0.0, 5.0], [10.0, 0.0]], atol=1e-14)
 
 
 class TestStateManagement:
