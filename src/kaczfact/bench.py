@@ -37,7 +37,7 @@ import numpy as np
 from . import _engine
 from .interlaced import PAIRINGS, BoundInputs, FactoredSystem, bound_inputs, expected_error_bound
 from .oracle import factored_full_solution, pinv_solve
-from .solvers import METHODS
+from .solvers import METHODS, default_stride
 
 __all__ = [
     "RunConfig",
@@ -86,7 +86,7 @@ class RunConfig:
 
     @property
     def effective_stride(self) -> int:
-        return self.stride if self.stride is not None else max(1, self.budget // 500)
+        return self.stride if self.stride is not None else default_stride(self.budget)
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,23 @@ problem into two coupled subsystems
 and each interlaced step advances both.  A pairing "outer-inner" is
 the outer method's step on (U, y, x), which updates x, followed by the
 inner method's step on (V, x, b), which updates b against the *current*
-x; both are ``solvers.step_kernel``.  Each side starts from its
-method's initial state (on (V, x_0 = 0) for the inner one), and the
-pairing's draws, samplers and flops are the outer method's followed by
-the inner one's.  The one coupling beyond the shared x: when an outer
-rgs step moves x in one coordinate, the inner rgs residual
-res_v = x - V b is patched in that coordinate before the inner step.
+x; both are ``solvers.step_kernel`` (``pairing_kernel``).  B steps at
+once are the outer method's ``solvers.block_kernel`` on (U, y, x), then
+the inner one's on (V, x, b) (``pairing_block``).  Each side starts
+from its method's initial state (on (V, x_0 = 0) for the inner one),
+and the pairing's draws, samplers and flops are the outer method's
+followed by the inner one's.
+
+Two rules carry the outer side's moves of x to the inner side:
+
+- an inner row draw p reads x.  Per step that is the shared x; in a
+  block, inner step s reads x[p_s] moved by the outer row steps r <= s
+  (through U[i_r, p_s]).
+- an inner rgs step reads res_v = x - V b.  Per step, res_v is patched
+  in the outer rgs step's coordinate before the inner step; in a block,
+  inner step s's inner product gains the outer moves r <= s (through
+  V[j_r, q_s]) and the patches are applied to res_v after the block.
+
 Supported pairings:
 
 rk-rk     rk on U, rk on V.  Converges when both subsystems behave as
@@ -35,9 +46,8 @@ rgs-rgs   rgs on both.  The V-side residual x - V b is kept in sync
 Any other pairing is rejected loudly.
 
 Step costs add the two methods' costs from the flop model in
-``solvers``: a row action on U touches k entries (4k + 2), a column
-action on U touches m (4m + 2), a row action on V touches n (4n + 2),
-a column action on V touches k (4k + 2).
+``solvers``: a row draw on U costs 4k + 2, a column draw on U 4m + 2,
+a row draw on V 4n + 2 and a column draw on V 4k + 2.
 """
 from __future__ import annotations
 
@@ -49,12 +59,11 @@ from .dense import DenseMatrix
 from .oracle import pinv_solve, rate_constants
 from .solvers import (
     DRAWS,
+    block_kernel,
+    cross_sum,
     drive,
     init_state,
     one_trial_step,
-    rek_step_flops,
-    rgs_step_flops,
-    rk_step_flops,
     samplers,
     step_cost,
     step_kernel,
@@ -74,13 +83,12 @@ __all__ = [
     "BoundInputs",
     "bound_inputs",
     "expected_error_bound",
-    "rkrk_step_flops",
-    "rekrk_step_flops",
-    "rekrek_step_flops",
-    "rgsrgs_step_flops",
 ]
 
 PAIRINGS = ("rk-rk", "rek-rk", "rek-rek", "rgs-rgs")
+
+# pairing -> (outer method, inner method, number of outer draws)
+_PARTS = {p: (*p.split("-"), len(DRAWS[p.split("-")[0]])) for p in PAIRINGS}
 
 
 @dataclass(frozen=True)
@@ -136,44 +144,29 @@ class InterlacedState:
     flops: int = 0
 
 
-def rkrk_step_flops(k: int, n: int) -> int:
-    return rk_step_flops(k) + rk_step_flops(n)
-
-
-def rekrk_step_flops(m: int, k: int, n: int) -> int:
-    return rek_step_flops(m, k) + rk_step_flops(n)
-
-
-def rekrek_step_flops(m: int, k: int, n: int) -> int:
-    return rek_step_flops(m, k) + rek_step_flops(k, n)
-
-
-def rgsrgs_step_flops(m: int, k: int) -> int:
-    return rgs_step_flops(m) + rgs_step_flops(k)
-
-
-def _split(method: str) -> list[str]:
-    """[outer, inner] methods of a supported pairing."""
-    if method not in PAIRINGS:
+def _split(method: str) -> tuple[str, str, int]:
+    """(outer method, inner method, number of outer draws) of a supported pairing."""
+    parts = _PARTS.get(method)
+    if parts is None:
         raise ValueError(f"unsupported pairing {method!r}; supported pairings are {PAIRINGS}")
-    return method.split("-")
+    return parts
 
 
 def pairing_cost(method: str, sys: FactoredSystem) -> int:
     """Flops of one interlaced step: its outer step on U plus its inner step on V."""
-    outer, inner = _split(method)
+    outer, inner, _ = _split(method)
     return step_cost(outer, sys.U) + step_cost(inner, sys.V)
 
 
 def pairing_samplers(method: str, sys: FactoredSystem) -> tuple:
     """The samplers of one interlaced step in draw order: the outer method's on U, then the inner's on V."""
-    outer, inner = _split(method)
+    outer, inner, _ = _split(method)
     return samplers(outer, sys.U) + samplers(inner, sys.V)
 
 
 def init_interlaced(method: str, sys: FactoredSystem) -> InterlacedState:
     """The outer method's initial state on (U, y) and the inner one's on (V, x_0 = 0)."""
-    outer, inner = _split(method)
+    outer, inner, _ = _split(method)
     u = init_state(outer, sys.U, sys.y)
     v = init_state(inner, sys.V, np.zeros(sys.k))
     return InterlacedState(x=u.beta, b=v.beta, z=u.z, zv=v.z, res_u=u.residual, res_v=v.residual)
@@ -185,13 +178,31 @@ def pairing_kernel(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v, 
     State arrays, ar and draws are as in ``step_kernel``; draws are the
     pairing's, in draw order.
     """
-    outer, inner = _split(method)
-    split = len(DRAWS[outer])
+    outer, inner, split = _split(method)
     gamma = step_kernel(outer, sys.U, sys.y, x, z, res_u, ar, draws[:split])
     if res_v is not None:
         # The outer rgs step moved x along its column draw: patch x - V b there.
         res_v[ar, draws[split - 1]] += gamma
     step_kernel(inner, sys.V, x, b, zv, res_v, ar, draws[split:])
+
+
+def pairing_block(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v, ar, draws) -> None:
+    """B interlaced steps for every trial: the block-exact form of B ``pairing_kernel`` calls.
+
+    Arguments are as in ``pairing_kernel``, with (T, B) draws.
+    """
+    outer, inner, split = _split(method)
+    rhs = x.copy()  # the inner side's right-hand side as the block began
+    coef = block_kernel(outer, sys.U, sys.y, x, z, res_u, ar, draws[:split])
+    if res_v is None:
+        # Inner row step s reads x[p_s] moved by the outer row steps r <= s: U[i_r, p_s] coef_r.
+        drift = cross_sum(sys.U.data_t, draws[split], draws[0], coef)
+    else:
+        # Inner rgs step s sees res_v patched by the outer coordinate moves r <= s: V[j_r, q_s] gamma_r.
+        drift = cross_sum(sys.V.data_t, draws[split], draws[split - 1], coef)
+    block_kernel(inner, sys.V, rhs, b, zv, res_v, ar, draws[split:], drift)
+    if res_v is not None:
+        np.add.at(res_v, (ar[:, None], draws[split - 1]), coef)
 
 
 def _trial_step(method: str, sys: FactoredSystem, state: InterlacedState, rng: np.random.Generator):

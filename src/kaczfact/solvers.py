@@ -46,10 +46,14 @@ lock-step engine runs it on its T trials; the per-step functions and
 ``run`` run it at T = 1 on (1, dim) views of their state, so the two
 paths perform the same floating-point operations.
 
+``block_kernel`` takes B consecutive steps of the same method at once,
+block-exact; see the block section below.
+
 Step costs follow a fixed flop model so trajectories-vs-flops are
-bit-reproducible: a row action on a length-n row costs 4n + 2 (one dot,
-one scalar divide and subtract, one scaled add), a column action
-likewise 4m + 2, and composite steps add their parts.
+bit-reproducible.  Each draw is one action: a row draw acts on a
+length-n row and costs 4n + 2 (one dot, one scalar divide and subtract,
+one scaled add), a column draw acts on a length-m column and costs
+4m + 2, and a step costs the sum over its draws.
 """
 from __future__ import annotations
 
@@ -71,10 +75,6 @@ __all__ = [
     "rgs_step",
     "regs_step",
     "run",
-    "rk_step_flops",
-    "rek_step_flops",
-    "rgs_step_flops",
-    "regs_step_flops",
 ]
 
 METHODS = ("rk", "rek", "rgs", "regs")
@@ -99,35 +99,13 @@ class SolverState:
     flops: int = 0
 
 
-def rk_step_flops(n: int) -> int:
-    return 4 * n + 2
-
-
-def rek_step_flops(m: int, n: int) -> int:
-    return (4 * n + 2) + (4 * m + 2)
-
-
-def rgs_step_flops(m: int) -> int:
-    return 4 * m + 2
-
-
-def regs_step_flops(m: int, n: int) -> int:
-    return (4 * m + 2) + (4 * n + 2)
+# Indices each step draws, in draw order: a row or a column of A.
+DRAWS = {"rk": ("row",), "rek": ("row", "col"), "rgs": ("col",), "regs": ("row", "col")}
 
 
 def step_cost(method: str, A: DenseMatrix) -> int:
-    """Flops of one ``method`` step on A under the flop model."""
-    m, n = A.shape
-    return {
-        "rk": rk_step_flops(n),
-        "rek": rek_step_flops(m, n),
-        "rgs": rgs_step_flops(m),
-        "regs": regs_step_flops(m, n),
-    }[method]
-
-
-# Indices each step draws, in draw order: a row or a column of A.
-DRAWS = {"rk": ("row",), "rek": ("row", "col"), "rgs": ("col",), "regs": ("row", "col")}
+    """Flops of one ``method`` step on A: 4 A.cols + 2 per row draw, 4 A.rows + 2 per column draw."""
+    return sum(4 * (A.cols if d == "row" else A.rows) + 2 for d in DRAWS[method])
 
 
 def samplers(method: str, A: DenseMatrix) -> tuple:
@@ -192,6 +170,103 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
         target = target - z[ar, i]
     apply_row_step(beta, A.data[i], target, A.row_sqnorms[i])
     return None
+
+
+# --- the block kernel -------------------------------------------------------
+# B consecutive steps of one method at once, block-exact (s-step stepping,
+# Devarakonda et al., arXiv:1612.04003): the B projections of a side are
+# one lower-triangular system.  For row projections onto rows I against
+# right-hand sides r,
+#
+#     tril(A_I A_I^T) c = r - A_I beta_0,    beta_B = beta_0 + A_I^T c,
+#
+# and column projections of z onto columns J solve tril(A_J^T A_J) d =
+# A_J^T z_0 likewise.  What step r changes and a later step s reads enters
+# through an inclusive lower-triangular cross matrix (cross_sum): rek's
+# z[i_s] and the regs correction's coordinate patches, both from A[I][:, J].
+# A side costs one gather, one Gram matrix and one (T, B, B) solve instead
+# of B rounds of per-step numpy calls, and agrees with them to rounding.
+# Each draw is a (T, B) index array, column s holding step s's indices.
+
+# Longest block: the cross matrices are cut from one cached triangle.
+MAX_BLOCK = 32
+_LOWER = np.tril(np.ones((MAX_BLOCK, MAX_BLOCK)))
+
+
+def _mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
+    """Batched matrix-vector product: (T, p, q) with (T, q) gives (T, p)."""
+    return (mat @ vec[..., None])[..., 0]
+
+
+def _lower(mat: np.ndarray) -> np.ndarray:
+    """Inclusive lower triangle of each (B, B) matrix in a stack."""
+    b = mat.shape[-1]
+    return mat * _LOWER[:b, :b]
+
+
+def cross_sum(mat: np.ndarray, at: np.ndarray, by: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Entry s of row t: sum over r <= s of mat[at[t, s], by[t, r]] * coef[t, r], for (T, B) at, by, coef."""
+    return _mv(_lower(mat[at[:, :, None], by[:, None, :]]), coef)
+
+
+def _solve_lower(gram: np.ndarray, rhs: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Solve tril(gram) c = rhs per trial, with the cached squared norms on the diagonal."""
+    low = _lower(gram)
+    r = np.arange(diag.shape[1])
+    low[:, r, r] = diag
+    return np.linalg.solve(low, rhs[..., None])[..., 0]
+
+
+def _rows_block(A: DenseMatrix, beta: np.ndarray, idx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Row projections onto rows idx[:, 0], idx[:, 1], ... against rhs[:, s].
+
+    Returns the (T, B) step coefficients.
+    """
+    rows = A.data[idx]
+    coef = _solve_lower(rows @ rows.swapaxes(1, 2), rhs - _mv(rows, beta), A.row_sqnorms[idx])
+    beta += (coef[:, None, :] @ rows)[:, 0]
+    return coef
+
+
+def _cols_block(A: DenseMatrix, z: np.ndarray, idx: np.ndarray, extra) -> np.ndarray:
+    """Column projections of z onto columns idx[:, s]; extra[:, s] joins step s's inner product.
+
+    Returns the (T, B) step coefficients.
+    """
+    cols = A.data_t[idx]
+    coef = _solve_lower(cols @ cols.swapaxes(1, 2), _mv(cols, z) + extra, A.col_sqnorms[idx])
+    z -= (coef[:, None, :] @ cols)[:, 0]
+    return coef
+
+
+def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual, ar, draws, drift=0.0):
+    """B ``method`` steps on (A, rhs) for every trial: the block-exact form of B ``step_kernel`` calls.
+
+    Arguments are as in ``step_kernel``, with ar = arange(T) and (T, B) draws.  drift[:, s]
+    is how far step s's right-hand side has moved since the block began,
+    as that step reads it: at its row draw for rk and rek, in its
+    column's inner product for rgs and regs (0 for a fixed one).
+    Returns the (T, B) step coefficients: the row steps' of rk and rek,
+    the coordinate moves of rgs and regs.
+    """
+    ar = ar[:, None]
+    if method in ("rgs", "regs"):
+        j = draws[-1]
+        gamma = _cols_block(A, residual, j, drift)
+        np.add.at(beta, (ar, j), gamma)
+        if method == "regs":
+            # Row step s projects z + sum_{r<=s} gamma_r e_{j_r}: the patches enter its rhs.
+            _rows_block(A, z, draws[0], -cross_sum(A.data, draws[0], j, gamma))
+            np.add.at(z, (ar, j), gamma)
+        return gamma
+    i = draws[0]
+    target = (rhs[i] if rhs.ndim == 1 else rhs[ar, i]) + drift
+    if method == "rek":
+        # Row step s reads z[i_s] after the column projections r <= s.
+        z_rows = z[ar, i]
+        z_rows -= cross_sum(A.data, i, draws[1], _cols_block(A, z, draws[1], 0.0))
+        target = target - z_rows
+    return _rows_block(A, beta, i, target)
 
 
 # --- public single-step operations ------------------------------------------
@@ -264,6 +339,11 @@ def regs_step(A: DenseMatrix, y: np.ndarray, state: SolverState, rng: np.random.
     return _trial_step("regs", A, y, state, rng)()
 
 
+def default_stride(budget: int) -> int:
+    """Record every budget / 500 steps (at least every step) when no stride is given."""
+    return max(1, budget // 500)
+
+
 def drive(state, step, residuals, reported, check_every: int, budget: int, *, recorder, stride, tolerance, error_fn):
     """The step loop of ``run`` and ``run_interlaced``.
 
@@ -273,7 +353,7 @@ def drive(state, step, residuals, reported, check_every: int, budget: int, *, re
     recorded value when no error_fn is given; error_fn sees reported().
     """
     if stride is None:
-        stride = max(1, budget // 500)
+        stride = default_stride(budget)
     if stride < 1:
         raise ValueError("stride must be at least 1")
     for t in range(1, budget + 1):

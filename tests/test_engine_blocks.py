@@ -4,6 +4,8 @@ At T=1 the engine advances in sub-blocks (block-exact stepping); these
 tests hold it to ``run`` / ``run_interlaced`` on recorded iterations,
 stop steps and errors.  At T >= 2 it runs the same per-step kernel as
 ``run`` / ``run_interlaced``, and its errors match them bit for bit.
+Apart from the engine's scheduling, one block of each block kernel is
+held to the same number of per-step kernel calls.
 """
 
 from contextlib import nullcontext
@@ -17,9 +19,17 @@ from hypothesis import strategies as st
 from kaczfact import _engine
 from kaczfact.bench import RunConfig, oracle_solution, run_experiment
 from kaczfact.dense import DenseMatrix
-from kaczfact.interlaced import PAIRINGS, FactoredSystem, run_interlaced
+from kaczfact.interlaced import (
+    PAIRINGS,
+    FactoredSystem,
+    init_interlaced,
+    pairing_block,
+    pairing_kernel,
+    pairing_samplers,
+    run_interlaced,
+)
 from kaczfact.sampling import master_rng, trial_rng
-from kaczfact.solvers import METHODS, estimate, run
+from kaczfact.solvers import METHODS, block_kernel, estimate, init_state, run, samplers, step_kernel
 from kaczfact.systems import ScenarioSpec, gen_gaussian_factored
 
 from conftest import consistent_system, inconsistent_system, small_factored
@@ -113,6 +123,37 @@ def test_engine_matches_sequential_path(method, dims, seed, consistent, trials, 
         assert np.all(np.abs(traj.errors[tr] - reference) <= 1e-10 * (1.0 + float(star @ star)))
 
 
+@pytest.mark.parametrize("block", [2, 5, 32])
+@pytest.mark.parametrize("method", METHODS + PAIRINGS)
+def test_block_kernel_equals_per_step_kernel(method, block):
+    """One block of B steps equals B per-step kernel calls, on any state and any draws."""
+    trials = 3
+    target = make_target(method, 7, 4, 6, seed=block, consistent=False)
+    if method in PAIRINGS:
+        s = init_interlaced(method, target)
+        vectors = (s.x, s.b, s.z, s.zv, s.res_u, s.res_v)
+        fixed, kernel, block_step = (method, target), pairing_kernel, pairing_block
+        step_samplers = pairing_samplers(method, target)
+    else:
+        a, y = target
+        s = init_state(method, a, y)
+        vectors = (s.beta, s.z, s.residual)
+        fixed, kernel, block_step = (method, a, y), step_kernel, block_kernel
+        step_samplers = samplers(method, a)
+    rng = master_rng(100 + block)
+    blocked = [None if v is None else rng.standard_normal((trials, v.size)) for v in vectors]
+    stepped = [None if v is None else v.copy() for v in blocked]
+    # Few rows and columns, so the draws repeat indices within a block.
+    draws = tuple(sampler.draw_many(rng.random((trials, block))) for sampler in step_samplers)
+    ar = np.arange(trials)
+    block_step(*fixed, *blocked, ar, draws)
+    for step in range(block):
+        kernel(*fixed, *stepped, ar, tuple(d[:, step] for d in draws))
+    for got, want in zip(blocked, stepped):
+        if want is not None:
+            assert np.all(np.abs(got - want) <= 1e-10 * (1.0 + np.abs(want).max()))
+
+
 @pytest.mark.parametrize("trials", [2, 3])
 @pytest.mark.parametrize("method", METHODS + PAIRINGS)
 def test_multi_trial_errors_are_bit_identical(method, trials):
@@ -137,42 +178,48 @@ def test_multi_trial_errors_are_bit_identical(method, trials):
 
 @pytest.mark.parametrize("method", ["rk", "rk-rk"])
 def test_one_trial_tolerance_checks_every_m_steps(method, monkeypatch):
-    """A tolerance-stopped T=1 run checks at m, 2m, ... and stops where the per-step path does."""
+    """A tolerance-stopped T=1 run checks at m, 2m, ... and stops where the per-step path does.
+
+    Records every m + 1 steps put a 1-step sub-block right after each
+    check, so both the block path and the per-step kernel run.
+    """
     if method == "rk-rk":
         target, _ = small_factored(20, 5, 10, seed=94)
     else:
         a, y, _ = consistent_system(20, 6, seed=95)
         target = (a, y)
     star = oracle_solution(target)
-    steps, checks = [0], []
-    real_advance, real_check = _engine._Batch.advance, _engine._Batch.max_residual
+    steps, checks, calls = [0], [], {"kernel": 0, "block": 0}
+    real_check = _engine._Batch.max_residual
 
-    def counted(kernel):
-        def one_step(*args):
-            steps[0] += 1
-            kernel(*args)
+    def counted(fn, kind):
+        def run_steps(*args):
+            # The draws come last: (T,) arrays for one step, (T, B) for a block.
+            draws = args[-1]
+            steps[0] += draws[0].shape[1] if kind == "block" else 1
+            calls[kind] += 1
+            fn(*args)
 
-        return one_step
-
-    def advance(self, draws):
-        steps[0] += draws[0].shape[1]
-        real_advance(self, draws)
+        return run_steps
 
     def max_residual(self):
         checks.append(steps[0])
         return real_check(self)
 
-    # 1-step sub-blocks run the shared kernel, which the batch binds from these names.
-    monkeypatch.setattr(_engine, "step_kernel", counted(_engine.step_kernel))
-    monkeypatch.setattr(_engine, "pairing_kernel", counted(_engine.pairing_kernel))
-    monkeypatch.setattr(_engine._Batch, "advance", advance)
+    # The batch binds its kernels from these names.
+    monkeypatch.setattr(_engine, "step_kernel", counted(_engine.step_kernel, "kernel"))
+    monkeypatch.setattr(_engine, "pairing_kernel", counted(_engine.pairing_kernel, "kernel"))
+    monkeypatch.setattr(_engine, "block_kernel", counted(_engine.block_kernel, "block"))
+    monkeypatch.setattr(_engine, "pairing_block", counted(_engine.pairing_block, "block"))
     monkeypatch.setattr(_engine._Batch, "max_residual", max_residual)
-    budget, tol = 100_000, 1e-10
-    traj = run_experiment(RunConfig(method=method, seed=9, trials=1, budget=budget, tolerance=tol), target, beta_star=star)
+    budget, tol, stride = 100_000, 1e-10, 21
+    config = RunConfig(method=method, seed=9, trials=1, budget=budget, stride=stride, tolerance=tol)
+    traj = run_experiment(config, target, beta_star=star)
     stop = int(traj.iters[-1])
     assert stop < budget
     assert checks == list(range(20, stop + 1, 20))
-    records, _ = sequential(method, target, budget, 9, 0, budget // 500, tol, star)
+    assert calls["kernel"] > 0 and calls["block"] > 0
+    records, _ = sequential(method, target, budget, 9, 0, stride, tol, star)
     assert max(records) == stop
     assert traj.iters.tolist() == sorted(records)
     reference = np.array([records[t] for t in traj.iters])

@@ -15,13 +15,9 @@ from kaczfact.solvers import (
     estimate,
     init_state,
     regs_step,
-    regs_step_flops,
     rek_step,
-    rek_step_flops,
     rgs_step,
-    rgs_step_flops,
     rk_step,
-    rk_step_flops,
     run,
     step_kernel,
 )
@@ -49,7 +45,7 @@ class TestUpdateAlgebra:
         # beta_1 = (10 / 25) * (3, 4)
         assert np.allclose(state.beta, [1.2, 1.6], rtol=1e-15)
         assert state.t == 1
-        assert state.flops == rk_step_flops(2) == 10
+        assert state.flops == 4 * 2 + 2 == 10
 
     def test_rk_second_row(self):
         a, y = example_system()
@@ -65,7 +61,7 @@ class TestUpdateAlgebra:
         # gamma = (3 * 10 + 0 * 5) / 9 = 10/3 along e_0.
         assert np.allclose(state.beta, [10.0 / 3.0, 0.0], rtol=1e-15)
         assert np.allclose(state.residual, [0.0, 5.0], atol=1e-14)
-        assert state.flops == rgs_step_flops(2) == 10
+        assert state.flops == 4 * 2 + 2 == 10
 
     def test_rek_consumes_row_then_column(self):
         a, y = example_system()
@@ -77,13 +73,13 @@ class TestUpdateAlgebra:
         # then row 1 with rhs y_1 - z_1 = 0 leaves beta unchanged.
         assert np.allclose(state.z, [0.0, 5.0], atol=1e-14)
         assert np.allclose(state.beta, [0.0, 0.0], atol=1e-15)
-        assert state.flops == rek_step_flops(2, 2)
+        assert state.flops == (4 * 2 + 2) + (4 * 2 + 2)
 
     def test_regs_flop_charge(self):
         a, y = example_system()
         state = init_state("regs", a, y)
         regs_step(a, y, state, FixedUniforms([0.2, 0.5]))
-        assert state.flops == regs_step_flops(2, 2) == 20
+        assert state.flops == (4 * 2 + 2) + (4 * 2 + 2) == 20
 
     def test_regs_identity_correction_vanishes_for_matching_draws(self):
         # On the identity, a coordinate step along e_j followed by
@@ -191,10 +187,10 @@ class TestPerStepInvariants:
     def test_flops_scale_linearly_with_steps(self, rng):
         a, y, _ = consistent_system(9, 4, seed=36)
         for method, per_step in [
-            ("rk", rk_step_flops(4)),
-            ("rek", rek_step_flops(9, 4)),
-            ("rgs", rgs_step_flops(9)),
-            ("regs", regs_step_flops(9, 4)),
+            ("rk", 4 * 4 + 2),
+            ("rek", (4 * 4 + 2) + (4 * 9 + 2)),
+            ("rgs", 4 * 9 + 2),
+            ("regs", (4 * 9 + 2) + (4 * 4 + 2)),
         ]:
             state = run(method, a, y, 57, master_rng(5), tolerance=None)
             assert state.t == 57
@@ -301,7 +297,7 @@ class TestRunHarness:
         seen = []
         run("rk", a, y, 1000, master_rng(50), recorder=lambda t, v, f: seen.append((t, v, f)), stride=100, tolerance=None)
         assert [t for t, _, _ in seen] == list(range(100, 1001, 100))
-        assert all(f == t * rk_step_flops(4) for t, _, f in seen)
+        assert all(f == t * (4 * 4 + 2) for t, _, f in seen)
 
     def test_recorder_includes_off_stride_final_step(self):
         a, y, _ = consistent_system(8, 4, seed=41)
