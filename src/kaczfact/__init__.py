@@ -6,37 +6,13 @@ U @ V: interlaced methods advance the inner variable x = V b on the
 alternation.  Alongside the interlaced pairings it ships the four
 single-system baselines (rk, rek, rgs, regs), a pseudo-inverse oracle,
 scenario generators, expected-error bound curves, and a benchmark CLI.
+Every trajectory runs through ``run_experiment`` (``trials=1`` for a
+single run).
 """
-from .dense import (
-    DenseMatrix,
-    load_matrix,
-    load_vector,
-    make_matrix,
-    make_vector,
-    save_matrix,
-    save_vector,
-)
-from .sampling import NormSampler, master_rng, sampler_from_cols, sampler_from_rows, trial_rng
-from .oracle import (
-    RateConstants,
-    SvdFactors,
-    factored_full_solution,
-    pinv_solve,
-    projector_rowspace,
-    rate_constants,
-    svd,
-)
-from .solvers import (
-    METHODS,
-    SolverState,
-    estimate,
-    init_state,
-    regs_step,
-    rek_step,
-    rgs_step,
-    rk_step,
-    run,
-)
+from .dense import DenseMatrix, load_matrix, load_vector, save_matrix, save_vector
+from .sampling import NormSampler, master_rng, trial_rng
+from .oracle import RateConstants, SvdFactors, factored_full_solution, pinv_solve, rate_constants, svd
+from .solvers import METHODS, SolverState, estimate, init_state
 from .interlaced import (
     PAIRINGS,
     BoundInputs,
@@ -45,8 +21,6 @@ from .interlaced import (
     bound_inputs,
     expected_error_bound,
     init_interlaced,
-    interlaced_step,
-    run_interlaced,
 )
 from .systems import (
     SCENARIO_PRESETS,
@@ -65,15 +39,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DenseMatrix",
-    "make_matrix",
-    "make_vector",
     "save_matrix",
     "load_matrix",
     "save_vector",
     "load_vector",
     "NormSampler",
-    "sampler_from_rows",
-    "sampler_from_cols",
     "master_rng",
     "trial_rng",
     "SvdFactors",
@@ -81,23 +51,15 @@ __all__ = [
     "svd",
     "pinv_solve",
     "rate_constants",
-    "projector_rowspace",
     "factored_full_solution",
     "METHODS",
     "SolverState",
     "init_state",
     "estimate",
-    "rk_step",
-    "rek_step",
-    "rgs_step",
-    "regs_step",
-    "run",
     "PAIRINGS",
     "FactoredSystem",
     "InterlacedState",
     "init_interlaced",
-    "interlaced_step",
-    "run_interlaced",
     "BoundInputs",
     "bound_inputs",
     "expected_error_bound",

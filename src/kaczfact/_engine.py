@@ -2,10 +2,11 @@
 
 Runs T independent trials of one method in lock step, with every trial
 consuming uniforms from its own ``trial_rng(seed, trial)`` stream in
-exactly the order the sequential per-step functions would (row draw
-before column draw, U-side before V-side).  Uniforms are drawn and mapped
-to indices 1024 steps at a time (a sampling block), so index draws match
-the sequential path bit-for-bit.
+exactly the order a sequential run draws them (row draw before column
+draw, U-side before V-side; ``tests/reference.py`` is that sequential
+reference).  Uniforms are drawn and mapped to indices 1024 steps at a
+time (a sampling block), so index draws match the sequential path
+bit-for-bit.
 
 Each sampling block is advanced in sub-blocks of up to L(T) steps.  A
 sub-block also ends at the next recorded iteration, at the next
@@ -16,8 +17,8 @@ the same step, as they would step by step.
 A sub-block of B > 1 steps runs the method's block kernel
 (``solvers.block_kernel``, ``interlaced.pairing_block``), and a 1-step
 sub-block its per-step kernel (``solvers.step_kernel``,
-``interlaced.pairing_kernel``), the one ``run`` and ``run_interlaced``
-use.  This module holds no algebra of its own: it schedules draws,
+``interlaced.pairing_kernel``), the one the sequential reference steps
+with.  This module holds no algebra of its own: it schedules draws,
 sub-blocks, records and tolerance checks.
 
 L(T) is ``solvers.MAX_BLOCK`` (32) at T = 1 and 1 at T >= 2.  At T = 1
@@ -26,11 +27,11 @@ pays once.  As T grows the per-step loop spreads that overhead over
 the trials while the Gram matrix and solve grow as B^2 per trial, so
 the gain shrinks (measured on S3b 200x150x100: 1.4-5.8x at T = 2-8,
 1.2-1.4x at T = 16).  Multi-trial runs keep the per-step kernel anyway:
-each trial then performs the same floating-point operations as the
-sequential functions, so at T >= 2 its iterates, and errors computed by
-the same formula, equal theirs bit for bit.  The block path's reordered
-sums would move errors near 1e-13 by up to ~5e-9 relative (the float64
-error of the sequential path itself is ~3e-9 there).
+each trial then performs the same floating-point operations as a
+sequential run, so at T >= 2 its iterates, and errors computed by the
+same formula, equal the reference's bit for bit.  The block path's
+reordered sums would move errors near 1e-13 by up to ~5e-9 relative
+(the float64 error of the sequential path itself is ~3e-9 there).
 
 At T = 1 the two paths agree to rounding, not bit for bit.
 The flop count is the per-step model however the steps are grouped.

@@ -133,14 +133,16 @@ def oracle_solution(target) -> np.ndarray:
     return pinv_solve(A, y)
 
 
-def _check_pairing(method: str, target) -> None:
-    factored = isinstance(target, FactoredSystem)
-    if factored and method not in PAIRINGS:
-        raise ValueError(
-            f"method {method!r} runs on a single matrix; factored targets need one of {PAIRINGS}"
-        )
-    if not factored and method not in METHODS:
+def _check_target(method: str, target) -> None:
+    """Reject a method that does not run on target's kind, or an (A, y) pair with non-finite y."""
+    if isinstance(target, FactoredSystem):
+        if method not in PAIRINGS:
+            raise ValueError(f"method {method!r} runs on a single matrix; factored targets need one of {PAIRINGS}")
+        return
+    if method not in METHODS:
         raise ValueError(f"method {method!r} needs a factored target; single systems take one of {METHODS}")
+    if not np.all(np.isfinite(target[1])):
+        raise ValueError("rhs contains a non-finite entry")
 
 
 def run_experiment(config: RunConfig, target, beta_star: np.ndarray | None = None) -> Trajectory:
@@ -150,7 +152,7 @@ def run_experiment(config: RunConfig, target, beta_star: np.ndarray | None = Non
     ``(A, y)`` pair (single-system methods).  beta_star overrides the
     oracle solution, e.g. to reuse one across several configs.
     """
-    _check_pairing(config.method, target)
+    _check_target(config.method, target)
     if beta_star is None:
         beta_star = oracle_solution(target)
     ts = record_schedule(config.budget, config.effective_stride)

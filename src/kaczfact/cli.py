@@ -19,7 +19,16 @@ import sys as _sys
 from pathlib import Path
 
 from . import __version__
-from .bench import RunConfig, bound_inputs, emit_csv, emit_summary_csv, run_experiment, write_run_manifest
+from .bench import (
+    DEFAULT_BUDGET,
+    DEFAULT_TRIALS,
+    RunConfig,
+    bound_inputs,
+    emit_csv,
+    emit_summary_csv,
+    run_experiment,
+    write_run_manifest,
+)
 from .dense import DenseMatrix
 from .interlaced import PAIRINGS, expected_error_bound
 from .solvers import METHODS
@@ -41,8 +50,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="run a solver on a generated instance")
     solve.add_argument("--method", required=True, choices=list(PAIRINGS) + list(METHODS))
     solve.add_argument("--dir", required=True, help="instance directory written by gen")
-    solve.add_argument("--trials", type=int, default=40)
-    solve.add_argument("--budget", type=int, default=70_000)
+    solve.add_argument("--trials", type=int, default=DEFAULT_TRIALS)
+    solve.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     solve.add_argument("--seed", type=int, default=0)
     solve.add_argument("--stride", type=int, default=None, help="record every stride-th iteration (default budget/500)")
     solve.add_argument("--tolerance", type=float, default=None, help="optional residual early-stop threshold")

@@ -17,15 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = [
-    "DenseMatrix",
-    "make_matrix",
-    "make_vector",
-    "save_matrix",
-    "load_matrix",
-    "save_vector",
-    "load_vector",
-]
+__all__ = ["DenseMatrix", "save_matrix", "load_matrix", "save_vector", "load_vector"]
 
 # Number of significant digits that round-trips a float64 through text.
 _FLOAT_FMT = "%.17g"
@@ -123,27 +115,6 @@ class DenseMatrix:
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols}, frob_sq={self._frob_sq:.6g})"
-
-
-def make_matrix(rows: int, cols: int, values) -> DenseMatrix:
-    """Build a DenseMatrix from ``values`` laid out row-major.
-
-    ``values`` may be flat (length rows*cols) or already (rows, cols).
-    Rejects non-finite entries and dimension mismatches.
-    """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim == 1:
-        if arr.size != rows * cols:
-            raise ValueError(f"expected {rows * cols} values for a {rows}x{cols} matrix, got {arr.size}")
-        arr = arr.reshape(rows, cols)
-    elif arr.shape != (rows, cols):
-        raise ValueError(f"expected shape {(rows, cols)}, got {arr.shape}")
-    return DenseMatrix(arr)
-
-
-def make_vector(values) -> np.ndarray:
-    """Validate and return a finite 1-D float64 array."""
-    return _as_float_vector(values).copy()
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@ once are the outer method's ``solvers.block_kernel`` on (U, y, x), then
 the inner one's on (V, x, b) (``pairing_block``).  Each side starts
 from its method's initial state (on (V, x_0 = 0) for the inner one),
 and the pairing's draws, samplers and flops are the outer method's
-followed by the inner one's.
+followed by the inner one's.  The lock-step engine (``_engine``) runs
+both kernels; ``tests/reference.py`` runs ``pairing_kernel`` one trial
+and one step at a time as the sequential reference.
 
 Two rules carry the outer side's moves of x to the inner side:
 
@@ -57,29 +59,13 @@ import numpy as np
 
 from .dense import DenseMatrix
 from .oracle import pinv_solve, rate_constants
-from .solvers import (
-    DRAWS,
-    block_kernel,
-    cross_sum,
-    drive,
-    init_state,
-    one_trial_step,
-    samplers,
-    step_cost,
-    step_kernel,
-)
+from .solvers import DRAWS, block_kernel, cross_sum, init_state, samplers, step_cost, step_kernel
 
 __all__ = [
     "PAIRINGS",
     "FactoredSystem",
     "InterlacedState",
     "init_interlaced",
-    "interlaced_step",
-    "rkrk_step",
-    "rekrk_step",
-    "rekrek_step",
-    "rgsrgs_step",
-    "run_interlaced",
     "BoundInputs",
     "bound_inputs",
     "expected_error_bound",
@@ -111,6 +97,8 @@ class FactoredSystem:
             )
         if self.y.shape != (self.U.rows,):
             raise ValueError(f"rhs shape {self.y.shape} does not match U with {self.U.rows} rows")
+        if not np.all(np.isfinite(self.y)):
+            raise ValueError("rhs contains a non-finite entry")
 
     @property
     def m(self) -> int:
@@ -140,8 +128,6 @@ class InterlacedState:
     zv: np.ndarray | None = None
     res_u: np.ndarray | None = None
     res_v: np.ndarray | None = None
-    t: int = 0
-    flops: int = 0
 
 
 def _split(method: str) -> tuple[str, str, int]:
@@ -203,87 +189,6 @@ def pairing_block(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v, a
     block_kernel(inner, sys.V, rhs, b, zv, res_v, ar, draws[split:], drift)
     if res_v is not None:
         np.add.at(res_v, (ar[:, None], draws[split - 1]), coef)
-
-
-def _trial_step(method: str, sys: FactoredSystem, state: InterlacedState, rng: np.random.Generator):
-    vectors = (state.x, state.b, state.z, state.zv, state.res_u, state.res_v)
-    cost = pairing_cost(method, sys)
-    return one_trial_step(pairing_kernel, (method, sys), vectors, pairing_samplers(method, sys), cost, state, rng)
-
-
-def interlaced_step(method: str, sys: FactoredSystem, state: InterlacedState, rng: np.random.Generator):
-    """One interlaced step of ``method``.  Returns its draws in draw order."""
-    return _trial_step(method, sys, state, rng)()
-
-
-def rkrk_step(sys: FactoredSystem, state: InterlacedState, rng: np.random.Generator) -> tuple[int, int]:
-    """rk on (U, y), then rk on (V, x) against the just-updated x.
-
-    Draws: U row index, then V row index.  Returns both.
-    """
-    return interlaced_step("rk-rk", sys, state, rng)
-
-
-def rekrk_step(sys: FactoredSystem, state: InterlacedState, rng: np.random.Generator) -> tuple[int, int, int]:
-    """rek on (U, y), then rk on (V, x).
-
-    Draws: U row, U column, V row.  Returns all three.
-    """
-    return interlaced_step("rek-rk", sys, state, rng)
-
-
-def rekrek_step(sys: FactoredSystem, state: InterlacedState, rng: np.random.Generator) -> tuple[int, int, int, int]:
-    """rek on (U, y), then rek on (V, x).
-
-    Draws: U row, U column, V row, V column.  Returns all four.
-    """
-    return interlaced_step("rek-rek", sys, state, rng)
-
-
-def rgsrgs_step(sys: FactoredSystem, state: InterlacedState, rng: np.random.Generator) -> tuple[int, int]:
-    """rgs on (U, y), then rgs on (V, x).
-
-    Draws: U column, V column.  The U-side step changes x in one
-    coordinate, so the V-side residual x - V b is patched there before
-    the V-side step uses it.
-    """
-    return interlaced_step("rgs-rgs", sys, state, rng)
-
-
-def run_interlaced(
-    method: str,
-    sys: FactoredSystem,
-    budget: int,
-    rng: np.random.Generator,
-    *,
-    recorder=None,
-    stride: int | None = None,
-    tolerance: float | None = None,
-    error_fn=None,
-) -> InterlacedState:
-    """Run ``budget`` interlaced steps; budget-based stopping by default.
-
-    recorder(t, value, flops) fires every stride-th step and at the
-    final step, with value = error_fn(b) when error_fn is given, else
-    the joint squared residual ||y - U x||^2 + ||x - V b||^2.  When a
-    tolerance is given, that joint residual is checked every m steps
-    and the run stops once both parts are at or below it.
-    """
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    state = init_interlaced(method, sys)
-    return drive(
-        state,
-        _trial_step(method, sys, state, rng),
-        lambda: (sys.y - sys.U.data @ state.x, state.x - sys.V.data @ state.b),
-        lambda: state.b,
-        sys.m,
-        budget,
-        recorder=recorder,
-        stride=stride,
-        tolerance=tolerance,
-        error_fn=error_fn,
-    )
 
 
 # --- expected-error bounds ---------------------------------------------------

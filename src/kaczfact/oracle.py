@@ -6,9 +6,12 @@ singular values, per-step contraction factors).  It is deliberately
 dense-SVD based and intended for desk-scale instances; the solvers
 themselves never call into this module.
 
-This is also the only production code allowed to materialize the full
-product U @ V of a factored system (see ``factored_full_solution``).
-The solvers only ever touch the factors.
+The full product U @ V of a factored system is formed in three places,
+all outside the solvers, which only ever touch the factors:
+``factored_full_solution`` here, for the error reference;
+``systems.make_inconsistent_rhs``, to plant a residual orthogonal to
+range(U V); and ``cli._cmd_solve``, to build the single-system target
+that the baseline methods run on.
 """
 from __future__ import annotations
 
@@ -24,7 +27,6 @@ __all__ = [
     "svd",
     "pinv_solve",
     "rate_constants",
-    "projector_rowspace",
     "factored_full_solution",
 ]
 
@@ -115,23 +117,6 @@ def rate_constants(A: DenseMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> RateCo
         sigma_max_sq=sigma_max_sq,
         frob_sq=frob_sq,
     )
-
-
-def projector_rowspace(A: DenseMatrix, rank_tol: float = DEFAULT_RANK_TOL):
-    """Orthogonal projector onto the row space of A, as a callable.
-
-    Returns ``P`` with ``P(v) == pinv(A) @ A @ v`` computed stably from
-    the right singular vectors.
-    """
-    f = svd(A, rank_tol)
-    basis = f.right[:, : f.rank]
-
-    def project(v: np.ndarray) -> np.ndarray:
-        if v.shape != (A.cols,):
-            raise ValueError(f"projector dimension mismatch: expected shape ({A.cols},), got {v.shape}")
-        return basis @ (basis.T @ v)
-
-    return project
 
 
 def factored_full_solution(U: DenseMatrix, V: DenseMatrix, y: np.ndarray) -> np.ndarray:

@@ -19,13 +19,7 @@ import numpy as np
 
 from .dense import DenseMatrix
 
-__all__ = [
-    "NormSampler",
-    "sampler_from_rows",
-    "sampler_from_cols",
-    "master_rng",
-    "trial_rng",
-]
+__all__ = ["NormSampler", "master_rng", "trial_rng"]
 
 
 class NormSampler:
@@ -47,16 +41,10 @@ class NormSampler:
             raise ValueError("sampler weights must be strictly positive (zero row or column?)")
         self._cumulative = np.cumsum(w)
         self._total = float(self._cumulative[-1])
-        self._probs = w / self._total
 
     @property
     def size(self) -> int:
         return self._cumulative.size
-
-    @property
-    def probabilities(self) -> np.ndarray:
-        """Normalized weights; sums to 1 up to rounding."""
-        return self._probs
 
     def draw(self, rng: np.random.Generator) -> int:
         """Draw one index using a single uniform from ``rng``."""
@@ -68,14 +56,6 @@ class NormSampler:
         return np.searchsorted(self._cumulative, uniforms * self._total, side="right")
 
 
-def sampler_from_rows(A: DenseMatrix) -> NormSampler:
-    return NormSampler(A.row_sqnorms)
-
-
-def sampler_from_cols(A: DenseMatrix) -> NormSampler:
-    return NormSampler(A.col_sqnorms)
-
-
 # Matrices are immutable, so samplers can be memoized per matrix.  The
 # weak keys keep cached samplers from outliving their matrix.
 _row_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -83,18 +63,19 @@ _col_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def row_sampler(A: DenseMatrix) -> NormSampler:
-    """Memoized ``sampler_from_rows``; safe because matrices never change."""
+    """Sampler over A's rows, weighted by their squared norms; memoized per matrix."""
     s = _row_cache.get(A)
     if s is None:
-        s = sampler_from_rows(A)
+        s = NormSampler(A.row_sqnorms)
         _row_cache[A] = s
     return s
 
 
 def col_sampler(A: DenseMatrix) -> NormSampler:
+    """Sampler over A's columns, weighted by their squared norms; memoized per matrix."""
     s = _col_cache.get(A)
     if s is None:
-        s = sampler_from_cols(A)
+        s = NormSampler(A.col_sqnorms)
         _col_cache[A] = s
     return s
 

@@ -42,9 +42,11 @@ column), which is what makes trial streams reproducible.
 
 Each method's update is written once, in ``step_kernel``, on (T, dim)
 state (one row per trial) with one (T,) index array per draw.  The
-lock-step engine runs it on its T trials; the per-step functions and
-``run`` run it at T = 1 on (1, dim) views of their state, so the two
-paths perform the same floating-point operations.
+lock-step engine (``_engine``, run through ``bench.run_experiment``) is
+the package's only driver.  The sequential reference the tests hold it
+to, ``tests/reference.py``, runs the same kernel at T = 1 on (1, dim)
+views of its state, so the two perform the same floating-point
+operations.
 
 ``block_kernel`` takes B consecutive steps of the same method at once,
 block-exact; see the block section below.
@@ -57,7 +59,6 @@ one scaled add), a column draw acts on a length-m column and costs
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,21 +66,9 @@ import numpy as np
 from .dense import DenseMatrix
 from .sampling import col_sampler, row_sampler
 
-__all__ = [
-    "METHODS",
-    "SolverState",
-    "init_state",
-    "estimate",
-    "rk_step",
-    "rek_step",
-    "rgs_step",
-    "regs_step",
-    "run",
-]
+__all__ = ["METHODS", "SolverState", "init_state", "estimate"]
 
 METHODS = ("rk", "rek", "rgs", "regs")
-
-DEFAULT_TOLERANCE = 1e-12
 
 
 @dataclass
@@ -88,15 +77,12 @@ class SolverState:
 
     beta is the current iterate; z is the rek residual estimate (length
     m) or the regs correction (length n); residual is the incrementally
-    maintained y - A beta of the Gauss-Seidel methods.  t counts steps,
-    flops accumulates the declared step costs.
+    maintained y - A beta of the Gauss-Seidel methods.
     """
 
     beta: np.ndarray
     z: np.ndarray | None = None
     residual: np.ndarray | None = None
-    t: int = 0
-    flops: int = 0
 
 
 # Indices each step draws, in draw order: a row or a column of A.
@@ -117,10 +103,9 @@ def samplers(method: str, A: DenseMatrix) -> tuple:
 # One update per method, for T trials at once: state arrays are (T, dim),
 # one row per trial.  ar selects the trials' rows and each draw holds one
 # index per trial.  The lock-step engine passes arange(T) and (T,) index
-# arrays.  The per-step functions and run() pass (1, dim) views of their
-# state, ar = 0 and one-element slices, which read the same entries
-# without a copy.  Either way each trial performs the same floating-point
-# operations.
+# arrays.  A sequential caller passes (1, dim) views of its state, ar = 0
+# and one-element slices, which read the same entries without a copy.
+# Either way each trial performs the same floating-point operations.
 
 
 def apply_row_step(beta: np.ndarray, rows: np.ndarray, rhs: np.ndarray, sqnorms: np.ndarray) -> np.ndarray:
@@ -269,26 +254,7 @@ def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual
     return _rows_block(A, beta, i, target)
 
 
-# --- public single-step operations ------------------------------------------
-
-
-def one_trial_step(kernel, args, vectors, step_samplers, cost: int, state, rng: np.random.Generator):
-    """A callable that takes one T = 1 step: kernel(*args, *views, 0, draws).
-
-    The views are (1, dim) views of state's vectors (None stays None).
-    Each call draws one index per sampler from ``rng``, in order, passes
-    them as one-element slices and returns them as ints.
-    """
-    kernel = functools.partial(kernel, *args, *(None if v is None else v[None] for v in vectors), 0)
-
-    def step():
-        drawn = tuple(s.draw(rng) for s in step_samplers)
-        kernel([slice(d, d + 1) for d in drawn])
-        state.t += 1
-        state.flops += cost
-        return drawn
-
-    return step
+# --- state ------------------------------------------------------------------
 
 
 def init_state(method: str, A: DenseMatrix, y: np.ndarray) -> SolverState:
@@ -314,99 +280,6 @@ def estimate(method: str, state: SolverState) -> np.ndarray:
     return state.beta
 
 
-def _trial_step(method: str, A: DenseMatrix, y: np.ndarray, state: SolverState, rng: np.random.Generator):
-    vectors = (state.beta, state.z, state.residual)
-    return one_trial_step(step_kernel, (method, A, y), vectors, samplers(method, A), step_cost(method, A), state, rng)
-
-
-def rk_step(A: DenseMatrix, y: np.ndarray, state: SolverState, rng: np.random.Generator) -> int:
-    """One rk update.  Returns the drawn row index."""
-    return _trial_step("rk", A, y, state, rng)()[0]
-
-
-def rek_step(A: DenseMatrix, y: np.ndarray, state: SolverState, rng: np.random.Generator) -> tuple[int, int]:
-    """One rek update.  Returns (row index, column index)."""
-    return _trial_step("rek", A, y, state, rng)()
-
-
-def rgs_step(A: DenseMatrix, y: np.ndarray, state: SolverState, rng: np.random.Generator) -> int:
-    """One rgs update.  Returns the drawn column index."""
-    return _trial_step("rgs", A, y, state, rng)()[0]
-
-
-def regs_step(A: DenseMatrix, y: np.ndarray, state: SolverState, rng: np.random.Generator) -> tuple[int, int]:
-    """One regs update.  Returns (row index, column index)."""
-    return _trial_step("regs", A, y, state, rng)()
-
-
 def default_stride(budget: int) -> int:
     """Record every budget / 500 steps (at least every step) when no stride is given."""
     return max(1, budget // 500)
-
-
-def drive(state, step, residuals, reported, check_every: int, budget: int, *, recorder, stride, tolerance, error_fn):
-    """The step loop of ``run`` and ``run_interlaced``.
-
-    step() advances state by one step.  residuals() lists the residual
-    vectors: the run stops at a check (every check_every steps) where
-    each has norm at most tolerance, and their summed squares are the
-    recorded value when no error_fn is given; error_fn sees reported().
-    """
-    if stride is None:
-        stride = default_stride(budget)
-    if stride < 1:
-        raise ValueError("stride must be at least 1")
-    for t in range(1, budget + 1):
-        step()
-        stopped = tolerance is not None and t % check_every == 0 and all(
-            np.linalg.norm(r) <= tolerance for r in residuals()
-        )
-        if recorder is not None and (t % stride == 0 or t == budget or stopped):
-            if error_fn is not None:
-                value = float(error_fn(reported()))
-            else:
-                value = float(sum(np.dot(r, r) for r in residuals()))
-            recorder(t, value, state.flops)
-        if stopped:
-            break
-    return state
-
-
-def run(
-    method: str,
-    A: DenseMatrix,
-    y: np.ndarray,
-    budget: int,
-    rng: np.random.Generator,
-    *,
-    recorder=None,
-    stride: int | None = None,
-    tolerance: float | None = DEFAULT_TOLERANCE,
-    error_fn=None,
-):
-    """Run ``budget`` steps of one method, optionally recording a trajectory.
-
-    recorder, when given, is called as ``recorder(t, value, flops)`` at
-    every stride-th step and at the final step; value is
-    ``error_fn(estimate)`` when error_fn is provided, else the squared
-    residual norm.  Default stride is budget / 500 (at least 1).
-
-    Every A.rows steps the true residual ||y - A beta|| is evaluated;
-    if it falls to ``tolerance`` or below the run stops early (pass
-    ``tolerance=None`` to disable).  Returns the final SolverState.
-    """
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    state = init_state(method, A, y)
-    return drive(
-        state,
-        _trial_step(method, A, y, state, rng),
-        lambda: (y - A.data @ estimate(method, state),),
-        lambda: estimate(method, state),
-        A.rows,
-        budget,
-        recorder=recorder,
-        stride=stride,
-        tolerance=tolerance,
-        error_fn=error_fn,
-    )

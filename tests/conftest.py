@@ -7,7 +7,7 @@ import pytest
 
 from kaczfact.dense import DenseMatrix
 from kaczfact.interlaced import FactoredSystem
-from kaczfact.oracle import svd
+from kaczfact.oracle import DEFAULT_RANK_TOL, svd
 from kaczfact.sampling import master_rng
 
 
@@ -58,6 +58,23 @@ def jacobi_eigvalsh(sym: np.ndarray, sweeps: int = 100, tol: float = 1e-14) -> n
                 a[:, p] = c * cp - s * cq
                 a[:, q] = s * cp + c * cq
     return np.sort(a.diagonal())
+
+
+def projector_rowspace(A: DenseMatrix, rank_tol: float = DEFAULT_RANK_TOL):
+    """Orthogonal projector onto the row space of A, as a callable.
+
+    Returns ``P`` with ``P(v) == pinv(A) @ A @ v`` computed stably from
+    the right singular vectors.
+    """
+    f = svd(A, rank_tol)
+    basis = f.right[:, : f.rank]
+
+    def project(v: np.ndarray) -> np.ndarray:
+        if v.shape != (A.cols,):
+            raise ValueError(f"projector dimension mismatch: expected shape ({A.cols},), got {v.shape}")
+        return basis @ (basis.T @ v)
+
+    return project
 
 
 def random_dense(rows: int, cols: int, seed: int) -> DenseMatrix:

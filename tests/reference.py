@@ -1,0 +1,96 @@
+"""Sequential reference: one trial, one step at a time.
+
+The package runs trajectories only through the lock-step engine
+(``bench.run_experiment`` -> ``_engine.run_trials``).  This module is the
+independent side the tests hold it to.  It steps with the package's
+per-step kernels (``solvers.step_kernel``, ``interlaced.pairing_kernel``)
+on (1, dim) views of one trial's state, draws each index with
+``NormSampler.draw`` (one uniform per draw, in ``DRAWS`` order), and
+records and stops step by step, on a schedule of its own rather than the
+engine's sub-blocks.
+
+A target is a ``FactoredSystem`` (interlaced pairings) or an ``(A, y)``
+pair (single-system methods).
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import functools
+
+import numpy as np
+
+from kaczfact.interlaced import FactoredSystem, init_interlaced, pairing_cost, pairing_kernel, pairing_samplers
+from kaczfact.solvers import default_stride, estimate, init_state, samplers, step_cost, step_kernel
+
+
+def _stepper(method: str, target, state, rng: np.random.Generator):
+    """A callable that takes one step of ``state`` and returns its draws as ints."""
+    if isinstance(target, FactoredSystem):
+        kernel, fixed, draw_from = pairing_kernel, (method, target), pairing_samplers(method, target)
+    else:
+        A, y = target
+        kernel, fixed, draw_from = step_kernel, (method, A, y), samplers(method, A)
+    views = (None if v is None else v[None] for v in (getattr(state, f.name) for f in dataclasses.fields(state)))
+    kernel = functools.partial(kernel, *fixed, *views, 0)
+
+    def one_step():
+        drawn = tuple(s.draw(rng) for s in draw_from)
+        kernel([slice(d, d + 1) for d in drawn])
+        return drawn
+
+    return one_step
+
+
+def step(method: str, target, state, rng: np.random.Generator) -> tuple:
+    """One ``method`` step of ``state`` on ``target``.  Returns its draws in draw order."""
+    return _stepper(method, target, state, rng)()
+
+
+def run(method: str, target, budget: int, rng: np.random.Generator, *, recorder=None, stride=None, tolerance=None,
+        error_fn=None):
+    """Run up to ``budget`` steps from the method's initial state.  Returns (final state, steps taken).
+
+    recorder(t, value, flops) fires every stride-th step (default
+    budget / 500, at least 1), at the final step and at a stop; value is
+    error_fn(estimate) when error_fn is given, else the summed squared
+    residuals: ||y - A estimate||^2, or ||y - U x||^2 + ||x - V b||^2.
+    When a tolerance is given the residuals are checked every m steps
+    (m the rows of A or U) and the run stops once each has norm at most
+    tolerance.
+    """
+    if budget < 0:
+        raise ValueError("budget must be non-negative")
+    if stride is None:
+        stride = default_stride(budget)
+    if stride < 1:
+        raise ValueError("stride must be at least 1")
+    if isinstance(target, FactoredSystem):
+        state = init_interlaced(method, target)
+        U, V, y = target.U.data, target.V.data, target.y
+        residuals = lambda: (y - U @ state.x, state.x - V @ state.b)
+        reported = lambda: state.b
+        check_every, cost = target.m, pairing_cost(method, target)
+    else:
+        A, y = target
+        state = init_state(method, A, y)
+        residuals = lambda: (y - A.data @ estimate(method, state),)
+        reported = lambda: estimate(method, state)
+        check_every, cost = A.rows, step_cost(method, A)
+    one_step = _stepper(method, target, state, rng)
+    t = 0
+    while t < budget:
+        one_step()
+        t += 1
+        stopped = tolerance is not None and t % check_every == 0 and all(
+            np.linalg.norm(r) <= tolerance for r in residuals()
+        )
+        if recorder is not None and (t % stride == 0 or t == budget or stopped):
+            if error_fn is not None:
+                value = float(error_fn(reported()))
+            else:
+                value = float(sum(np.dot(r, r) for r in residuals()))
+            recorder(t, value, t * cost)
+        if stopped:
+            break
+    return state, t

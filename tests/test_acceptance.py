@@ -12,19 +12,14 @@ import pytest
 
 from kaczfact.bench import RunConfig, emit_csv, run_experiment
 from kaczfact.dense import DenseMatrix
-from kaczfact.interlaced import (
-    FactoredSystem,
-    bound_inputs,
-    expected_error_bound,
-    init_interlaced,
-    interlaced_step,
-)
-from kaczfact.oracle import factored_full_solution, pinv_solve, projector_rowspace, rate_constants, svd
+from kaczfact.interlaced import FactoredSystem, bound_inputs, expected_error_bound, init_interlaced
+from kaczfact.oracle import factored_full_solution, pinv_solve, rate_constants, svd
 from kaczfact.sampling import master_rng
-from kaczfact.solvers import init_state, regs_step, rek_step, rk_step
+from kaczfact.solvers import init_state
 from kaczfact.systems import ScenarioSpec, gen_gaussian_factored
 
-from conftest import consistent_system, inconsistent_system, jacobi_eigvalsh
+from conftest import consistent_system, inconsistent_system, jacobi_eigvalsh, projector_rowspace
+from reference import step
 
 
 def report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -319,7 +314,7 @@ def test_criterion_8_per_step_invariants(s3b_instance):
     rng = master_rng(801)
     row_gap = 0.0
     for _ in range(100):
-        i = rk_step(a, y, state, rng)
+        (i,) = step("rk", (a, y), state, rng)
         row_gap = max(row_gap, abs(y[i] - a.row(i) @ state.beta) / (1.0 + abs(y[i])))
 
     # (ii) drawn-column orthogonality of z after each rek step
@@ -327,7 +322,7 @@ def test_criterion_8_per_step_invariants(s3b_instance):
     state = init_state("rek", ai, yi)
     col_gap = 0.0
     for _ in range(100):
-        _, j = rek_step(ai, yi, state, rng)
+        _, j = step("rek", (ai, yi), state, rng)
         col_gap = max(
             col_gap,
             abs(ai.col(j) @ state.z) / (np.linalg.norm(ai.col(j)) * (1.0 + np.linalg.norm(state.z))),
@@ -337,7 +332,7 @@ def test_criterion_8_per_step_invariants(s3b_instance):
     state = init_state("regs", ai, yi)
     ann_gap = 0.0
     for _ in range(100):
-        i, _ = regs_step(ai, yi, state, rng)
+        i, _ = step("regs", (ai, yi), state, rng)
         ann_gap = max(
             ann_gap,
             abs(ai.row(i) @ state.z) / (np.linalg.norm(ai.row(i)) * (1.0 + np.linalg.norm(state.z))),
@@ -349,7 +344,7 @@ def test_criterion_8_per_step_invariants(s3b_instance):
     prev = float(star @ star)
     monotone = True
     for _ in range(400):
-        rk_step(a, y, state, rng)
+        step("rk", (a, y), state, rng)
         err = float(np.sum((state.beta - star) ** 2))
         monotone = monotone and err <= prev * (1.0 + 1e-12)
         prev = err
@@ -361,7 +356,7 @@ def test_criterion_8_per_step_invariants(s3b_instance):
     for method in ("rk-rk", "rek-rk"):
         istate = init_interlaced(method, sys_)
         for _ in range(300):
-            interlaced_step(method, sys_, istate, rng)
+            step(method, sys_, istate, rng)
         confinement = max(
             confinement, float(np.linalg.norm(istate.b - project(istate.b)) / np.linalg.norm(istate.b))
         )

@@ -19,13 +19,15 @@ from kaczfact.bench import (
     run_experiment,
     write_run_manifest,
 )
-from kaczfact.interlaced import bound_inputs, expected_error_bound, run_interlaced
+from kaczfact.dense import DenseMatrix
+from kaczfact.interlaced import PAIRINGS, FactoredSystem, bound_inputs, expected_error_bound
 from kaczfact.oracle import factored_full_solution, pinv_solve
 from kaczfact.sampling import trial_rng
-from kaczfact.solvers import run
+from kaczfact.solvers import METHODS
 from kaczfact.systems import ScenarioSpec, gen_gaussian_factored
 
-from conftest import inconsistent_system, small_factored
+from conftest import inconsistent_system, random_dense, small_factored
+from reference import run
 
 
 class TestRunConfig:
@@ -92,8 +94,18 @@ class TestRunExperiment:
         config = RunConfig(method="rk-rk", seed=8, trials=2, budget=400, stride=400)
         traj = run_experiment(config, sys_)
         star = factored_full_solution(sys_.U, sys_.V, sys_.y)
-        state = run_interlaced("rk-rk", sys_, 400, trial_rng(8, 0))
+        state, _ = run("rk-rk", sys_, 400, trial_rng(8, 0))
         assert traj.errors[0, -1] == pytest.approx(float(np.sum((state.b - star) ** 2)), rel=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("method", METHODS + PAIRINGS)
+    def test_non_finite_rhs_rejected(self, method, bad):
+        u, v = random_dense(6, 3, seed=1), random_dense(3, 4, seed=2)
+        y = np.ones(6)
+        y[2] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            target = FactoredSystem(u, v, y) if method in PAIRINGS else (DenseMatrix(u.data @ v.data), y)
+            run_experiment(RunConfig(method=method, seed=1, trials=1, budget=10), target)
 
     def test_pairing_target_mismatch_rejected(self):
         sys_, _ = small_factored(10, 4, 6, seed=92)
@@ -130,11 +142,7 @@ class TestEngineMatchesSequentialPath:
             values = {}
             recorder = lambda t, v, f: values.__setitem__(t, v)
             err = lambda b: float(np.sum((b - star) ** 2))
-            if isinstance(target, tuple):
-                a, y = target
-                run(method, a, y, 300, trial_rng(seed, tr), recorder=recorder, stride=25, tolerance=None, error_fn=err)
-            else:
-                run_interlaced(method, target, 300, trial_rng(seed, tr), recorder=recorder, stride=25, error_fn=err)
+            run(method, target, 300, trial_rng(seed, tr), recorder=recorder, stride=25, error_fn=err)
             rows.append([values[t] for t in self.GRID])
         return np.array(rows)
 

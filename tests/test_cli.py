@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 import kaczfact
-from kaczfact.cli import main
+from kaczfact.bench import DEFAULT_BUDGET, DEFAULT_TRIALS
+from kaczfact.cli import _build_parser, main
 from kaczfact.interlaced import bound_inputs, expected_error_bound
 from kaczfact.systems import load_instance
 
@@ -208,3 +209,7 @@ class TestArgumentParsing:
     def test_no_command_exits_with_usage(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_solve_defaults_are_the_bench_defaults(self):
+        args = _build_parser().parse_args(["solve", "--method", "rk-rk", "--dir", "inst", "--out", "run.csv"])
+        assert (args.trials, args.budget) == (DEFAULT_TRIALS, DEFAULT_BUDGET)

@@ -7,8 +7,6 @@ from kaczfact.dense import (
     DenseMatrix,
     load_matrix,
     load_vector,
-    make_matrix,
-    make_vector,
     save_matrix,
     save_vector,
 )
@@ -18,31 +16,23 @@ from conftest import random_dense
 
 class TestConstruction:
     def test_known_norm_caches(self):
-        a = make_matrix(2, 2, [3.0, 4.0, 0.0, 1e-4])
+        a = DenseMatrix([[3.0, 4.0], [0.0, 1e-4]])
         assert a.row_sqnorms.tolist() == [25.0, 1e-8]
         assert a.col_sqnorms.tolist() == [9.0, 16.0 + 1e-8]
         assert a.frob_sq == 25.0 + 1e-8
 
-    def test_make_matrix_accepts_nested_rows(self):
-        a = make_matrix(2, 3, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-        assert a.data.tolist() == [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
-
-    def test_make_vector(self):
-        v = make_vector([1.0, -2.0])
-        assert v.dtype == np.float64
-        assert v.tolist() == [1.0, -2.0]
-
     def test_rejects_wrong_entry_count(self):
+        # A ragged row is not a matrix.
         with pytest.raises(ValueError):
-            make_matrix(2, 2, [1.0, 2.0, 3.0])
+            DenseMatrix([[1.0, 2.0], [3.0]])
 
-    def test_rejects_non_finite_entries(self):
+    def test_rejects_non_finite_entries(self, tmp_path):
         with pytest.raises(ValueError):
-            make_matrix(2, 2, [1.0, float("nan"), 0.0, 1.0])
+            DenseMatrix([[1.0, float("nan")], [0.0, 1.0]])
         with pytest.raises(ValueError):
-            make_matrix(1, 2, [np.inf, 0.0])
+            DenseMatrix([[np.inf, 0.0]])
         with pytest.raises(ValueError):
-            make_vector([1.0, float("inf")])
+            save_vector(np.array([1.0, float("inf")]), tmp_path / "v.vec")
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -92,7 +82,7 @@ class TestSerialization:
     AWKWARD = [1.0 / 3.0, -0.0, 1e-300, -1.5e150, 5.0e-324, 12345.6789]
 
     def test_matrix_round_trip_is_exact(self, tmp_path):
-        a = make_matrix(2, 3, self.AWKWARD)
+        a = DenseMatrix(np.reshape(self.AWKWARD, (2, 3)))
         path = tmp_path / "a.mat"
         save_matrix(a, path)
         back = load_matrix(path)
@@ -100,14 +90,14 @@ class TestSerialization:
         assert np.array_equal(back.data, a.data)
 
     def test_vector_round_trip_is_exact(self, tmp_path):
-        v = make_vector(self.AWKWARD)
+        v = np.array(self.AWKWARD)
         path = tmp_path / "v.vec"
         save_vector(v, path)
         back = load_vector(path)
         assert np.array_equal(back, v)
 
     def test_matrix_header_and_layout(self, tmp_path):
-        a = make_matrix(2, 2, [1.0, 2.0, 3.0, 4.0])
+        a = DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
         path = tmp_path / "a.mat"
         save_matrix(a, path)
         lines = path.read_text().splitlines()
@@ -116,7 +106,7 @@ class TestSerialization:
 
     def test_vector_header_and_layout(self, tmp_path):
         path = tmp_path / "v.vec"
-        save_vector(make_vector([7.0, 8.0]), path)
+        save_vector(np.array([7.0, 8.0]), path)
         lines = path.read_text().splitlines()
         assert lines[0] == "2"
         assert len(lines) == 3

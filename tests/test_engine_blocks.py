@@ -1,9 +1,9 @@
 """The lock-step engine against the per-step reference, block path included.
 
 At T=1 the engine advances in sub-blocks (block-exact stepping); these
-tests hold it to ``run`` / ``run_interlaced`` on recorded iterations,
-stop steps and errors.  At T >= 2 it runs the same per-step kernel as
-``run`` / ``run_interlaced``, and its errors match them bit for bit.
+tests hold it to the sequential reference (``reference.run``) on
+recorded iterations, stop steps and errors.  At T >= 2 it runs the same
+per-step kernel as the reference, and its errors match it bit for bit.
 Apart from the engine's scheduling, one block of each block kernel is
 held to the same number of per-step kernel calls.
 """
@@ -26,13 +26,13 @@ from kaczfact.interlaced import (
     pairing_block,
     pairing_kernel,
     pairing_samplers,
-    run_interlaced,
 )
 from kaczfact.sampling import master_rng, trial_rng
-from kaczfact.solvers import METHODS, block_kernel, estimate, init_state, run, samplers, step_kernel
+from kaczfact.solvers import METHODS, block_kernel, estimate, init_state, samplers, step_kernel
 from kaczfact.systems import ScenarioSpec, gen_gaussian_factored
 
 from conftest import consistent_system, inconsistent_system, small_factored
+from reference import run
 
 
 def sequential(method, target, budget, seed, trial, stride, tolerance, star, err=None):
@@ -42,13 +42,7 @@ def sequential(method, target, budget, seed, trial, stride, tolerance, star, err
     if err is None:
         err = lambda b: float(np.sum((b - star) ** 2))
     rng = trial_rng(seed, trial)
-    if isinstance(target, FactoredSystem):
-        state = run_interlaced(
-            method, target, budget, rng, recorder=recorder, stride=stride, tolerance=tolerance, error_fn=err
-        )
-    else:
-        a, y = target
-        state = run(method, a, y, budget, rng, recorder=recorder, stride=stride, tolerance=tolerance, error_fn=err)
+    state, _ = run(method, target, budget, rng, recorder=recorder, stride=stride, tolerance=tolerance, error_fn=err)
     return records, state
 
 

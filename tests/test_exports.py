@@ -1,9 +1,13 @@
-"""Every exported name resolves."""
+"""Every exported name resolves, and every top-level export is one the package itself reads."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import kaczfact
+
+REPO = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -11,3 +15,17 @@ def test_every_exported_name_resolves():
     exported = [(mod, name) for mod in modules for name in getattr(mod, "__all__", ())]
     assert len(exported) > len(kaczfact.__all__)
     assert [f"{mod.__name__}.{name}" for mod, name in exported if not hasattr(mod, name)] == []
+
+
+def test_every_top_level_export_is_read_by_the_package():
+    """Read means loaded as a name, or accessed as an attribute, in a benchmark script
+    or in a package module other than ``__init__``."""
+    package = [p for p in sorted((REPO / "src" / "kaczfact").glob("*.py")) if p.name != "__init__.py"]
+    read = set()
+    for path in package + sorted((REPO / "benchmarks").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    assert sorted(set(kaczfact.__all__) - read - {"__version__"}) == []

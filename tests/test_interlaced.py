@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kaczfact.dense import make_matrix
+from kaczfact.dense import DenseMatrix
 from kaczfact.interlaced import (
     PAIRINGS,
     BoundInputs,
@@ -11,35 +11,32 @@ from kaczfact.interlaced import (
     bound_inputs,
     expected_error_bound,
     init_interlaced,
-    interlaced_step,
-    rekrek_step,
-    rekrk_step,
-    rgsrgs_step,
-    rkrk_step,
-    run_interlaced,
+    pairing_cost,
 )
-from kaczfact.oracle import factored_full_solution, pinv_solve, projector_rowspace, rate_constants
+from kaczfact.oracle import factored_full_solution, pinv_solve, rate_constants
 from kaczfact.sampling import master_rng
+from kaczfact.solvers import init_state
 from kaczfact.systems import ScenarioSpec, gen_gaussian_factored
 
-from conftest import FixedUniforms, small_factored
+from conftest import FixedUniforms, projector_rowspace, small_factored
+from reference import run, step
 
 
 def identity_system():
-    eye = make_matrix(2, 2, [1.0, 0.0, 0.0, 1.0])
+    eye = DenseMatrix(np.eye(2))
     return FactoredSystem(U=eye, V=eye, y=np.array([1.0, 2.0]))
 
 
 class TestSystemValidation:
     def test_factor_dimension_mismatch(self):
-        u = make_matrix(3, 2, [1.0] * 6)
-        v = make_matrix(3, 2, [1.0] * 6)
+        u = DenseMatrix(np.ones((3, 2)))
+        v = DenseMatrix(np.ones((3, 2)))
         with pytest.raises(ValueError):
             FactoredSystem(U=u, V=v, y=np.zeros(3))
 
     def test_rhs_shape_mismatch(self):
-        u = make_matrix(3, 2, [1.0] * 6)
-        v = make_matrix(2, 4, [1.0] * 8)
+        u = DenseMatrix(np.ones((3, 2)))
+        v = DenseMatrix(np.ones((2, 4)))
         with pytest.raises(ValueError):
             FactoredSystem(U=u, V=v, y=np.zeros(4))
 
@@ -53,7 +50,7 @@ class TestSystemValidation:
             with pytest.raises(ValueError):
                 init_interlaced(bad, sys_)
             with pytest.raises(ValueError):
-                interlaced_step(bad, sys_, init_interlaced("rk-rk", sys_), master_rng(0))
+                step(bad, sys_, init_interlaced("rk-rk", sys_), master_rng(0))
         assert PAIRINGS == ("rk-rk", "rek-rk", "rek-rek", "rgs-rgs")
 
 
@@ -62,16 +59,16 @@ class TestStepAlgebra:
         sys_ = identity_system()
         state = init_interlaced("rk-rk", sys_)
         # Both samplers are uniform over two indices, so 0.1 -> index 0.
-        i, p = rkrk_step(sys_, state, FixedUniforms([0.1, 0.1]))
+        i, p = step("rk-rk", sys_, state, FixedUniforms([0.1, 0.1]))
         assert (i, p) == (0, 0)
         assert np.allclose(state.x, [1.0, 0.0], atol=1e-15)
         assert np.allclose(state.b, [1.0, 0.0], atol=1e-15)
-        assert state.flops == (4 * 2 + 2) + (4 * 2 + 2) == 20
+        assert pairing_cost("rk-rk", sys_) == (4 * 2 + 2) + (4 * 2 + 2) == 20
 
     def test_rkrk_second_draw_pair(self):
         sys_ = identity_system()
         state = init_interlaced("rk-rk", sys_)
-        i, p = rkrk_step(sys_, state, FixedUniforms([0.9, 0.6]))
+        i, p = step("rk-rk", sys_, state, FixedUniforms([0.9, 0.6]))
         assert (i, p) == (1, 1)
         assert np.allclose(state.x, [0.0, 2.0], atol=1e-15)
         assert np.allclose(state.b, [0.0, 2.0], atol=1e-15)
@@ -81,7 +78,7 @@ class TestStepAlgebra:
         # a single step; a stale x would leave b at zero.
         sys_ = identity_system()
         state = init_interlaced("rk-rk", sys_)
-        rkrk_step(sys_, state, FixedUniforms([0.1, 0.1]))
+        step("rk-rk", sys_, state, FixedUniforms([0.1, 0.1]))
         assert state.b[0] == pytest.approx(1.0)
 
     def test_rekrk_with_zero_z_matches_rkrk(self):
@@ -94,8 +91,8 @@ class TestStepAlgebra:
         for _ in range(20):
             u_row, u_col, v_row = uniforms[pos], uniforms[pos + 1], uniforms[pos + 2]
             pos += 3
-            rkrk_step(sys_, plain, FixedUniforms([u_row, v_row]))
-            rekrk_step(sys_, ext, FixedUniforms([u_row, u_col, v_row]))
+            step("rk-rk", sys_, plain, FixedUniforms([u_row, v_row]))
+            step("rek-rk", sys_, ext, FixedUniforms([u_row, u_col, v_row]))
             assert np.allclose(ext.z, 0.0, atol=1e-15)
             assert np.array_equal(ext.x, plain.x)
             assert np.array_equal(ext.b, plain.b)
@@ -104,7 +101,7 @@ class TestStepAlgebra:
         sys_, _ = small_factored(10, 4, 7, seed=6)
         state = init_interlaced("rek-rek", sys_)
         for _ in range(200):
-            rekrek_step(sys_, state, rng)
+            step("rek-rek", sys_, state, rng)
         # x starts at zero, so the V-side residual estimate starts at
         # zero and column projections keep it there exactly.
         assert np.array_equal(state.zv, np.zeros(sys_.k))
@@ -113,7 +110,7 @@ class TestStepAlgebra:
         sys_, _ = small_factored(10, 4, 7, seed=7)
         state = init_interlaced("rgs-rgs", sys_)
         for _ in range(200):
-            rgsrgs_step(sys_, state, rng)
+            step("rgs-rgs", sys_, state, rng)
         assert np.allclose(state.res_u, sys_.y - sys_.U.data @ state.x, atol=1e-10)
         assert np.allclose(state.res_v, state.x - sys_.V.data @ state.b, atol=1e-10)
 
@@ -127,27 +124,33 @@ class TestStepAlgebra:
             "rgs-rgs": (4 * m + 2) + (4 * k + 2),
         }
         for method, per_step in expected.items():
-            state = run_interlaced(method, sys_, 33, master_rng(9))
-            assert state.t == 33
-            assert state.flops == 33 * per_step
+            seen = []
+            _, t = run(method, sys_, 33, master_rng(9), recorder=lambda t, v, f: seen.append(f), stride=33)
+            assert t == 33
+            assert pairing_cost(method, sys_) == per_step
+            assert seen == [33 * per_step]
 
     def test_dispatch_matches_direct_step(self):
+        # A pairing step is its outer method's step on (U, y, x), then its inner one's on (V, x, b).
         sys_, _ = small_factored(6, 3, 4, seed=10)
-        direct = init_interlaced("rek-rk", sys_)
+        direct_u = init_state("rek", sys_.U, sys_.y)
+        direct_v = init_state("rk", sys_.V, direct_u.beta)
         routed = init_interlaced("rek-rk", sys_)
         for step_idx in range(25):
-            rekrk_step(sys_, direct, master_rng(100 + step_idx))
-            interlaced_step("rek-rk", sys_, routed, master_rng(100 + step_idx))
-        assert np.array_equal(direct.x, routed.x)
-        assert np.array_equal(direct.b, routed.b)
-        assert np.array_equal(direct.z, routed.z)
+            rng = master_rng(100 + step_idx)
+            step("rek", (sys_.U, sys_.y), direct_u, rng)
+            step("rk", (sys_.V, direct_u.beta), direct_v, rng)
+            step("rek-rk", sys_, routed, master_rng(100 + step_idx))
+        assert np.array_equal(direct_u.beta, routed.x)
+        assert np.array_equal(direct_v.beta, routed.b)
+        assert np.array_equal(direct_u.z, routed.z)
 
     def test_returned_index_counts(self, rng):
         sys_, _ = small_factored(6, 3, 4, seed=11)
-        assert len(rkrk_step(sys_, init_interlaced("rk-rk", sys_), rng)) == 2
-        assert len(rekrk_step(sys_, init_interlaced("rek-rk", sys_), rng)) == 3
-        assert len(rekrek_step(sys_, init_interlaced("rek-rek", sys_), rng)) == 4
-        assert len(rgsrgs_step(sys_, init_interlaced("rgs-rgs", sys_), rng)) == 2
+        assert len(step("rk-rk", sys_, init_interlaced("rk-rk", sys_), rng)) == 2
+        assert len(step("rek-rk", sys_, init_interlaced("rek-rk", sys_), rng)) == 3
+        assert len(step("rek-rek", sys_, init_interlaced("rek-rek", sys_), rng)) == 4
+        assert len(step("rgs-rgs", sys_, init_interlaced("rgs-rgs", sys_), rng)) == 2
 
 
 class TestLimits:
@@ -157,19 +160,19 @@ class TestLimits:
     def test_rkrk_converges_on_consistent_data(self):
         sys_, _ = small_factored(30, 10, 20, seed=61)
         star = factored_full_solution(sys_.U, sys_.V, sys_.y)
-        state = run_interlaced("rk-rk", sys_, 4000, master_rng(62))
+        state, _ = run("rk-rk", sys_, 4000, master_rng(62))
         assert self.rel_sq_error(state.b, star) < 1e-8
 
     def test_rekrk_converges_on_inconsistent_data(self):
         inst = gen_gaussian_factored(ScenarioSpec("S3b", 40, 25, 10, seed=63))
         star = factored_full_solution(inst.system.U, inst.system.V, inst.system.y)
-        state = run_interlaced("rek-rk", inst.system, 8000, master_rng(64))
+        state, _ = run("rek-rk", inst.system, 8000, master_rng(64))
         assert self.rel_sq_error(state.b, star) < 1e-8
 
     def test_rkrk_stalls_on_inconsistent_data(self):
         inst = gen_gaussian_factored(ScenarioSpec("S3b", 40, 25, 10, seed=63))
         star = factored_full_solution(inst.system.U, inst.system.V, inst.system.y)
-        state = run_interlaced("rk-rk", inst.system, 8000, master_rng(64))
+        state, _ = run("rk-rk", inst.system, 8000, master_rng(64))
         assert self.rel_sq_error(state.b, star) > 1e-2
 
     def test_iterate_stays_in_v_rowspace(self, rng):
@@ -178,7 +181,7 @@ class TestLimits:
         for method in ("rk-rk", "rek-rk"):
             state = init_interlaced(method, sys_)
             for _ in range(150):
-                interlaced_step(method, sys_, state, rng)
+                step(method, sys_, state, rng)
             norm = np.linalg.norm(state.b)
             assert norm > 0.0
             assert np.linalg.norm(state.b - project(state.b)) < 1e-10 * norm
@@ -188,35 +191,35 @@ class TestRunHarness:
     def test_recorder_schedule(self):
         sys_, _ = small_factored(8, 3, 5, seed=70)
         seen = []
-        run_interlaced("rk-rk", sys_, 1050, master_rng(71), recorder=lambda t, v, f: seen.append(t), stride=100)
+        run("rk-rk", sys_, 1050, master_rng(71), recorder=lambda t, v, f: seen.append(t), stride=100)
         assert seen == list(range(100, 1001, 100)) + [1050]
 
     def test_default_recorder_value_is_joint_squared_residual(self):
         sys_, _ = small_factored(8, 3, 5, seed=72)
         seen = []
-        state = run_interlaced("rk-rk", sys_, 37, master_rng(73), recorder=lambda t, v, f: seen.append(v), stride=37)
+        state, _ = run("rk-rk", sys_, 37, master_rng(73), recorder=lambda t, v, f: seen.append(v), stride=37)
         res_u = sys_.y - sys_.U.data @ state.x
         res_v = state.x - sys_.V.data @ state.b
         assert seen[-1] == pytest.approx(float(res_u @ res_u + res_v @ res_v), rel=1e-12)
 
     def test_joint_tolerance_early_stop(self):
         sys_, _ = small_factored(20, 5, 10, seed=74)
-        state = run_interlaced("rk-rk", sys_, 100000, master_rng(75), tolerance=1e-12)
-        assert state.t < 100000
-        assert state.t % sys_.m == 0
+        state, t = run("rk-rk", sys_, 100000, master_rng(75), tolerance=1e-12)
+        assert t < 100000
+        assert t % sys_.m == 0
         assert np.linalg.norm(sys_.y - sys_.U.data @ state.x) <= 1e-12
         assert np.linalg.norm(state.x - sys_.V.data @ state.b) <= 1e-12
 
     def test_budget_stopping_is_default(self):
         sys_, _ = small_factored(8, 3, 5, seed=76)
-        assert run_interlaced("rk-rk", sys_, 500, master_rng(77)).t == 500
+        assert run("rk-rk", sys_, 500, master_rng(77))[1] == 500
 
     def test_rejects_bad_arguments(self):
         sys_, _ = small_factored(8, 3, 5, seed=78)
         with pytest.raises(ValueError):
-            run_interlaced("rk-rk", sys_, -2, master_rng(1))
+            run("rk-rk", sys_, -2, master_rng(1))
         with pytest.raises(ValueError):
-            run_interlaced("rk-rk", sys_, 10, master_rng(1), stride=0)
+            run("rk-rk", sys_, 10, master_rng(1), stride=0)
 
 
 class TestExpectedErrorBound:

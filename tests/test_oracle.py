@@ -3,18 +3,11 @@
 import numpy as np
 import pytest
 
-from kaczfact.dense import DenseMatrix, make_matrix
-from kaczfact.oracle import (
-    DEFAULT_RANK_TOL,
-    factored_full_solution,
-    pinv_solve,
-    projector_rowspace,
-    rate_constants,
-    svd,
-)
+from kaczfact.dense import DenseMatrix
+from kaczfact.oracle import DEFAULT_RANK_TOL, factored_full_solution, pinv_solve, rate_constants, svd
 from kaczfact.sampling import master_rng
 
-from conftest import jacobi_eigvalsh, random_dense
+from conftest import jacobi_eigvalsh, projector_rowspace, random_dense
 
 
 def rank_deficient(rows: int, cols: int, rank: int, seed: int) -> DenseMatrix:
@@ -41,7 +34,7 @@ class TestSvd:
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
-            svd(make_matrix(2, 2, [0.0, 0.0, 0.0, 0.0]))
+            svd(DenseMatrix([[0.0, 0.0], [0.0, 0.0]]))
 
     def test_singular_values_match_jacobi_eigenvalues(self):
         # Independent route: squared singular values are the eigenvalues of
@@ -57,11 +50,11 @@ class TestSvd:
 
 class TestPinvSolve:
     def test_diagonal_system(self):
-        a = make_matrix(2, 2, [2.0, 0.0, 0.0, 4.0])
+        a = DenseMatrix([[2.0, 0.0], [0.0, 4.0]])
         assert np.allclose(pinv_solve(a, np.array([2.0, 8.0])), [1.0, 2.0], rtol=1e-14)
 
     def test_underdetermined_least_norm(self):
-        a = make_matrix(1, 2, [1.0, 1.0])
+        a = DenseMatrix([[1.0, 1.0]])
         assert np.allclose(pinv_solve(a, np.array([2.0])), [1.0, 1.0], rtol=1e-14)
 
     def test_moore_penrose_identities(self):
@@ -103,7 +96,7 @@ class TestPinvSolve:
 
 class TestRateConstants:
     def test_diagonal_example(self):
-        c = rate_constants(make_matrix(2, 2, [1.0, 0.0, 0.0, 2.0]))
+        c = rate_constants(DenseMatrix([[1.0, 0.0], [0.0, 2.0]]))
         assert c.sigma_min_sq == pytest.approx(1.0, rel=1e-12)
         assert c.sigma_max_sq == pytest.approx(4.0, rel=1e-12)
         assert c.frob_sq == pytest.approx(5.0, rel=1e-15)
@@ -112,14 +105,14 @@ class TestRateConstants:
         assert c.theta == pytest.approx(1.0, rel=1e-12)
 
     def test_rank_deficient_uses_smallest_nonzero_singular_value(self):
-        c = rate_constants(make_matrix(2, 2, [3.0, 0.0, 0.0, 0.0]))
+        c = rate_constants(DenseMatrix([[3.0, 0.0], [0.0, 0.0]]))
         assert c.sigma_min_sq == pytest.approx(9.0, rel=1e-12)
         assert c.alpha == pytest.approx(0.0, abs=1e-15)
         assert c.kappa_sq == pytest.approx(1.0, rel=1e-12)
         assert c.theta == pytest.approx(1.0 / 9.0, rel=1e-12)
 
     def test_identity_contraction_rate(self):
-        c = rate_constants(make_matrix(2, 2, [1.0, 0.0, 0.0, 1.0]))
+        c = rate_constants(DenseMatrix([[1.0, 0.0], [0.0, 1.0]]))
         assert c.alpha == pytest.approx(0.5, rel=1e-14)
 
     def test_alpha_always_a_valid_contraction_factor(self):
@@ -132,7 +125,7 @@ class TestRateConstants:
             assert c.theta > 0.0
 
     def test_rank_tolerance_is_relative(self):
-        a = make_matrix(2, 2, [1e6, 0.0, 0.0, 1e-6])
+        a = DenseMatrix([[1e6, 0.0], [0.0, 1e-6]])
         # 1e-6 / 1e6 = 1e-12 < DEFAULT_RANK_TOL, so the tiny value is noise.
         assert rate_constants(a).sigma_min_sq == pytest.approx(1e12, rel=1e-9)
         assert rate_constants(a, rank_tol=1e-14).sigma_min_sq == pytest.approx(1e-12, rel=1e-6)

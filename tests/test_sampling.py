@@ -3,39 +3,28 @@
 import numpy as np
 import pytest
 
-from kaczfact.dense import make_matrix
-from kaczfact.sampling import (
-    NormSampler,
-    col_sampler,
-    master_rng,
-    row_sampler,
-    sampler_from_cols,
-    sampler_from_rows,
-    trial_rng,
-)
+from kaczfact.dense import DenseMatrix
+from kaczfact.sampling import NormSampler, col_sampler, master_rng, row_sampler, trial_rng
 
 from conftest import FixedUniforms, random_dense
 
 
 class TestNormSampler:
     def test_probabilities_match_weight_ratios(self):
-        a = make_matrix(2, 2, [3.0, 4.0, 0.0, 1e-4])
-        sampler = sampler_from_rows(a)
-        total = 25.0 + 1e-8
-        assert np.allclose(sampler.probabilities, [25.0 / total, 1e-8 / total], rtol=1e-15)
+        # Row weights (25, 1e-8): row 1 owns the top 1e-8 / (25 + 1e-8) = 4e-10 of [0, 1).
+        sampler = row_sampler(DenseMatrix([[3.0, 4.0], [0.0, 1e-4]]))
+        assert sampler.draw_many(np.array([0.0, 1.0 - 1e-9, 1.0 - 1e-10])).tolist() == [0, 0, 1]
 
     def test_column_weights(self):
-        a = make_matrix(2, 2, [3.0, 4.0, 0.0, 1e-4])
-        sampler = sampler_from_cols(a)
-        total = 25.0 + 1e-8
-        assert np.allclose(sampler.probabilities, [9.0 / total, (16.0 + 1e-8) / total], rtol=1e-15)
+        # Column weights (9, 16 + 1e-8): column 0 owns [0, 9 / (25 + 1e-8)) = [0, 0.36).
+        sampler = col_sampler(DenseMatrix([[3.0, 4.0], [0.0, 1e-4]]))
+        assert sampler.draw_many(np.array([0.0, 0.3599, 0.3601, 0.9999])).tolist() == [0, 0, 1, 1]
 
     def test_rejects_zero_weight(self):
         with pytest.raises(ValueError):
             NormSampler(np.array([1.0, 0.0, 2.0]))
-        a = make_matrix(2, 2, [1.0, 1.0, 0.0, 0.0])
         with pytest.raises(ValueError):
-            sampler_from_rows(a)
+            row_sampler(DenseMatrix([[1.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_empty_or_non_finite_weights(self):
         with pytest.raises(ValueError):
@@ -97,12 +86,9 @@ class TestSamplerCache:
 
     def test_cached_sampler_uses_matrix_norms(self):
         a = random_dense(5, 2, seed=2)
-        assert np.allclose(
-            row_sampler(a).probabilities, a.row_sqnorms / a.frob_sq, rtol=1e-14
-        )
-        assert np.allclose(
-            col_sampler(a).probabilities, a.col_sqnorms / a.frob_sq, rtol=1e-14
-        )
+        uniforms = master_rng(3).random(256)
+        assert np.array_equal(row_sampler(a).draw_many(uniforms), NormSampler(a.row_sqnorms).draw_many(uniforms))
+        assert np.array_equal(col_sampler(a).draw_many(uniforms), NormSampler(a.col_sqnorms).draw_many(uniforms))
 
 
 class TestStreams:

@@ -4,25 +4,13 @@ import numpy as np
 import pytest
 
 from kaczfact.bench import RunConfig, run_experiment
-from kaczfact.dense import make_matrix
+from kaczfact.dense import DenseMatrix
 from kaczfact.oracle import pinv_solve, rate_constants
 from kaczfact.sampling import master_rng
-from kaczfact.solvers import (
-    DEFAULT_TOLERANCE,
-    METHODS,
-    apply_col_project,
-    apply_row_step,
-    estimate,
-    init_state,
-    regs_step,
-    rek_step,
-    rgs_step,
-    rk_step,
-    run,
-    step_kernel,
-)
+from kaczfact.solvers import METHODS, apply_col_project, apply_row_step, estimate, init_state, step_cost, step_kernel
 
 from conftest import FixedUniforms, consistent_system, inconsistent_system
+from reference import run, step
 
 
 def example_system():
@@ -32,7 +20,7 @@ def example_system():
     probability 1/2; column squared norms are (9, 41), so column 0 is
     drawn when the uniform is below 0.18.
     """
-    a = make_matrix(2, 2, [3.0, 4.0, 0.0, 5.0])
+    a = DenseMatrix([[3.0, 4.0], [0.0, 5.0]])
     return a, np.array([10.0, 5.0])
 
 
@@ -40,52 +28,51 @@ class TestUpdateAlgebra:
     def test_rk_single_projection(self):
         a, y = example_system()
         state = init_state("rk", a, y)
-        i = rk_step(a, y, state, FixedUniforms([0.2]))
+        (i,) = step("rk", (a, y), state, FixedUniforms([0.2]))
         assert i == 0
         # beta_1 = (10 / 25) * (3, 4)
         assert np.allclose(state.beta, [1.2, 1.6], rtol=1e-15)
-        assert state.t == 1
-        assert state.flops == 4 * 2 + 2 == 10
+        assert step_cost("rk", a) == 4 * 2 + 2 == 10
 
     def test_rk_second_row(self):
         a, y = example_system()
         state = init_state("rk", a, y)
-        assert rk_step(a, y, state, FixedUniforms([0.7])) == 1
+        assert step("rk", (a, y), state, FixedUniforms([0.7])) == (1,)
         assert np.allclose(state.beta, [0.0, 1.0], rtol=1e-15)
 
     def test_rgs_single_coordinate_step(self):
         a, y = example_system()
         state = init_state("rgs", a, y)
-        j = rgs_step(a, y, state, FixedUniforms([0.1]))
+        (j,) = step("rgs", (a, y), state, FixedUniforms([0.1]))
         assert j == 0
         # gamma = (3 * 10 + 0 * 5) / 9 = 10/3 along e_0.
         assert np.allclose(state.beta, [10.0 / 3.0, 0.0], rtol=1e-15)
         assert np.allclose(state.residual, [0.0, 5.0], atol=1e-14)
-        assert state.flops == 4 * 2 + 2 == 10
+        assert step_cost("rgs", a) == 4 * 2 + 2 == 10
 
     def test_rek_consumes_row_then_column(self):
         a, y = example_system()
         state = init_state("rek", a, y)
-        i, j = rek_step(a, y, state, FixedUniforms([0.7, 0.1]))
+        i, j = step("rek", (a, y), state, FixedUniforms([0.7, 0.1]))
         assert (i, j) == (1, 0)
         # z starts at y; projecting out column 0 = (3, 0):
         #   coef = 30 / 9, z = (10, 5) - coef * (3, 0) = (0, 5)
         # then row 1 with rhs y_1 - z_1 = 0 leaves beta unchanged.
         assert np.allclose(state.z, [0.0, 5.0], atol=1e-14)
         assert np.allclose(state.beta, [0.0, 0.0], atol=1e-15)
-        assert state.flops == (4 * 2 + 2) + (4 * 2 + 2)
+        assert step_cost("rek", a) == (4 * 2 + 2) + (4 * 2 + 2)
 
     def test_regs_flop_charge(self):
         a, y = example_system()
         state = init_state("regs", a, y)
-        regs_step(a, y, state, FixedUniforms([0.2, 0.5]))
-        assert state.flops == (4 * 2 + 2) + (4 * 2 + 2) == 20
+        assert step("regs", (a, y), state, FixedUniforms([0.2, 0.5])) == (0, 1)
+        assert step_cost("regs", a) == (4 * 2 + 2) + (4 * 2 + 2) == 20
 
     def test_regs_identity_correction_vanishes_for_matching_draws(self):
         # On the identity, a coordinate step along e_j followed by
         # projecting out row i = j cancels the correction exactly,
         # so the reported estimate equals the plain iterate.
-        a = make_matrix(2, 2, [1.0, 0.0, 0.0, 1.0])
+        a = DenseMatrix(np.eye(2))
         y = np.array([1.0, 2.0])
         beta = np.zeros((1, 2))
         z = np.zeros((1, 2))
@@ -138,7 +125,6 @@ class TestStateManagement:
 
     def test_methods_tuple(self):
         assert METHODS == ("rk", "rek", "rgs", "regs")
-        assert DEFAULT_TOLERANCE == 1e-12
 
 
 class TestPerStepInvariants:
@@ -146,14 +132,14 @@ class TestPerStepInvariants:
         a, y, _ = consistent_system(12, 6, seed=31)
         state = init_state("rk", a, y)
         for _ in range(40):
-            i = rk_step(a, y, state, rng)
+            (i,) = step("rk", (a, y), state, rng)
             assert abs(y[i] - a.row(i) @ state.beta) < 1e-10 * (1.0 + abs(y[i]))
 
     def test_rek_drawn_column_orthogonal_to_z(self, rng):
         a, y, _ = inconsistent_system(12, 6, seed=32)
         state = init_state("rek", a, y)
         for _ in range(40):
-            _, j = rek_step(a, y, state, rng)
+            _, j = step("rek", (a, y), state, rng)
             scale = np.linalg.norm(a.col(j)) * (1.0 + np.linalg.norm(state.z))
             assert abs(a.col(j) @ state.z) < 1e-10 * scale
 
@@ -161,14 +147,14 @@ class TestPerStepInvariants:
         a, y, _ = inconsistent_system(12, 6, seed=33)
         state = init_state("rgs", a, y)
         for _ in range(60):
-            rgs_step(a, y, state, rng)
+            step("rgs", (a, y), state, rng)
         assert np.allclose(state.residual, y - a.data @ state.beta, atol=1e-10)
 
     def test_regs_residual_and_row_annihilation(self, rng):
         a, y, _ = inconsistent_system(12, 6, seed=34)
         state = init_state("regs", a, y)
         for _ in range(60):
-            i, _ = regs_step(a, y, state, rng)
+            i, _ = step("regs", (a, y), state, rng)
             scale = np.linalg.norm(a.row(i)) * (1.0 + np.linalg.norm(state.z))
             assert abs(a.row(i) @ state.z) < 1e-10 * scale
         assert np.allclose(state.residual, y - a.data @ state.beta, atol=1e-10)
@@ -179,7 +165,7 @@ class TestPerStepInvariants:
         state = init_state("rk", a, y)
         prev = float(star @ star)
         for _ in range(300):
-            rk_step(a, y, state, rng)
+            step("rk", (a, y), state, rng)
             err = float(np.sum((state.beta - star) ** 2))
             assert err <= prev * (1.0 + 1e-12)
             prev = err
@@ -192,9 +178,11 @@ class TestPerStepInvariants:
             ("rgs", 4 * 9 + 2),
             ("regs", (4 * 9 + 2) + (4 * 4 + 2)),
         ]:
-            state = run(method, a, y, 57, master_rng(5), tolerance=None)
-            assert state.t == 57
-            assert state.flops == 57 * per_step
+            seen = []
+            _, t = run(method, (a, y), 57, master_rng(5), recorder=lambda t, v, f: seen.append(f), stride=57)
+            assert t == 57
+            assert step_cost(method, a) == per_step
+            assert seen == [57 * per_step]
 
 
 class TestLimits:
@@ -206,25 +194,25 @@ class TestLimits:
     def test_rk_consistent_overdetermined(self):
         a, y, _ = consistent_system(30, 10, seed=11)
         star = pinv_solve(a, y)
-        state = run("rk", a, y, 5000, master_rng(90), tolerance=None)
+        state, _ = run("rk", (a, y), 5000, master_rng(90))
         assert self.rel_sq_error(state.beta, star) < 1e-8
 
     def test_rk_consistent_underdetermined_reaches_least_norm(self):
         a, y, _ = consistent_system(10, 30, seed=13)
         star = pinv_solve(a, y)
-        state = run("rk", a, y, 5000, master_rng(91), tolerance=None)
+        state, _ = run("rk", (a, y), 5000, master_rng(91))
         assert self.rel_sq_error(state.beta, star) < 1e-8
 
     def test_rk_stalls_on_inconsistent_data(self):
         a, y, _ = inconsistent_system(30, 10, seed=12)
         star = pinv_solve(a, y)
-        state = run("rk", a, y, 20000, master_rng(92), tolerance=None)
+        state, _ = run("rk", (a, y), 20000, master_rng(92))
         assert self.rel_sq_error(state.beta, star) > 1e-2
 
     def test_rek_reaches_least_squares_on_inconsistent_data(self):
         a, y, _ = inconsistent_system(30, 5, seed=21)
         star = pinv_solve(a, y)
-        state = run("rek", a, y, 20000, master_rng(93), tolerance=None)
+        state, _ = run("rek", (a, y), 20000, master_rng(93))
         assert self.rel_sq_error(state.beta, star) < 1e-6
 
     def test_rek_z_converges_to_orthogonal_residual(self):
@@ -234,20 +222,20 @@ class TestLimits:
         # The planted component equals the least-squares residual here
         # because the planting projected it off range(A).
         assert np.allclose(best_residual, resid, atol=1e-10)
-        state = run("rek", a, y, 20000, master_rng(94), tolerance=None)
+        state, _ = run("rek", (a, y), 20000, master_rng(94))
         gap = np.linalg.norm(state.z - best_residual) / np.linalg.norm(best_residual)
         assert gap < 1e-4
 
     def test_rgs_reaches_least_squares_overdetermined(self):
         a, y, _ = inconsistent_system(30, 5, seed=22)
         star = pinv_solve(a, y)
-        state = run("rgs", a, y, 20000, master_rng(95), tolerance=None)
+        state, _ = run("rgs", (a, y), 20000, master_rng(95))
         assert self.rel_sq_error(state.beta, star) < 1e-6
 
     def test_rgs_misses_least_norm_underdetermined(self):
         a, y, _ = consistent_system(10, 30, seed=13)
         star = pinv_solve(a, y)
-        state = run("rgs", a, y, 20000, master_rng(96), tolerance=None)
+        state, _ = run("rgs", (a, y), 20000, master_rng(96))
         assert self.rel_sq_error(state.beta, star) > 1e-2
 
     def test_regs_reaches_optimum_in_all_regimes(self):
@@ -258,7 +246,7 @@ class TestLimits:
         ]
         for idx, (a, y, _) in enumerate(cases):
             star = pinv_solve(a, y)
-            state = run("regs", a, y, 20000, master_rng(97 + idx), tolerance=None)
+            state, _ = run("regs", (a, y), 20000, master_rng(97 + idx))
             est = estimate("regs", state)
             assert self.rel_sq_error(est, star) < 1e-8
 
@@ -295,20 +283,20 @@ class TestRunHarness:
     def test_recorder_schedule_and_final_step(self):
         a, y, _ = consistent_system(8, 4, seed=41)
         seen = []
-        run("rk", a, y, 1000, master_rng(50), recorder=lambda t, v, f: seen.append((t, v, f)), stride=100, tolerance=None)
+        run("rk", (a, y), 1000, master_rng(50), recorder=lambda t, v, f: seen.append((t, v, f)), stride=100)
         assert [t for t, _, _ in seen] == list(range(100, 1001, 100))
         assert all(f == t * (4 * 4 + 2) for t, _, f in seen)
 
     def test_recorder_includes_off_stride_final_step(self):
         a, y, _ = consistent_system(8, 4, seed=41)
         seen = []
-        run("rk", a, y, 1050, master_rng(50), recorder=lambda t, v, f: seen.append(t), stride=100, tolerance=None)
+        run("rk", (a, y), 1050, master_rng(50), recorder=lambda t, v, f: seen.append(t), stride=100)
         assert seen == list(range(100, 1001, 100)) + [1050]
 
     def test_default_recorder_value_is_squared_residual(self):
         a, y, _ = inconsistent_system(8, 3, seed=42)
         seen = []
-        state = run("rk", a, y, 40, master_rng(51), recorder=lambda t, v, f: seen.append(v), stride=40, tolerance=None)
+        state, _ = run("rk", (a, y), 40, master_rng(51), recorder=lambda t, v, f: seen.append(v), stride=40)
         resid = y - a.data @ state.beta
         assert seen[-1] == pytest.approx(float(resid @ resid), rel=1e-12)
 
@@ -316,8 +304,8 @@ class TestRunHarness:
         a, y, _ = consistent_system(8, 4, seed=43)
         star = pinv_solve(a, y)
         seen = []
-        state = run(
-            "rk", a, y, 40, master_rng(52),
+        state, _ = run(
+            "rk", (a, y), 40, master_rng(52),
             recorder=lambda t, v, f: seen.append(v), stride=40,
             tolerance=None, error_fn=lambda b: float(np.sum((b - star) ** 2)),
         )
@@ -325,26 +313,26 @@ class TestRunHarness:
 
     def test_early_stop_on_residual_tolerance(self):
         a, y, _ = consistent_system(20, 5, seed=44)
-        state = run("rk", a, y, 50000, master_rng(53), tolerance=1e-12)
-        assert state.t < 50000
-        assert state.t % a.rows == 0
+        state, t = run("rk", (a, y), 50000, master_rng(53), tolerance=1e-12)
+        assert t < 50000
+        assert t % a.rows == 0
         assert np.linalg.norm(y - a.data @ state.beta) <= 1e-12
 
     def test_tolerance_none_disables_early_stop(self):
         a, y, _ = consistent_system(20, 5, seed=44)
-        state = run("rk", a, y, 3000, master_rng(53), tolerance=None)
-        assert state.t == 3000
+        _, t = run("rk", (a, y), 3000, master_rng(53))
+        assert t == 3000
 
     def test_run_rejects_bad_arguments(self):
         a, y, _ = consistent_system(8, 4, seed=45)
         with pytest.raises(ValueError):
-            run("rk", a, y, -1, master_rng(1))
+            run("rk", (a, y), -1, master_rng(1))
         with pytest.raises(ValueError):
-            run("rk", a, y, 10, master_rng(1), stride=0)
+            run("rk", (a, y), 10, master_rng(1), stride=0)
 
     def test_same_seed_reproduces_trajectory(self):
         a, y, _ = inconsistent_system(12, 5, seed=46)
-        first = run("rek", a, y, 500, master_rng(54), tolerance=None)
-        second = run("rek", a, y, 500, master_rng(54), tolerance=None)
+        first, _ = run("rek", (a, y), 500, master_rng(54))
+        second, _ = run("rek", (a, y), 500, master_rng(54))
         assert np.array_equal(first.beta, second.beta)
         assert np.array_equal(first.z, second.z)
