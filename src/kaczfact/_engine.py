@@ -21,17 +21,16 @@ sub-block its per-step kernel (``solvers.step_kernel``,
 with.  This module holds no algebra of its own: it schedules draws,
 sub-blocks, records and tolerance checks.
 
-L(T) is ``solvers.MAX_BLOCK`` (32) at T = 1 and 1 at T >= 2.  At T = 1
-nearly all of a step's time is interpreter overhead, which a sub-block
-pays once.  As T grows the per-step loop spreads that overhead over
-the trials while the Gram matrix and solve grow as B^2 per trial, so
-the gain shrinks (measured on S3b 200x150x100: 1.4-5.8x at T = 2-8,
-1.2-1.4x at T = 16).  Multi-trial runs keep the per-step kernel anyway:
-each trial then performs the same floating-point operations as a
-sequential run, so at T >= 2 its iterates, and errors computed by the
-same formula, equal the reference's bit for bit.  The block path's
-reordered sums would move errors near 1e-13 by up to ~5e-9 relative
-(the float64 error of the sequential path itself is ~3e-9 there).
+L(T) is ``solvers.MAX_BLOCK`` (32) at T = 1 and 1 at T >= 2, so the
+block kernels take one trial.  At T = 1 nearly all of a step's time is
+interpreter overhead, which a sub-block pays once.  At T >= 2 the
+per-step loop spreads it over the trials, and block stepping is closed:
+on S3b 120x75x50 the per-step kernels took 0.74-1.46 us per trial-step
+at T = 40 and 0.44-0.97 at T = 200, against 0.82-1.80 and 0.68-1.52 at
+the best block length.  Each trial of a multi-trial run thus performs
+the same floating-point operations as a sequential run, and its
+iterates, and errors computed by the same formula, equal the
+reference's bit for bit.
 
 At T = 1 the two paths agree to rounding, not bit for bit.
 The flop count is the per-step model however the steps are grouped.
@@ -75,7 +74,8 @@ class _Batch:
     """T trials' state as (T, dim) arrays, one row per trial, with the method's two kernels bound to it.
 
     kernel(draws) takes one step, with one (T,) index array per draw;
-    advance(draws) takes B steps, with one (T, B) index array per draw.
+    advance(draws) takes B steps of a T = 1 batch on its (dim,) row
+    views, with one (B,) index array per draw.
     """
 
     def __init__(self, method: str, target, trials: int):
@@ -93,9 +93,8 @@ class _Batch:
             kernel, block, fixed = step_kernel, block_kernel, (method, *target)
         vectors = tuple(None if v is None else np.tile(v, (trials, 1)) for v in vectors)
         self.state = type(s)(*vectors)
-        args = (*fixed, *vectors, np.arange(trials))
-        self.kernel = functools.partial(kernel, *args)
-        self.advance = functools.partial(block, *args)
+        self.kernel = functools.partial(kernel, *fixed, *vectors, np.arange(trials))
+        self.advance = functools.partial(block, *fixed, *(None if v is None else v[0] for v in vectors))
 
     def estimates(self) -> np.ndarray:
         if isinstance(self.state, InterlacedState):
@@ -169,7 +168,7 @@ def run_trials(
             if end - t == 1:
                 batch.kernel(tuple(ix[:, t - start] for ix in idx))
             else:
-                batch.advance(tuple(ix[:, t - start : end - start] for ix in idx))
+                batch.advance(tuple(ix[0, t - start : end - start] for ix in idx))
             t = end
             if tolerance is not None and t % check_every == 0 and batch.max_residual() <= tolerance:
                 stopped = True

@@ -9,9 +9,9 @@ problem into two coupled subsystems
 and each interlaced step advances both.  A pairing "outer-inner" is
 the outer method's step on (U, y, x), which updates x, followed by the
 inner method's step on (V, x, b), which updates b against the *current*
-x; both are ``solvers.step_kernel`` (``pairing_kernel``).  B steps at
-once are the outer method's ``solvers.block_kernel`` on (U, y, x), then
-the inner one's on (V, x, b) (``pairing_block``).  Each side starts
+x; both are ``solvers.step_kernel`` (``pairing_kernel``).  B steps of
+one trial are the outer method's ``solvers.block_kernel`` on (U, y, x),
+then the inner one's on (V, x, b) (``pairing_block``).  Each side starts
 from its method's initial state (on (V, x_0 = 0) for the inner one),
 and the pairing's draws, samplers and flops are the outer method's
 followed by the inner one's.  The lock-step engine (``_engine``) runs
@@ -172,23 +172,24 @@ def pairing_kernel(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v, 
     step_kernel(inner, sys.V, x, b, zv, res_v, ar, draws[split:])
 
 
-def pairing_block(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v, ar, draws) -> None:
-    """B interlaced steps for every trial: the block-exact form of B ``pairing_kernel`` calls.
+def pairing_block(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v, draws) -> None:
+    """B interlaced steps for one trial: the block-exact form of B ``pairing_kernel`` calls.
 
-    Arguments are as in ``pairing_kernel``, with (T, B) draws.
+    State arrays are the trial's (dim,) vectors and draws the pairing's
+    (B,) index arrays, in draw order, as in ``block_kernel``.
     """
     outer, inner, split = _split(method)
     rhs = x.copy()  # the inner side's right-hand side as the block began
-    coef = block_kernel(outer, sys.U, sys.y, x, z, res_u, ar, draws[:split])
+    coef = block_kernel(outer, sys.U, sys.y, x, z, res_u, draws[:split])
     if res_v is None:
         # Inner row step s reads x[p_s] moved by the outer row steps r <= s: U[i_r, p_s] coef_r.
         drift = cross_sum(sys.U.data_t, draws[split], draws[0], coef)
     else:
         # Inner rgs step s sees res_v patched by the outer coordinate moves r <= s: V[j_r, q_s] gamma_r.
         drift = cross_sum(sys.V.data_t, draws[split], draws[split - 1], coef)
-    block_kernel(inner, sys.V, rhs, b, zv, res_v, ar, draws[split:], drift)
+    block_kernel(inner, sys.V, rhs, b, zv, res_v, draws[split:], drift)
     if res_v is not None:
-        np.add.at(res_v, (ar[:, None], draws[split - 1]), coef)
+        np.add.at(res_v, draws[split - 1], coef)
 
 
 # --- expected-error bounds ---------------------------------------------------

@@ -30,7 +30,7 @@ __all__ = [
     "factored_full_solution",
 ]
 
-# Singular values at or below rank_tol * sigma_max are treated as zero.
+# Singular values at or below DEFAULT_RANK_TOL * sigma_max are treated as zero.
 DEFAULT_RANK_TOL = 1e-10
 
 
@@ -69,19 +69,17 @@ class RateConstants:
     frob_sq: float
 
 
-def svd(A: DenseMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> SvdFactors:
-    """Thin SVD with a relative rank cutoff."""
-    if rank_tol < 0:
-        raise ValueError("rank_tol must be non-negative")
+def svd(A: DenseMatrix) -> SvdFactors:
+    """Thin SVD with the relative rank cutoff DEFAULT_RANK_TOL."""
     left, s, right_t = np.linalg.svd(A.data, full_matrices=False)
     sigma_max = float(s[0])
     if sigma_max == 0.0:
         raise ValueError("svd rank cutoff undefined for the zero matrix")
-    rank = int(np.sum(s > rank_tol * sigma_max))
+    rank = int(np.sum(s > DEFAULT_RANK_TOL * sigma_max))
     return SvdFactors(left=left, singular_values=s, right=right_t.T, rank=rank)
 
 
-def pinv_solve(A: DenseMatrix, y: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def pinv_solve(A: DenseMatrix, y: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution pinv(A) @ y.
 
     This single expression realizes every notion of "optimal solution"
@@ -92,19 +90,19 @@ def pinv_solve(A: DenseMatrix, y: np.ndarray, rank_tol: float = DEFAULT_RANK_TOL
     """
     if y.shape != (A.rows,):
         raise ValueError(f"pinv_solve dimension mismatch: matrix is {A.rows}x{A.cols}, rhs has shape {y.shape}")
-    f = svd(A, rank_tol)
+    f = svd(A)
     r = f.rank
     coeff = (f.left[:, :r].T @ y) / f.singular_values[:r]
     return f.right[:, :r] @ coeff
 
 
-def rate_constants(A: DenseMatrix, rank_tol: float = DEFAULT_RANK_TOL) -> RateConstants:
+def rate_constants(A: DenseMatrix) -> RateConstants:
     """Contraction constants of A over its nonzero spectrum.
 
     Guarantees 0 <= alpha < 1: sigma_min_sq is positive by construction
     and never exceeds the squared Frobenius norm.
     """
-    f = svd(A, rank_tol)
+    f = svd(A)
     s = f.singular_values
     sigma_max_sq = float(s[0]) ** 2
     sigma_min_sq = float(s[f.rank - 1]) ** 2

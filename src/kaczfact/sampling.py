@@ -25,10 +25,10 @@ __all__ = ["NormSampler", "master_rng", "trial_rng"]
 class NormSampler:
     """Draws indices with probability proportional to fixed weights.
 
-    Weights are squared norms; they must all be strictly positive.  A
-    zero weight would make the corresponding index unreachable, which
-    for this package always signals a degenerate input (a zero row or
-    column), so it is rejected at construction instead of skipped.
+    Weights are squared norms: non-negative and not all zero.  A zero
+    weight (a zero row or column) is never drawn, since the prefix sum
+    does not grow there; such a row or column does not change the
+    least-norm least-squares solution, so skipping it keeps the answer.
     """
 
     def __init__(self, sqnorms) -> None:
@@ -37,8 +37,8 @@ class NormSampler:
             raise ValueError("sampler needs a non-empty 1-D weight array")
         if not np.all(np.isfinite(w)):
             raise ValueError("sampler weights contain a non-finite entry")
-        if np.any(w <= 0.0):
-            raise ValueError("sampler weights must be strictly positive (zero row or column?)")
+        if np.any(w < 0.0) or not np.any(w > 0.0):
+            raise ValueError("sampler weights must be non-negative and not all zero (zero matrix?)")
         self._cumulative = np.cumsum(w)
         self._total = float(self._cumulative[-1])
 

@@ -48,8 +48,8 @@ to, ``tests/reference.py``, runs the same kernel at T = 1 on (1, dim)
 views of its state, so the two perform the same floating-point
 operations.
 
-``block_kernel`` takes B consecutive steps of the same method at once,
-block-exact; see the block section below.
+``block_kernel`` takes B consecutive steps of the same method on one
+trial at once, block-exact; see the block section below.
 
 Step costs follow a fixed flop model so trajectories-vs-flops are
 bit-reproducible.  Each draw is one action: a row draw acts on a
@@ -169,86 +169,77 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
 # A_J^T z_0 likewise.  What step r changes and a later step s reads enters
 # through an inclusive lower-triangular cross matrix (cross_sum): rek's
 # z[i_s] and the regs correction's coordinate patches, both from A[I][:, J].
-# A side costs one gather, one Gram matrix and one (T, B, B) solve instead
+# A side costs one gather, one Gram matrix and one (B, B) solve instead
 # of B rounds of per-step numpy calls, and agrees with them to rounding.
-# Each draw is a (T, B) index array, column s holding step s's indices.
+# The state is one trial's (dim,) arrays; draw entry s is step s's index.
 
 # Longest block: the cross matrices are cut from one cached triangle.
 MAX_BLOCK = 32
 _LOWER = np.tril(np.ones((MAX_BLOCK, MAX_BLOCK)))
 
 
-def _mv(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    """Batched matrix-vector product: (T, p, q) with (T, q) gives (T, p)."""
-    return (mat @ vec[..., None])[..., 0]
-
-
 def _lower(mat: np.ndarray) -> np.ndarray:
-    """Inclusive lower triangle of each (B, B) matrix in a stack."""
+    """Inclusive lower triangle of a (B, B) matrix."""
     b = mat.shape[-1]
     return mat * _LOWER[:b, :b]
 
 
 def cross_sum(mat: np.ndarray, at: np.ndarray, by: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Entry s of row t: sum over r <= s of mat[at[t, s], by[t, r]] * coef[t, r], for (T, B) at, by, coef."""
-    return _mv(_lower(mat[at[:, :, None], by[:, None, :]]), coef)
+    """Entry s: sum over r <= s of mat[at[s], by[r]] * coef[r], for (B,) at, by, coef."""
+    return _lower(mat[at[:, None], by]) @ coef
 
 
 def _solve_lower(gram: np.ndarray, rhs: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Solve tril(gram) c = rhs per trial, with the cached squared norms on the diagonal."""
+    """Solve tril(gram) c = rhs, with the cached squared norms on the diagonal."""
     low = _lower(gram)
-    r = np.arange(diag.shape[1])
-    low[:, r, r] = diag
-    return np.linalg.solve(low, rhs[..., None])[..., 0]
+    np.fill_diagonal(low, diag)
+    return np.linalg.solve(low, rhs)
 
 
 def _rows_block(A: DenseMatrix, beta: np.ndarray, idx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Row projections onto rows idx[:, 0], idx[:, 1], ... against rhs[:, s].
-
-    Returns the (T, B) step coefficients.
-    """
+    """Row projections onto rows idx[0], idx[1], ... against rhs[s]; returns the (B,) step coefficients."""
     rows = A.data[idx]
-    coef = _solve_lower(rows @ rows.swapaxes(1, 2), rhs - _mv(rows, beta), A.row_sqnorms[idx])
-    beta += (coef[:, None, :] @ rows)[:, 0]
+    coef = _solve_lower(rows @ rows.T, rhs - rows @ beta, A.row_sqnorms[idx])
+    beta += coef @ rows
     return coef
 
 
 def _cols_block(A: DenseMatrix, z: np.ndarray, idx: np.ndarray, extra) -> np.ndarray:
-    """Column projections of z onto columns idx[:, s]; extra[:, s] joins step s's inner product.
+    """Column projections of z onto columns idx[s], extra[s] joining step s's inner product.
 
-    Returns the (T, B) step coefficients.
+    Returns the (B,) step coefficients.
     """
     cols = A.data_t[idx]
-    coef = _solve_lower(cols @ cols.swapaxes(1, 2), _mv(cols, z) + extra, A.col_sqnorms[idx])
-    z -= (coef[:, None, :] @ cols)[:, 0]
+    coef = _solve_lower(cols @ cols.T, cols @ z + extra, A.col_sqnorms[idx])
+    z -= coef @ cols
     return coef
 
 
-def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual, ar, draws, drift=0.0):
-    """B ``method`` steps on (A, rhs) for every trial: the block-exact form of B ``step_kernel`` calls.
+def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual, draws, drift=0.0):
+    """B ``method`` steps on (A, rhs) for one trial: the block-exact form of B ``step_kernel`` calls.
 
-    Arguments are as in ``step_kernel``, with ar = arange(T) and (T, B) draws.  drift[:, s]
-    is how far step s's right-hand side has moved since the block began,
-    as that step reads it: at its row draw for rk and rek, in its
-    column's inner product for rgs and regs (0 for a fixed one).
-    Returns the (T, B) step coefficients: the row steps' of rk and rek,
-    the coordinate moves of rgs and regs.
+    rhs is (m,) and beta, z and residual are the trial's (dim,) state
+    (None where the method keeps none); draws are (B,) index arrays in
+    draw order.  drift[s] is how far step s's right-hand side has moved
+    since the block began, as that step reads it: at its row draw for
+    rk and rek, in its column's inner product for rgs and regs (0 for a
+    fixed one).  Returns the (B,) step coefficients: the row steps' of
+    rk and rek, the coordinate moves of rgs and regs.
     """
-    ar = ar[:, None]
     if method in ("rgs", "regs"):
         j = draws[-1]
         gamma = _cols_block(A, residual, j, drift)
-        np.add.at(beta, (ar, j), gamma)
+        np.add.at(beta, j, gamma)
         if method == "regs":
             # Row step s projects z + sum_{r<=s} gamma_r e_{j_r}: the patches enter its rhs.
             _rows_block(A, z, draws[0], -cross_sum(A.data, draws[0], j, gamma))
-            np.add.at(z, (ar, j), gamma)
+            np.add.at(z, j, gamma)
         return gamma
     i = draws[0]
-    target = (rhs[i] if rhs.ndim == 1 else rhs[ar, i]) + drift
+    target = rhs[i] + drift
     if method == "rek":
         # Row step s reads z[i_s] after the column projections r <= s.
-        z_rows = z[ar, i]
+        z_rows = z[i]
         z_rows -= cross_sum(A.data, i, draws[1], _cols_block(A, z, draws[1], 0.0))
         target = target - z_rows
     return _rows_block(A, beta, i, target)

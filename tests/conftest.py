@@ -7,7 +7,7 @@ import pytest
 
 from kaczfact.dense import DenseMatrix
 from kaczfact.interlaced import FactoredSystem
-from kaczfact.oracle import DEFAULT_RANK_TOL, svd
+from kaczfact.oracle import svd
 from kaczfact.sampling import master_rng
 
 
@@ -60,13 +60,13 @@ def jacobi_eigvalsh(sym: np.ndarray, sweeps: int = 100, tol: float = 1e-14) -> n
     return np.sort(a.diagonal())
 
 
-def projector_rowspace(A: DenseMatrix, rank_tol: float = DEFAULT_RANK_TOL):
+def projector_rowspace(A: DenseMatrix):
     """Orthogonal projector onto the row space of A, as a callable.
 
     Returns ``P`` with ``P(v) == pinv(A) @ A @ v`` computed stably from
     the right singular vectors.
     """
-    f = svd(A, rank_tol)
+    f = svd(A)
     basis = f.right[:, : f.rank]
 
     def project(v: np.ndarray) -> np.ndarray:

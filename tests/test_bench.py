@@ -107,6 +107,26 @@ class TestRunExperiment:
             target = FactoredSystem(u, v, y) if method in PAIRINGS else (DenseMatrix(u.data @ v.data), y)
             run_experiment(RunConfig(method=method, seed=1, trials=1, budget=10), target)
 
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("axis", ["row", "column"])
+    @pytest.mark.parametrize("method, side", [(m, s) for m in PAIRINGS for s in "UV"] + [(m, "A") for m in METHODS])
+    def test_zero_row_or_column_runs(self, method, side, axis, trials):
+        """A zero row or column of U, V or A is never drawn, whichever samplers the method builds."""
+        data = {"U": random_dense(6, 3, seed=1).data.copy(), "V": random_dense(3, 4, seed=2).data.copy()}
+        data["A"] = data["U"] @ data["V"]
+        if axis == "row":
+            data[side][1] = 0.0
+        else:
+            data[side][:, 1] = 0.0
+        y = np.linspace(1.0, 2.0, 6)
+        if side == "A":
+            target = (DenseMatrix(data["A"]), y)
+        else:
+            target = FactoredSystem(DenseMatrix(data["U"]), DenseMatrix(data["V"]), y)
+        traj = run_experiment(RunConfig(method=method, seed=1, trials=trials, budget=50, stride=25), target)
+        assert traj.iters.tolist() == [25, 50]
+        assert np.all(np.isfinite(traj.errors))
+
     def test_pairing_target_mismatch_rejected(self):
         sys_, _ = small_factored(10, 4, 6, seed=92)
         a, y, _ = inconsistent_system(10, 4, seed=93)

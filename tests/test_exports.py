@@ -1,11 +1,15 @@
-"""Every exported name resolves, and every top-level export is one the package itself reads."""
+"""Every exported name resolves, every top-level export is one the package itself reads,
+and every callable the benchmark tracer wraps exists."""
 
 import ast
 import importlib
+import importlib.util
+import inspect
 import pkgutil
 from pathlib import Path
 
 import kaczfact
+from kaczfact import _engine
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -29,3 +33,20 @@ def test_every_top_level_export_is_read_by_the_package():
             elif isinstance(node, ast.Attribute):
                 read.add(node.attr)
     assert sorted(set(kaczfact.__all__) - read - {"__version__"}) == []
+
+
+def test_traced_callables_resolve():
+    """Each (module, attribute path) in ``benchmarks/tracing.TRACED`` names a callable, checked without
+    installing the tracer, and ``run_trials`` keeps the parameters the tracer binds."""
+    spec = importlib.util.spec_from_file_location("tracing", REPO / "benchmarks" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = []
+    for module, path, *_ in tracing.TRACED:
+        owner = importlib.import_module(module)
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(f"{module}.{path}")
+    assert missing == []
+    assert {"method", "trials"} <= set(inspect.signature(_engine.run_trials).parameters)

@@ -21,10 +21,17 @@ class TestNormSampler:
         assert sampler.draw_many(np.array([0.0, 0.3599, 0.3601, 0.9999])).tolist() == [0, 0, 1, 1]
 
     def test_rejects_zero_weight(self):
-        with pytest.raises(ValueError):
-            NormSampler(np.array([1.0, 0.0, 2.0]))
-        with pytest.raises(ValueError):
-            row_sampler(DenseMatrix([[1.0, 1.0], [0.0, 0.0]]))
+        """Negative or all-zero weights are rejected; a zero weight among positive ones is never drawn."""
+        with pytest.raises(ValueError, match="non-negative"):
+            NormSampler(np.array([1.0, -1.0, 2.0]))
+        with pytest.raises(ValueError, match="not all zero"):
+            NormSampler(np.zeros(3))
+        with pytest.raises(ValueError, match="not all zero"):
+            row_sampler(DenseMatrix([[0.0, 0.0], [0.0, 0.0]]))
+        sampler = NormSampler(np.array([0.0, 1.0, 0.0, 0.0, 1.0, 0.0]))
+        uniforms = [0.0, 0.4999, 0.5, np.nextafter(1.0, 0.0)]
+        assert sampler.draw_many(np.array(uniforms)).tolist() == [1, 1, 4, 4]
+        assert [sampler.draw(FixedUniforms([u])) for u in uniforms] == [1, 1, 4, 4]
 
     def test_rejects_empty_or_non_finite_weights(self):
         with pytest.raises(ValueError):
