@@ -6,7 +6,10 @@ exactly the order a sequential run draws them (row draw before column
 draw, U-side before V-side; ``tests/reference.py`` is that sequential
 reference).  Uniforms are drawn and mapped to indices 1024 steps at a
 time (a sampling block), so index draws match the sequential path
-bit-for-bit.
+bit-for-bit.  A block's uniforms and indices are laid out as (draw,
+step, trial): each trial's stream fills its trial column in (step,
+draw) order, and a step's (T,) indices for one draw are one contiguous
+row, as is a T = 1 sub-block's run of steps.
 
 Each sampling block is advanced in sub-blocks of up to L(T) steps.  A
 sub-block also ends at the next recorded iteration, at the next
@@ -153,10 +156,11 @@ def run_trials(
     stopped = False
     while t < budget and not stopped:
         block = min(_BLOCK, budget - t)
-        u = np.empty((trials, block, draws))
-        for tr in range(trials):
-            u[tr] = rngs[tr].random((block, draws))
-        idx = tuple(s.draw_many(np.ascontiguousarray(u[:, :, d])) for d, s in enumerate(batch.samplers))
+        # (draw, step, trial): each trial's uniforms in its stream's (step, draw) order.
+        u = np.empty((draws, block, trials))
+        for tr, rng in enumerate(rngs):
+            u[:, :, tr] = rng.random((block, draws)).T
+        idx = tuple(s.draw_many(u[d]) for d, s in enumerate(batch.samplers))
         start = t
         while t < start + block:
             # A sub-block ends at the next record, tolerance check or block end.
@@ -166,9 +170,9 @@ def run_trials(
             if tolerance is not None:
                 end = min(end, (t // check_every + 1) * check_every)
             if end - t == 1:
-                batch.kernel(tuple(ix[:, t - start] for ix in idx))
+                batch.kernel(tuple(ix[t - start] for ix in idx))
             else:
-                batch.advance(tuple(ix[0, t - start : end - start] for ix in idx))
+                batch.advance(tuple(ix[t - start : end - start, 0] for ix in idx))
             t = end
             if tolerance is not None and t % check_every == 0 and batch.max_residual() <= tolerance:
                 stopped = True

@@ -2,9 +2,23 @@
 
 The solvers draw row index i with probability ||A^i||^2 / ||A||_F^2 and
 column index j with probability ||A_(j)||^2 / ||A||_F^2.  Sampling uses
-inverse-CDF lookup: a prefix-sum table over the squared norms plus a
-binary search per draw, so construction is O(size) and each draw is
-O(log size).
+inverse-CDF lookup over a prefix-sum table of the squared norms: index
+``searchsorted(cum, u * total, side="right")`` for a uniform u.
+
+``draw`` runs that binary search on one uniform.  ``draw_many`` finds
+the same index through a guide table (Chen & Asau, 1974) of K + 1
+entries, K = 2^ceil(log2(2 size)).  A uniform goes to entry r, u * K
+rounded to the nearest integer (read from the low mantissa bits of
+u + 2^52 / K), so (r - 1/2) / K <= u <= (r + 1/2) / K.  Rounding is
+monotone, so the answers at those two edges bound the answer for every
+u sent to entry r; the table stores the lower one.  Up to two
+vectorized passes advance each draw while ``cum[idx] <= u * total``
+(a pass is made when at least a twentieth of the entries need it), and
+draws at entries whose bounds lie further apart than the passes reach
+(several prefix sums in one entry, as under skewed weights) fall back
+to ``searchsorted``.  Construction is O(size), a draw costs a fixed
+number of numpy passes, and the result equals the binary search's
+exactly.
 
 Randomness comes from numpy's PCG64 generator.  Benchmark trials get
 independent streams derived from ``(master_seed, trial_index)`` via
@@ -41,6 +55,22 @@ class NormSampler:
             raise ValueError("sampler weights must be non-negative and not all zero (zero matrix?)")
         self._cumulative = np.cumsum(w)
         self._total = float(self._cumulative[-1])
+        if self._total < np.finfo(np.float64).tiny:
+            # u * total could round up to total and draw index size.
+            raise ValueError("sampler weights sum to a subnormal number (matrix entries near 1e-160 or smaller?)")
+        # u + 2^52 / K holds round(u * K) in its low mantissa bits (K = 2^p < 2^51).
+        buckets = 1 << (2 * w.size - 1).bit_length()
+        self._shift = np.float64(2.0**52 / buckets)
+        self._shift_bits = self._shift.view(np.int64)
+        # Entry r serves u in [(r - 1/2) / K, (r + 1/2) / K]: the answers at
+        # edges r and r + 1 bound its draws.
+        edges = np.arange(-1, 2 * buckets + 2, 2).clip(0, 2 * buckets) / (2 * buckets)
+        at_edges = np.searchsorted(self._cumulative, edges * self._total, side="right")
+        self._guide, span = at_edges[:-1], np.diff(at_edges)
+        # A pass costs about as much as a binary search on a twentieth of the draws.
+        self._passes = sum(int(np.mean(span > p) > 0.05) for p in (0, 1))
+        self._open = span > self._passes
+        self._bounded = np.append(self._cumulative, np.inf)
 
     @property
     def size(self) -> int:
@@ -52,8 +82,19 @@ class NormSampler:
         return int(np.searchsorted(self._cumulative, u * self._total, side="right"))
 
     def draw_many(self, uniforms: np.ndarray) -> np.ndarray:
-        """Map an array of uniforms in [0, 1) to index draws."""
-        return np.searchsorted(self._cumulative, uniforms * self._total, side="right")
+        """Map an array of uniforms in [0, 1) to index draws, equal to ``draw`` uniform by uniform."""
+        u = np.ascontiguousarray(uniforms, dtype=np.float64)
+        v = (u * self._total).reshape(-1)
+        bucket = (u + self._shift).view(np.int64).reshape(-1)
+        bucket -= self._shift_bits
+        idx = self._guide.take(bucket)
+        for _ in range(self._passes):
+            idx += self._bounded.take(idx) <= v
+        # Entries whose answers span more than the passes: binary search on just those draws.
+        at = np.flatnonzero(self._open.take(bucket))
+        if at.size:
+            idx[at] = np.searchsorted(self._cumulative, v[at], side="right")
+        return idx.reshape(u.shape)
 
 
 # Matrices are immutable, so samplers can be memoized per matrix.  The

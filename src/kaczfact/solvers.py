@@ -103,30 +103,36 @@ def samplers(method: str, A: DenseMatrix) -> tuple:
 # One update per method, for T trials at once: state arrays are (T, dim),
 # one row per trial.  ar selects the trials' rows and each draw holds one
 # index per trial.  The lock-step engine passes arange(T) and (T,) index
-# arrays.  A sequential caller passes (1, dim) views of its state, ar = 0
-# and one-element slices, which read the same entries without a copy.
-# Either way each trial performs the same floating-point operations.
+# arrays; a sequential caller passes (1, dim) views of its state, ar = 0
+# and one-element index arrays.  Either way each trial performs the same
+# floating-point operations.  The kernel gathers the drawn rows or
+# columns with ``take``, so the apply_* helpers get a copy and scale it in
+# place: ``rows *= coef[:, None]; beta += rows`` forms the same products
+# and sums as ``beta += coef[:, None] * rows`` without a temporary.
 
 
 def apply_row_step(beta: np.ndarray, rows: np.ndarray, rhs: np.ndarray, sqnorms: np.ndarray) -> np.ndarray:
-    """Kaczmarz projection of each beta[t] onto {b : rows[t] @ b = rhs[t]}."""
+    """Kaczmarz projection of each beta[t] onto {b : rows[t] @ b = rhs[t]}.  Overwrites rows."""
     coef = (rhs - np.einsum("ij,ij->i", rows, beta)) / sqnorms
-    beta += coef[:, None] * rows
+    rows *= coef[:, None]
+    beta += rows
     return coef
 
 
 def apply_col_project(z: np.ndarray, cols: np.ndarray, sqnorms: np.ndarray) -> np.ndarray:
-    """Remove from each z[t] its component along cols[t]."""
+    """Remove from each z[t] its component along cols[t].  Overwrites cols."""
     coef = np.einsum("ij,ij->i", cols, z) / sqnorms
-    z -= coef[:, None] * cols
+    cols *= coef[:, None]
+    z -= cols
     return coef
 
 
 def apply_coord_step(beta: np.ndarray, residual: np.ndarray, cols: np.ndarray, at, sqnorms: np.ndarray) -> np.ndarray:
-    """One coordinate-descent step per trial, along beta[at], keeping residual in sync."""
+    """One coordinate-descent step per trial, along beta[at], keeping residual in sync.  Overwrites cols."""
     gamma = np.einsum("ij,ij->i", cols, residual) / sqnorms
     beta[at] += gamma
-    residual -= gamma[:, None] * cols
+    cols *= gamma[:, None]
+    residual -= cols
     return gamma
 
 
@@ -141,19 +147,19 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
     """
     if method in ("rgs", "regs"):
         j = draws[-1]
-        gamma = apply_coord_step(beta, residual, A.data_t[j], (ar, j), A.col_sqnorms[j])
+        gamma = apply_coord_step(beta, residual, A.data_t.take(j, axis=0), (ar, j), A.col_sqnorms.take(j))
         if method == "regs":
             # w = z + (beta_t - beta_{t-1}) differs from z only in coordinate j.
             z[ar, j] += gamma
-            apply_col_project(z, A.data[draws[0]], A.row_sqnorms[draws[0]])
+            apply_col_project(z, A.data.take(draws[0], axis=0), A.row_sqnorms.take(draws[0]))
         return gamma
     i = draws[0]
-    target = rhs[i] if rhs.ndim == 1 else rhs[ar, i]
+    target = rhs.take(i) if rhs.ndim == 1 else rhs[ar, i]
     if method == "rek":
         j = draws[1]
-        apply_col_project(z, A.data_t[j], A.col_sqnorms[j])
-        target = target - z[ar, i]
-    apply_row_step(beta, A.data[i], target, A.row_sqnorms[i])
+        apply_col_project(z, A.data_t.take(j, axis=0), A.col_sqnorms.take(j))
+        target -= z[ar, i]
+    apply_row_step(beta, A.data.take(i, axis=0), target, A.row_sqnorms.take(i))
     return None
 
 

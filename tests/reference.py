@@ -36,7 +36,7 @@ def _stepper(method: str, target, state, rng: np.random.Generator):
 
     def one_step():
         drawn = tuple(s.draw(rng) for s in draw_from)
-        kernel([slice(d, d + 1) for d in drawn])
+        kernel([np.array([d]) for d in drawn])
         return drawn
 
     return one_step

@@ -127,6 +127,42 @@ class TestRunExperiment:
         assert traj.iters.tolist() == [25, 50]
         assert np.all(np.isfinite(traj.errors))
 
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize(
+        "method, dims",
+        [(m, d) for m in PAIRINGS for d in ((1, 3, 4), (6, 1, 4), (6, 3, 1), (1, 1, 1))]
+        + [(m, d) for m in METHODS for d in ((1, 4), (6, 1), (1, 1))],
+    )
+    def test_one_wide_dimension_matches_reference(self, method, dims, trials):
+        """m, k or n = 1 (pairings, as (m, k, n)) or a 1 x n or m x 1 matrix runs with finite errors,
+        and each lock-step trial equals its own reference run: bit for bit at T >= 2, to rounding at T = 1."""
+        rng = np.random.default_rng(7)
+        if method in PAIRINGS:
+            m, k, n = dims
+            u, v = DenseMatrix(rng.standard_normal((m, k))), DenseMatrix(rng.standard_normal((k, n)))
+            target = FactoredSystem(u, v, rng.standard_normal(m))
+        else:
+            m, n = dims
+            target = (DenseMatrix(rng.standard_normal((m, n))), rng.standard_normal(m))
+        star = oracle_solution(target)
+        traj = run_experiment(RunConfig(method=method, seed=1, trials=trials, budget=50, stride=25), target, beta_star=star)
+        assert traj.iters.tolist() == [25, 50]
+        assert np.all(np.isfinite(traj.errors))
+
+        def engine_error(b):
+            diff = (b - star)[None]
+            return np.einsum("ij,ij->i", diff, diff)[0]
+
+        for tr in range(trials):
+            values = {}
+            recorder = lambda t, value, flops: values.__setitem__(t, value)
+            run(method, target, 50, trial_rng(1, tr), recorder=recorder, stride=25, error_fn=engine_error)
+            reference = [values[25], values[50]]
+            if trials == 1:
+                assert np.all(np.abs(traj.errors[tr] - reference) <= 1e-10 * (1.0 + np.dot(star, star)))
+            else:
+                assert traj.errors[tr].tolist() == reference
+
     def test_pairing_target_mismatch_rejected(self):
         sys_, _ = small_factored(10, 4, 6, seed=92)
         a, y, _ = inconsistent_system(10, 4, seed=93)

@@ -5,7 +5,10 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import kaczfact
@@ -50,3 +53,14 @@ def test_traced_callables_resolve():
             missing.append(f"{module}.{path}")
     assert missing == []
     assert {"method", "trials"} <= set(inspect.signature(_engine.run_trials).parameters)
+
+
+def test_package_loads_no_scipy():
+    """numpy is the one runtime dependency: importing the package and its CLI loads no scipy module.
+
+    scipy is a test-only extra; importing scipy.linalg would add about 28 MB of resident memory to every run.
+    """
+    code = "import sys, kaczfact, kaczfact.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert proc.stdout.strip() == "[]"

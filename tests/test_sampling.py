@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kaczfact.dense import DenseMatrix
 from kaczfact.sampling import NormSampler, col_sampler, master_rng, row_sampler, trial_rng
@@ -32,6 +34,14 @@ class TestNormSampler:
         uniforms = [0.0, 0.4999, 0.5, np.nextafter(1.0, 0.0)]
         assert sampler.draw_many(np.array(uniforms)).tolist() == [1, 1, 4, 4]
         assert [sampler.draw(FixedUniforms([u])) for u in uniforms] == [1, 1, 4, 4]
+
+    def test_rejects_subnormal_total(self):
+        """A subnormal total would let u * total round up to it and draw past the last index."""
+        with pytest.raises(ValueError, match="subnormal"):
+            NormSampler(np.array([2.2e-313]))
+        with pytest.raises(ValueError, match="subnormal"):
+            row_sampler(DenseMatrix([[1e-160, 0.0], [0.0, 1e-160]]))
+        assert NormSampler(np.array([2.2e-313, np.finfo(np.float64).tiny])).draw_many(np.array([0.9])).tolist() == [1]
 
     def test_rejects_empty_or_non_finite_weights(self):
         with pytest.raises(ValueError):
@@ -81,6 +91,55 @@ class TestNormSampler:
         expected = draws * weights / weights.sum()
         result = scipy_stats.chisquare(counts, expected)
         assert result.pvalue > 1e-3
+
+
+@st.composite
+def weight_vectors(draw):
+    """Squared norms of the shapes a sampler meets, zero weights included."""
+    kind = draw(st.sampled_from(["mixed", "single", "skewed", "geometric", "gaussian"]))
+    size = draw(st.integers(1, 300))
+    if kind == "single":
+        return np.array([draw(st.floats(1e-300, 1e300))])
+    if kind == "skewed":
+        w = np.ones(size + 1)
+        w[0] = 1e6
+    elif kind == "geometric":
+        w = draw(st.floats(0.05, 0.95)) ** np.arange(size)
+    elif kind == "gaussian":
+        g = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal((size, draw(st.integers(1, 80))))
+        w = (g * g).sum(axis=1)
+    else:
+        w = np.array(draw(st.lists(st.floats(0.0, 1e3), min_size=size, max_size=size)))
+    # Zeros: leading, interior and trailing runs.
+    zeros = draw(st.lists(st.integers(0, w.size - 1), max_size=w.size // 2))
+    w[zeros] = 0.0
+    lead, trail = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    w = np.concatenate([np.zeros(lead), w, np.zeros(trail)])
+    # A total below the smallest normal double is rejected (test_rejects_subnormal_total).
+    return w if np.cumsum(w)[-1] >= np.finfo(np.float64).tiny else np.append(w, 1.0)
+
+
+def edge_uniforms(size: int) -> np.ndarray:
+    """0, the largest double below 1, and every k / 2K (K = 2^ceil(log2(2 size))) with the double below it."""
+    grid = 2 << (2 * size - 1).bit_length()
+    edges = np.arange(grid) / grid
+    return np.concatenate([[0.0, np.nextafter(1.0, 0.0)], edges, np.nextafter(edges[1:], 0.0)])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(w=weight_vectors(), seed=st.integers(0, 2**32 - 1), two_d=st.booleans())
+def test_draw_many_is_exact_inverse_cdf(w, seed, two_d):
+    """draw_many returns searchsorted's index on every uniform, at every bucket edge and beside it."""
+    sampler = NormSampler(w)
+    u = np.concatenate([edge_uniforms(w.size), np.random.default_rng(seed).random(1000)])
+    if two_d:
+        u = u[: u.size // 4 * 4].reshape(-1, 4)
+    cum = np.cumsum(w)
+    got = sampler.draw_many(u)
+    assert got.shape == u.shape
+    assert np.array_equal(got, np.searchsorted(cum, u * cum[-1], side="right"))
+    assert got.ravel().tolist() == [sampler.draw(FixedUniforms([x])) for x in u.ravel().tolist()]
+    assert not np.any(w[got] == 0.0)
 
 
 class TestSamplerCache:

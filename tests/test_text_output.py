@@ -4,7 +4,10 @@ Trajectory and summary CSVs, instance files and the ``bound`` curve are
 the package's output formats, and reruns must reproduce them exactly.
 The golden cases pin the SHA-256 of what each writer produces on fixed
 inputs, edge floats included.  The property tests hold the writers to
-plain per-value loops, kept here as the reference.
+plain per-value loops, kept here as the reference.  The solver golden
+cases pin what ``kaczfact solve`` writes for every method at T >= 2, so
+a change to the engine, the kernels or the sampler that moves one bit
+of one error shows here.
 """
 
 import hashlib
@@ -201,3 +204,39 @@ def test_save_vector_matches_reference(values, tmp_path_factory):
     path = tmp_path_factory.mktemp("vector") / "v.vec"
     save_vector(v, path)
     assert path.read_text() == reference_vector(v)
+
+
+# ---------------------------------------------------------------------------
+# Solver output: ``kaczfact solve`` at T >= 2, every method.
+# ---------------------------------------------------------------------------
+
+
+def write_gaussian_instance(out_dir) -> None:
+    """A 12x6x9 instance from seeded standard-normal factors and right-hand side."""
+    rng = np.random.default_rng(20171)
+    out_dir.mkdir(exist_ok=True)
+    save_matrix(DenseMatrix(rng.standard_normal((12, 6))), out_dir / "U.mat")
+    save_matrix(DenseMatrix(rng.standard_normal((6, 9))), out_dir / "V.mat")
+    save_vector(rng.standard_normal(12), out_dir / "y.vec")
+
+
+# SHA-256 of the trajectory CSV: 4 trials x 300 steps, every step recorded.
+SOLVE_GOLDEN = {
+    "rk-rk": "837aeecc0366a92d20fb11c36e40ba775cbec1ad9a31fa2b641fd3a6caa49b16",
+    "rek-rk": "d21919d150c7d7436c12cfb5e83ea699e63aa156423e85a0a27cca1ee0154621",
+    "rek-rek": "74a794532fadf226f4c2050049beffe0444fd0a8e0aa73ff5f63f7aa8f42f8d7",
+    "rgs-rgs": "57d5e8627a6a2b062bfe5ff3f138abd0e99f0516159cd7f5995d8468d7efcc6f",
+    "rk": "480e4086e9c214d7c27a6b3bb183f6e570b3237bbef9f2f7431fe70fe3d7a5df",
+    "rek": "4dcf4193f2a305eebe804105d8cbd569e29dc2ac3b05100f479af3f855226533",
+    "rgs": "7ad5b1cb7490e45c489fb9c4318ce9da2d8104f51981bf88948fa2341daeff8c",
+    "regs": "5d19abe55936846a4e44a7aa6c615da9d33668ab68e217f680ea0529006975f9",
+}
+
+
+@pytest.mark.parametrize("method", sorted(SOLVE_GOLDEN))
+def test_solve_golden_bytes(method, tmp_path):
+    write_gaussian_instance(tmp_path / "instance")
+    out = tmp_path / "traj.csv"
+    args = ["solve", "--method", method, "--dir", str(tmp_path / "instance"), "--trials", "4"]
+    assert main(args + ["--budget", "300", "--stride", "1", "--seed", "5", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SOLVE_GOLDEN[method]
