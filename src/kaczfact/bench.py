@@ -35,6 +35,7 @@ import math
 import numpy as np
 
 from . import _engine
+from .dense import _as_float_vector
 from .interlaced import PAIRINGS, BoundInputs, FactoredSystem, bound_inputs, expected_error_bound
 from .oracle import factored_full_solution, pinv_solve
 from .solvers import METHODS, default_stride
@@ -133,16 +134,20 @@ def oracle_solution(target) -> np.ndarray:
     return pinv_solve(A, y)
 
 
-def _check_target(method: str, target) -> None:
-    """Reject a method that does not run on target's kind, or an (A, y) pair with non-finite y."""
+def _checked_target(method: str, target):
+    """target, with an (A, y) pair's y as a float64 vector.
+
+    Rejects a method that does not run on target's kind, and a y that
+    is not a finite vector.
+    """
     if isinstance(target, FactoredSystem):
         if method not in PAIRINGS:
             raise ValueError(f"method {method!r} runs on a single matrix; factored targets need one of {PAIRINGS}")
-        return
+        return target
     if method not in METHODS:
         raise ValueError(f"method {method!r} needs a factored target; single systems take one of {METHODS}")
-    if not np.all(np.isfinite(target[1])):
-        raise ValueError("rhs contains a non-finite entry")
+    A, y = target
+    return A, _as_float_vector(y, "rhs")
 
 
 def run_experiment(config: RunConfig, target, beta_star: np.ndarray | None = None) -> Trajectory:
@@ -152,7 +157,7 @@ def run_experiment(config: RunConfig, target, beta_star: np.ndarray | None = Non
     ``(A, y)`` pair (single-system methods).  beta_star overrides the
     oracle solution, e.g. to reuse one across several configs.
     """
-    _check_target(config.method, target)
+    target = _checked_target(config.method, target)
     if beta_star is None:
         beta_star = oracle_solution(target)
     ts = record_schedule(config.budget, config.effective_stride)

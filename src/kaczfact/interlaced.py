@@ -57,8 +57,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseMatrix
-from .oracle import pinv_solve, rate_constants
+from . import oracle
+from .dense import DenseMatrix, _as_float_vector
 from .solvers import DRAWS, block_kernel, cross_sum, init_state, samplers, step_cost, step_kernel
 
 __all__ = [
@@ -81,6 +81,7 @@ _PARTS = {p: (*p.split("-"), len(DRAWS[p.split("-")[0]])) for p in PAIRINGS}
 class FactoredSystem:
     """A system U @ V @ b = y held in factored form.
 
+    y is stored as a float64 vector, whatever array-like was passed.
     scenario is a free-form tag; the generators in ``systems`` use
     S1/S2/S3a/S3b, hand-loaded data uses "custom".
     """
@@ -95,10 +96,10 @@ class FactoredSystem:
             raise ValueError(
                 f"factor dimension mismatch: U is {self.U.rows}x{self.U.cols}, V is {self.V.rows}x{self.V.cols}"
             )
+        # The class is frozen, so y is replaced by its float64 vector through object.__setattr__.
+        object.__setattr__(self, "y", _as_float_vector(self.y, "rhs"))
         if self.y.shape != (self.U.rows,):
             raise ValueError(f"rhs shape {self.y.shape} does not match U with {self.U.rows} rows")
-        if not np.all(np.isfinite(self.y)):
-            raise ValueError("rhs contains a non-finite entry")
 
     @property
     def m(self) -> int:
@@ -214,11 +215,20 @@ class BoundInputs:
     x_star_sq: float
 
 
+def _factor_side(A: DenseMatrix, rhs: np.ndarray):
+    """A's rate constants and pinv(A) @ rhs from one SVD of A.
+
+    The SVD is dropped on return, so the two factors' singular vectors
+    are never held at once.
+    """
+    f = oracle.svd(A)
+    return oracle.rate_constants_of(f, A.frob_sq), oracle.pinv_apply(f, rhs)
+
+
 def bound_inputs(sys: FactoredSystem) -> BoundInputs:
-    cu = rate_constants(sys.U)
-    cv = rate_constants(sys.V)
-    x_star = pinv_solve(sys.U, sys.y)
-    b_star = pinv_solve(sys.V, x_star)
+    """The bound inputs of sys from one SVD of U, then one of V."""
+    cu, x_star = _factor_side(sys.U, sys.y)
+    cv, b_star = _factor_side(sys.V, x_star)
     return BoundInputs(
         alpha_u=cu.alpha,
         alpha_v=cv.alpha,

@@ -12,6 +12,19 @@ all outside the solvers, which only ever touch the factors:
 ``systems.make_inconsistent_rhs``, to plant a residual orthogonal to
 range(U V); and ``cli._cmd_solve``, to build the single-system target
 that the baseline methods run on.
+
+Each SVD-derived quantity is written once, as a function of an
+``SvdFactors``: ``pinv_apply`` and ``rate_constants_of``.
+``pinv_solve(A, y)`` and ``rate_constants(A)`` take ``svd(A)`` and apply
+it, and ``interlaced.bound_inputs`` gets both factors' constants and
+both of its solves from one SVD of U and one of V.  So ``kaczfact
+solve`` takes three SVDs on a pairing (U V for the error reference, then
+U and V) and one on a baseline (the assembled matrix), ``kaczfact
+bound`` two (U and V), and ``kaczfact gen`` one of U V for the
+inconsistent scenarios (``systems.make_inconsistent_rhs``).  Every SVD
+of ``solve`` and ``bound`` looks ``svd`` up on this module at call time
+(``interlaced`` calls ``oracle.svd``), so a wrapper installed on
+``kaczfact.oracle.svd`` sees each one.
 """
 from __future__ import annotations
 
@@ -25,6 +38,8 @@ __all__ = [
     "SvdFactors",
     "RateConstants",
     "svd",
+    "pinv_apply",
+    "rate_constants_of",
     "pinv_solve",
     "rate_constants",
     "factored_full_solution",
@@ -79,8 +94,8 @@ def svd(A: DenseMatrix) -> SvdFactors:
     return SvdFactors(left=left, singular_values=s, right=right_t.T, rank=rank)
 
 
-def pinv_solve(A: DenseMatrix, y: np.ndarray) -> np.ndarray:
-    """Minimum-norm least-squares solution pinv(A) @ y.
+def pinv_apply(f: SvdFactors, y: np.ndarray) -> np.ndarray:
+    """pinv(A) @ y from A's thin SVD f: the minimum-norm least-squares solution.
 
     This single expression realizes every notion of "optimal solution"
     the solvers target: the unique solution when A is square invertible,
@@ -88,25 +103,23 @@ def pinv_solve(A: DenseMatrix, y: np.ndarray) -> np.ndarray:
     solution when underdetermined, and the least-norm least-squares
     solution in the rank-deficient and inconsistent cases.
     """
-    if y.shape != (A.rows,):
-        raise ValueError(f"pinv_solve dimension mismatch: matrix is {A.rows}x{A.cols}, rhs has shape {y.shape}")
-    f = svd(A)
+    rows, cols = f.left.shape[0], f.right.shape[0]
+    if y.shape != (rows,):
+        raise ValueError(f"pseudo-inverse dimension mismatch: matrix is {rows}x{cols}, rhs has shape {y.shape}")
     r = f.rank
     coeff = (f.left[:, :r].T @ y) / f.singular_values[:r]
     return f.right[:, :r] @ coeff
 
 
-def rate_constants(A: DenseMatrix) -> RateConstants:
-    """Contraction constants of A over its nonzero spectrum.
+def rate_constants_of(f: SvdFactors, frob_sq: float) -> RateConstants:
+    """Contraction constants of A over its nonzero spectrum, from A's thin SVD f and A.frob_sq.
 
     Guarantees 0 <= alpha < 1: sigma_min_sq is positive by construction
     and never exceeds the squared Frobenius norm.
     """
-    f = svd(A)
     s = f.singular_values
     sigma_max_sq = float(s[0]) ** 2
     sigma_min_sq = float(s[f.rank - 1]) ** 2
-    frob_sq = A.frob_sq
     return RateConstants(
         alpha=1.0 - sigma_min_sq / frob_sq,
         kappa_sq=sigma_max_sq / sigma_min_sq,
@@ -115,6 +128,16 @@ def rate_constants(A: DenseMatrix) -> RateConstants:
         sigma_max_sq=sigma_max_sq,
         frob_sq=frob_sq,
     )
+
+
+def pinv_solve(A: DenseMatrix, y: np.ndarray) -> np.ndarray:
+    """Minimum-norm least-squares solution pinv(A) @ y (``pinv_apply`` on ``svd(A)``)."""
+    return pinv_apply(svd(A), y)
+
+
+def rate_constants(A: DenseMatrix) -> RateConstants:
+    """Contraction constants of A (``rate_constants_of`` on ``svd(A)``)."""
+    return rate_constants_of(svd(A), A.frob_sq)
 
 
 def factored_full_solution(U: DenseMatrix, V: DenseMatrix, y: np.ndarray) -> np.ndarray:

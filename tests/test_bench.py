@@ -108,6 +108,32 @@ class TestRunExperiment:
             run_experiment(RunConfig(method=method, seed=1, trials=1, budget=10), target)
 
     @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("method", METHODS + PAIRINGS)
+    def test_rhs_of_any_dtype_runs_as_its_float64_values(self, method, trials):
+        """An integer, float32 or list y is converted to a float64 vector once, at entry,
+        so the run equals the run on its float64 values bit for bit."""
+        u, v = random_dense(6, 3, seed=1), random_dense(3, 4, seed=2)
+        a = DenseMatrix(u.data @ v.data)
+        make = (lambda y: FactoredSystem(u, v, y)) if method in PAIRINGS else (lambda y: (a, y))
+        ints = np.array([3, -1, 4, 1, -5, 9])
+        floats = np.linspace(-1.0, 2.0, 6).astype(np.float32)
+        config = RunConfig(method=method, seed=4, trials=trials, budget=60, stride=20)
+        for y in (ints, floats, ints.tolist()):
+            got = run_experiment(config, make(y))
+            want = run_experiment(config, make(np.array(y, dtype=np.float64)))
+            assert got.iters.tolist() == want.iters.tolist() == [20, 40, 60]
+            assert got.errors.tobytes() == want.errors.tobytes()
+
+    @pytest.mark.parametrize("shape", [(6, 1), (1, 6)])
+    @pytest.mark.parametrize("method", METHODS + PAIRINGS)
+    def test_two_dimensional_rhs_rejected(self, method, shape):
+        u, v = random_dense(6, 3, seed=1), random_dense(3, 4, seed=2)
+        y = np.ones(shape)
+        with pytest.raises(ValueError):
+            target = FactoredSystem(u, v, y) if method in PAIRINGS else (DenseMatrix(u.data @ v.data), y)
+            run_experiment(RunConfig(method=method, seed=1, trials=1, budget=10), target)
+
+    @pytest.mark.parametrize("trials", [1, 3])
     @pytest.mark.parametrize("axis", ["row", "column"])
     @pytest.mark.parametrize("method, side", [(m, s) for m in PAIRINGS for s in "UV"] + [(m, "A") for m in METHODS])
     def test_zero_row_or_column_runs(self, method, side, axis, trials):

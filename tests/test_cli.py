@@ -6,10 +6,13 @@ from pathlib import Path
 import pytest
 
 import kaczfact
+from kaczfact import oracle
 from kaczfact.bench import DEFAULT_BUDGET, DEFAULT_TRIALS
 from kaczfact.cli import _build_parser, main
 from kaczfact.interlaced import bound_inputs, expected_error_bound
 from kaczfact.systems import load_instance
+
+from conftest import small_factored
 
 
 def gen_args(tmp_path, scenario="S3b", m=24, n=15, k=8, seed=3):
@@ -178,6 +181,52 @@ class TestBound:
     def test_bad_variant_rejected_by_parser(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["bound", "--dir", str(tmp_path), "--variant", "c", "--tmax", "5"])
+
+
+class TestOracleSvdCount:
+    """SVDs per command, counted at ``kaczfact.oracle.svd``, the name the benchmark tracer wraps.
+
+    ``bound_inputs`` takes one SVD of U and one of V; a pairing's solve adds
+    one of U V for the error reference, and a baseline's solve takes one of
+    the assembled matrix.  The count rises if an SVD comes back and drops if
+    a call stops going through ``oracle.svd``.
+    """
+
+    @pytest.fixture
+    def svd_shapes(self, monkeypatch):
+        shapes = []
+        real = oracle.svd
+
+        def counted(A):
+            shapes.append(A.shape)
+            return real(A)
+
+        monkeypatch.setattr(oracle, "svd", counted)
+        return shapes
+
+    def test_bound_inputs_takes_one_svd_per_factor(self, svd_shapes):
+        sys_, _ = small_factored(9, 4, 6, seed=5)
+        bound_inputs(sys_)
+        assert svd_shapes == [(9, 4), (4, 6)]
+
+    def test_bound_command(self, tmp_path, capsys, svd_shapes):
+        args, out_dir = gen_args(tmp_path)
+        assert main(args) == 0
+        svd_shapes.clear()
+        assert main(["bound", "--dir", str(out_dir), "--variant", "b", "--tmax", "10"]) == 0
+        assert svd_shapes == [(24, 8), (8, 15)]
+
+    @pytest.mark.parametrize(
+        "method, shapes",
+        [(m, [(24, 15), (24, 8), (8, 15)]) for m in ("rk-rk", "rek-rk")] + [(m, [(24, 15)]) for m in ("rk", "rek")],
+    )
+    def test_solve_command(self, tmp_path, capsys, svd_shapes, method, shapes):
+        args, out_dir = gen_args(tmp_path)
+        assert main(args) == 0
+        svd_shapes.clear()
+        solve = ["solve", "--method", method, "--dir", str(out_dir), "--trials", "2", "--budget", "20"]
+        assert main([*solve, "--out", str(tmp_path / "run.csv")]) == 0
+        assert svd_shapes == shapes
 
 
 class TestVersion:

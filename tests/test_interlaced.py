@@ -16,7 +16,7 @@ from kaczfact.interlaced import (
 from kaczfact.oracle import factored_full_solution, pinv_solve, rate_constants
 from kaczfact.sampling import master_rng
 from kaczfact.solvers import init_state
-from kaczfact.systems import ScenarioSpec, gen_gaussian_factored
+from kaczfact.systems import SCENARIO_PRESETS, SCENARIOS, ScenarioSpec, gen_gaussian_factored
 
 from conftest import FixedUniforms, projector_rowspace, small_factored
 from reference import run, step
@@ -254,18 +254,36 @@ class TestExpectedErrorBound:
             expected_error_bound(self.INPUTS, "a", -1)
 
     def test_bound_inputs_built_from_factor_constants(self):
-        sys_, _ = small_factored(12, 5, 8, seed=80)
-        inputs = bound_inputs(sys_)
-        cu = rate_constants(sys_.U)
-        cv = rate_constants(sys_.V)
-        assert inputs.alpha_u == cu.alpha
-        assert inputs.alpha_v == cv.alpha
-        assert inputs.theta_v == cv.theta
-        assert inputs.kappa_sq_u == cu.kappa_sq
-        x_star = pinv_solve(sys_.U, sys_.y)
-        b_star = pinv_solve(sys_.V, x_star)
-        assert inputs.x_star_sq == pytest.approx(float(x_star @ x_star), rel=1e-14)
-        assert inputs.b_star_sq == pytest.approx(float(b_star @ b_star), rel=1e-14)
+        """bound_inputs (one SVD per factor) equals the four-SVD formula bit for bit: each factor's rate
+        constants and pseudo-inverse solve taking their own SVD."""
+
+        def four_svd_formula(sys_):
+            cu, cv = rate_constants(sys_.U), rate_constants(sys_.V)
+            x_star = pinv_solve(sys_.U, sys_.y)
+            b_star = pinv_solve(sys_.V, x_star)
+            return BoundInputs(
+                alpha_u=cu.alpha,
+                alpha_v=cv.alpha,
+                theta_v=cv.theta,
+                kappa_sq_u=cu.kappa_sq,
+                b_star_sq=float(np.dot(b_star, b_star)),
+                x_star_sq=float(np.dot(x_star, x_star)),
+            )
+
+        rng = master_rng(80)
+        normal = rng.standard_normal
+
+        def system(u, v):
+            return FactoredSystem(DenseMatrix(u), DenseMatrix(v), normal(u.shape[0]))
+
+        cases = {s: gen_gaussian_factored(ScenarioSpec(s, *SCENARIO_PRESETS[s]["desk"], seed=0)).system for s in SCENARIOS}
+        cases["small"] = small_factored(12, 5, 8, seed=80)[0]
+        cases["rank-deficient U"] = system(normal((12, 2)) @ normal((2, 5)), normal((5, 8)))
+        cases["rank-deficient V"] = system(normal((12, 5)), normal((5, 3)) @ normal((3, 8)))
+        cases["k > m"] = system(normal((4, 7)), normal((7, 6)))
+        cases["k = 1"] = system(normal((6, 1)), normal((1, 5)))
+        cases["n = 1"] = system(normal((6, 3)), normal((3, 1)))
+        assert [name for name, sys_ in cases.items() if bound_inputs(sys_) != four_svd_formula(sys_)] == []
 
     def test_bound_solution_matches_full_system_on_clean_split(self):
         # When the factored optimum exists, the two-stage solution used
