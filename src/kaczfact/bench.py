@@ -155,11 +155,17 @@ def run_experiment(config: RunConfig, target, beta_star: np.ndarray | None = Non
 
     target is a FactoredSystem (interlaced methods) or an
     ``(A, y)`` pair (single-system methods).  beta_star overrides the
-    oracle solution, e.g. to reuse one across several configs.
+    oracle solution, e.g. to reuse one across several configs; it must
+    be a finite vector of length n (A.cols for a pair).
     """
     target = _checked_target(config.method, target)
     if beta_star is None:
         beta_star = oracle_solution(target)
+    else:
+        beta_star = _as_float_vector(beta_star, "beta_star")
+        n = target.n if isinstance(target, FactoredSystem) else target[0].cols
+        if beta_star.shape != (n,):
+            raise ValueError(f"beta_star has shape {beta_star.shape}, expected ({n},)")
     ts = record_schedule(config.budget, config.effective_stride)
     iters, flops, errors = _engine.run_trials(
         config.method,

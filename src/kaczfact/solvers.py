@@ -59,6 +59,7 @@ one scaled add), a column draw acts on a length-m column and costs
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -175,61 +176,89 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
 # A_J^T z_0 likewise.  What step r changes and a later step s reads enters
 # through an inclusive lower-triangular cross matrix (cross_sum): rek's
 # z[i_s] and the regs correction's coordinate patches, both from A[I][:, J].
-# A side costs one gather, one Gram matrix and one (B, B) solve instead
-# of B rounds of per-step numpy calls, and agrees with them to rounding.
-# The state is one trial's (dim,) arrays; draw entry s is step s's index.
+# A side costs one gather, one (B, B) Gram matrix and one (B, B) solve
+# instead of B rounds of per-step numpy calls, and agrees with them to
+# rounding.  On a matrix's short side (its columns when cols <= rows, its
+# rows when rows <= cols) the Gram matrix is gathered from a table of all
+# pairwise inner products, A^T A or A A^T, built on the first block that
+# needs it and memoized per matrix, as the samplers are; the table is never
+# larger than A.  On the long side it is vecs @ vecs.T of the gathered
+# vectors, whose length is the short dimension.  The state is one trial's
+# (dim,) arrays; draw entry s is step s's index.
 
 # Longest block: the cross matrices are cut from one cached triangle.
 MAX_BLOCK = 32
 _LOWER = np.tril(np.ones((MAX_BLOCK, MAX_BLOCK)))
 
-
-def _lower(mat: np.ndarray) -> np.ndarray:
-    """Inclusive lower triangle of a (B, B) matrix."""
-    b = mat.shape[-1]
-    return mat * _LOWER[:b, :b]
+# Memoized Gram tables, A A^T (rows) and A^T A (columns); the weak keys keep
+# a table from outliving its matrix.
+_row_grams: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_col_grams: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def cross_sum(mat: np.ndarray, at: np.ndarray, by: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """Entry s: sum over r <= s of mat[at[s], by[r]] * coef[r], for (B,) at, by, coef."""
-    return _lower(mat[at[:, None], by]) @ coef
+    b = at.size
+    cross = mat.take(at, 0).take(by, 1)
+    cross *= _LOWER[:b, :b]
+    return cross @ coef
+
+
+def _gram(tables: weakref.WeakKeyDictionary, A: DenseMatrix, side: np.ndarray, vecs: np.ndarray, idx) -> np.ndarray:
+    """The (B, B) Gram matrix of vecs = side[idx], where side is A.data or A.data_t.
+
+    Gathered from A's memoized side @ side.T when side has no more rows
+    than columns, else computed from vecs.
+    """
+    if side.shape[0] > side.shape[1]:
+        return vecs @ vecs.T
+    table = tables.get(A)
+    if table is None:
+        table = side @ side.T
+        table.setflags(write=False)
+        tables[A] = table
+    return table.take(idx, 0).take(idx, 1)
 
 
 def _solve_lower(gram: np.ndarray, rhs: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Solve tril(gram) c = rhs, with the cached squared norms on the diagonal."""
-    low = _lower(gram)
-    np.fill_diagonal(low, diag)
-    return np.linalg.solve(low, rhs)
+    """Solve tril(gram) c = rhs, with the cached squared norms on the diagonal.  Overwrites gram."""
+    b = gram.shape[0]
+    gram *= _LOWER[:b, :b]
+    gram.flat[:: b + 1] = diag
+    return np.linalg.solve(gram, rhs)
 
 
 def _rows_block(A: DenseMatrix, beta: np.ndarray, idx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Row projections onto rows idx[0], idx[1], ... against rhs[s]; returns the (B,) step coefficients."""
-    rows = A.data[idx]
-    coef = _solve_lower(rows @ rows.T, rhs - rows @ beta, A.row_sqnorms[idx])
+    rows = A.data.take(idx, 0)
+    coef = _solve_lower(_gram(_row_grams, A, A.data, rows, idx), rhs - rows @ beta, A.row_sqnorms.take(idx))
     beta += coef @ rows
     return coef
 
 
-def _cols_block(A: DenseMatrix, z: np.ndarray, idx: np.ndarray, extra) -> np.ndarray:
-    """Column projections of z onto columns idx[s], extra[s] joining step s's inner product.
+def _cols_block(A: DenseMatrix, z: np.ndarray, idx: np.ndarray, extra=None) -> np.ndarray:
+    """Column projections of z onto columns idx[s], extra[s] (if given) joining step s's inner product.
 
     Returns the (B,) step coefficients.
     """
-    cols = A.data_t[idx]
-    coef = _solve_lower(cols @ cols.T, cols @ z + extra, A.col_sqnorms[idx])
+    cols = A.data_t.take(idx, 0)
+    rhs = cols @ z
+    if extra is not None:
+        rhs += extra
+    coef = _solve_lower(_gram(_col_grams, A, A.data_t, cols, idx), rhs, A.col_sqnorms.take(idx))
     z -= coef @ cols
     return coef
 
 
-def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual, draws, drift=0.0):
+def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual, draws, drift=None):
     """B ``method`` steps on (A, rhs) for one trial: the block-exact form of B ``step_kernel`` calls.
 
     rhs is (m,) and beta, z and residual are the trial's (dim,) state
     (None where the method keeps none); draws are (B,) index arrays in
     draw order.  drift[s] is how far step s's right-hand side has moved
     since the block began, as that step reads it: at its row draw for
-    rk and rek, in its column's inner product for rgs and regs (0 for a
-    fixed one).  Returns the (B,) step coefficients: the row steps' of
+    rk and rek, in its column's inner product for rgs and regs (None for
+    a fixed one).  Returns the (B,) step coefficients: the row steps' of
     rk and rek, the coordinate moves of rgs and regs.
     """
     if method in ("rgs", "regs"):
@@ -242,12 +271,14 @@ def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual
             np.add.at(z, j, gamma)
         return gamma
     i = draws[0]
-    target = rhs[i] + drift
+    target = rhs.take(i)
+    if drift is not None:
+        target += drift
     if method == "rek":
         # Row step s reads z[i_s] after the column projections r <= s.
-        z_rows = z[i]
-        z_rows -= cross_sum(A.data, i, draws[1], _cols_block(A, z, draws[1], 0.0))
-        target = target - z_rows
+        z_rows = z.take(i)
+        z_rows -= cross_sum(A.data, i, draws[1], _cols_block(A, z, draws[1]))
+        target -= z_rows
     return _rows_block(A, beta, i, target)
 
 

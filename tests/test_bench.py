@@ -134,6 +134,22 @@ class TestRunExperiment:
             run_experiment(RunConfig(method=method, seed=1, trials=1, budget=10), target)
 
     @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("method", ["rk-rk", "rek"])
+    @pytest.mark.parametrize(
+        "shape, fill",
+        [((1,), 1.0), ((5,), 1.0), ((2, 4), 1.0), ((4,), np.nan), ((4,), np.inf)],
+        ids=["len-1", "len-n+1", "per-trial", "nan", "inf"],
+    )
+    def test_bad_beta_star_rejected(self, method, shape, fill, trials):
+        """A beta_star that is not a finite vector of length n (here 4) is rejected,
+        not broadcast into the recorded errors."""
+        u, v = random_dense(6, 3, seed=1), random_dense(3, 4, seed=2)
+        y = np.linspace(1.0, 2.0, 6)
+        target = FactoredSystem(u, v, y) if method in PAIRINGS else (DenseMatrix(u.data @ v.data), y)
+        with pytest.raises(ValueError, match="beta_star"):
+            run_experiment(RunConfig(method=method, seed=1, trials=trials, budget=10), target, beta_star=np.full(shape, fill))
+
+    @pytest.mark.parametrize("trials", [1, 3])
     @pytest.mark.parametrize("axis", ["row", "column"])
     @pytest.mark.parametrize("method, side", [(m, s) for m in PAIRINGS for s in "UV"] + [(m, "A") for m in METHODS])
     def test_zero_row_or_column_runs(self, method, side, axis, trials):

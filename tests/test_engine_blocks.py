@@ -16,19 +16,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaczfact import _engine
+from kaczfact import _engine, solvers
 from kaczfact.bench import RunConfig, oracle_solution, run_experiment
 from kaczfact.dense import DenseMatrix
 from kaczfact.interlaced import (
     PAIRINGS,
     FactoredSystem,
+    bound_inputs,
     init_interlaced,
     pairing_block,
     pairing_kernel,
     pairing_samplers,
 )
 from kaczfact.sampling import master_rng, trial_rng
-from kaczfact.solvers import METHODS, block_kernel, estimate, init_state, samplers, step_kernel
+from kaczfact.solvers import DRAWS, METHODS, block_kernel, estimate, init_state, samplers, step_kernel
 from kaczfact.systems import ScenarioSpec, gen_gaussian_factored
 
 from conftest import consistent_system, inconsistent_system, small_factored
@@ -119,9 +120,9 @@ def test_engine_matches_sequential_path(method, dims, seed, consistent, trials, 
 
 @pytest.mark.parametrize("block", [2, 5, 32])
 @pytest.mark.parametrize("method", METHODS + PAIRINGS)
-def test_block_kernel_equals_per_step_kernel(method, block):
+def test_block_kernel_equals_per_step_kernel(method, block, dims=(7, 4, 6)):
     """One block of B steps on (dim,) state equals B per-step kernel calls on (1, dim) views, on any state and any draws."""
-    target = make_target(method, 7, 4, 6, seed=block, consistent=False)
+    target = make_target(method, *dims, seed=block, consistent=False)
     if method in PAIRINGS:
         s = init_interlaced(method, target)
         vectors = (s.x, s.b, s.z, s.zv, s.res_u, s.res_v)
@@ -144,6 +145,61 @@ def test_block_kernel_equals_per_step_kernel(method, block):
     for got, want in zip(blocked, stepped):
         if want is not None:
             assert np.all(np.abs(got - want[0]) <= 1e-10 * (1.0 + np.abs(want).max()))
+
+
+@pytest.mark.parametrize("block", [2, 5, 32])
+@pytest.mark.parametrize("method", METHODS + PAIRINGS)
+def test_block_kernel_equals_per_step_kernel_wide_u(method, block):
+    """As above on 4x7x6, where U is wide and V tall: U's row table, V's column table
+    and the baseline's row table face the per-step kernel (7x4x6 covers the other sides)."""
+    test_block_kernel_equals_per_step_kernel(method, block, dims=(4, 7, 6))
+
+
+def gram_tables(matrix):
+    """(row table, column table) memoized for matrix; None where none is built."""
+    return solvers._row_grams.get(matrix), solvers._col_grams.get(matrix)
+
+
+def sides(method, target):
+    """(matrix, sides its block kernel projects on) for each matrix a method's steps act on."""
+    if method in PAIRINGS:
+        outer, inner = method.split("-")
+        return [(target.U, DRAWS[outer]), (target.V, DRAWS[inner])]
+    return [(target[0], DRAWS[method])]
+
+
+@pytest.mark.parametrize("dims", [(7, 4, 6), (4, 7, 6), (5, 5, 5)], ids=["tall-u", "wide-u", "square"])
+@pytest.mark.parametrize("method", METHODS + PAIRINGS)
+def test_gram_tables_built_once_on_short_sides(method, dims):
+    """A T = 1 run memoizes A A^T for a matrix's rows when rows <= cols and A^T A for its
+    columns when cols <= rows, on the sides its method projects on, once each; the long
+    side never gets a table."""
+    target = make_target(method, *dims, seed=3, consistent=False)
+    config = RunConfig(method=method, seed=2, trials=1, budget=100, stride=50)
+    run_experiment(config, target)
+    built = [gram_tables(matrix) for matrix, _ in sides(method, target)]
+    for (matrix, draws), (rows, cols) in zip(sides(method, target), built):
+        a = matrix.data
+        assert (rows is not None) == ("row" in draws and a.shape[0] <= a.shape[1])
+        assert (cols is not None) == ("col" in draws and a.shape[1] <= a.shape[0])
+        if rows is not None:
+            assert np.allclose(rows, a @ a.T, rtol=1e-13, atol=1e-13)
+        if cols is not None:
+            assert np.allclose(cols, a.T @ a, rtol=1e-13, atol=1e-13)
+    run_experiment(config, target)
+    for (matrix, _), tables in zip(sides(method, target), built):
+        assert all(again is first for again, first in zip(gram_tables(matrix), tables))
+
+
+@pytest.mark.parametrize("method", METHODS + PAIRINGS)
+def test_no_gram_table_without_block_kernel(method):
+    """Multi-trial runs step per step and bound_inputs runs no solver, so neither builds a table."""
+    target = make_target(method, 4, 7, 6, seed=4, consistent=False)
+    run_experiment(RunConfig(method=method, seed=2, trials=3, budget=100, stride=50), target)
+    if method in PAIRINGS:
+        bound_inputs(target)
+    for matrix, _ in sides(method, target):
+        assert all(table is None for table in gram_tables(matrix))
 
 
 @pytest.mark.parametrize("trials", [2, 3])
