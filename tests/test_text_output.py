@@ -5,9 +5,10 @@ the package's output formats, and reruns must reproduce them exactly.
 The golden cases pin the SHA-256 of what each writer produces on fixed
 inputs, edge floats included.  The property tests hold the writers to
 plain per-value loops, kept here as the reference.  The solver golden
-cases pin what ``kaczfact solve`` writes for every method at T >= 2, so
-a change to the engine, the kernels or the sampler that moves one bit
-of one error shows here.
+cases pin the trajectory, summary and manifest that ``kaczfact solve``
+writes for every method at T >= 2, and for one tolerance-stopped solve
+of each target kind, so a change to the engine, the kernels, the
+sampler or the oracle that moves one bit of one output shows here.
 """
 
 import hashlib
@@ -240,3 +241,82 @@ def test_solve_golden_bytes(method, tmp_path):
     args = ["solve", "--method", method, "--dir", str(tmp_path / "instance"), "--trials", "4"]
     assert main(args + ["--budget", "300", "--stride", "1", "--seed", "5", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SOLVE_GOLDEN[method]
+
+
+def solve_outputs(method: str, instance, out, *options: str) -> list[bytes]:
+    """The trajectory, summary and manifest bytes of one ``kaczfact solve`` of ``method`` at T = 4."""
+    args = ["solve", "--method", method, "--dir", str(instance), "--trials", "4", "--seed", "5", "--out", str(out)]
+    assert main(args + list(options)) == 0
+    return [p.read_bytes() for p in (out, out.with_name("traj_summary.csv"), out.with_name("traj_manifest.jsonl"))]
+
+
+# SHA-256 of the summary CSV and of the manifest line that the solves above write.
+SOLVE_GOLDEN_SIDE = {
+    "rk-rk": (
+        "9be76ce50f49e37163f03b652ba195e56c0471012a26eb5ab9d17106a39359b2",
+        "feb991eb604a21e15f70eaacadef4ef803ac05b260b496cd1c89fcd64c3a1956",
+    ),
+    "rek-rk": (
+        "4ee2392e01d3099c3c84cb1a2c90f0354ba00d51beae0acf4226fafbf1bdd716",
+        "be2c2f420c60e46d76947223f3164cd83ac433f5a19176a6c1a6c3f33f5cfcfe",
+    ),
+    "rek-rek": (
+        "efb5f5505227df45ab30fda8c50a8c439a7829a589b6755667ca5e317993b263",
+        "cb07cb19aa2d0a8963839d59867266d4897891c3c1a4aa5a8fdca3964e89ca0b",
+    ),
+    "rgs-rgs": (
+        "a923c681c98460b52d50a609f14a7f210cacb02f284d978bc34716ef196297af",
+        "f309b1cc508af3cdcd165a2eb17ad92083a798175ec0aef3211d6d787e436392",
+    ),
+    "rk": (
+        "06cc64f308646eb6f73194c8db8bc21f940a1623c160fc3c476caf62073a57ac",
+        "cc469a90071faa7eac5b5f294c0571c6c4fe6f1d7fc9ca7d714f778aec037470",
+    ),
+    "rek": (
+        "d859e5748a7feea545f51a842b11e2ac23f0177c54a74ddae573228b38ccb16c",
+        "4137719a3e4917500cc2293dbd0169d971c130523b9ea2138ac70bccfee186ff",
+    ),
+    "rgs": (
+        "7cf490c4928f4a168c2f38b51ad53bfc23cd4843007295086e27ce395e2ba861",
+        "c3f5eb9dea37e044d747380dfc2527e5ee9773977a49f8124940b69f87c237c9",
+    ),
+    "regs": (
+        "199f267b5d059c1ad264d5a885cadb3ecfd823284322c9324b60e9a9951dc727",
+        "83d6d74c55537f8df2bd88e9902d53b4c97d1187eb11bb3fe0263b93f81b0e6b",
+    ),
+}
+
+
+@pytest.mark.parametrize("method", sorted(SOLVE_GOLDEN_SIDE))
+def test_solve_golden_summary_and_manifest(method, tmp_path):
+    write_gaussian_instance(tmp_path / "instance")
+    outputs = solve_outputs(method, tmp_path / "instance", tmp_path / "traj.csv", "--budget", "300", "--stride", "1")
+    assert tuple(hashlib.sha256(b).hexdigest() for b in outputs[1:]) == SOLVE_GOLDEN_SIDE[method]
+
+
+# SHA-256 of the trajectory, summary and manifest of a tolerance-stopped solve on a generated S1
+# instance (60x40x20, seed 0), and the step it stops at.  The stop is off the stride, and rk-rk's
+# summary carries the bound column.
+TOLERANCE_GOLDEN = {
+    "rk-rk": ("1e-3", 1800, (
+        "cad6ef8f05fa3b95bd6ce7f86b52c7bb4dfe4c1af9cb0530b5a7457f2d507919",
+        "1bd04ee57f311b43a1319012f4b4ce89185fdd3fe8a16751ceb2d30e3f5207ea",
+        "deda4c5892ad9f2a86d192ad57b8248cc954d4c8c049dc2880ee2dcb04187513",
+    )),
+    "rk": ("1e-2", 2580, (
+        "1eeb4de5b24846bdfb9d353954867dbc890d7114c2cdcc932f989f42149ee64a",
+        "cf90dbdf293eb1b523fe50ea0117a403198a418c117ec58bc55b525786989e88",
+        "9a2ef50dc26aded944dd27f0ecc8d3ab0a7b089b79e4ade3d593972097244bc7",
+    )),
+}
+
+
+@pytest.mark.parametrize("method", sorted(TOLERANCE_GOLDEN))
+def test_tolerance_stopped_solve_golden_bytes(method, tmp_path):
+    tolerance, stop, golden = TOLERANCE_GOLDEN[method]
+    gen = ["gen", "--scenario", "S1", "--m", "60", "--n", "40", "--k", "20", "--seed", "0"]
+    assert main(gen + ["--out-dir", str(tmp_path / "instance")]) == 0
+    options = ("--budget", "3000", "--stride", "7", "--tolerance", tolerance)
+    outputs = solve_outputs(method, tmp_path / "instance", tmp_path / "traj.csv", *options)
+    assert outputs[0].splitlines()[-1].split(b",")[1] == str(stop).encode()
+    assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == golden
