@@ -12,7 +12,7 @@ single run).
 from .dense import DenseMatrix, load_matrix, load_vector, save_matrix, save_vector
 from .sampling import NormSampler, master_rng, trial_rng
 from .oracle import RateConstants, SvdFactors, factored_full_solution, pinv_solve, svd
-from .solvers import METHODS, SolverState, estimate, init_state
+from .solvers import METHODS, SingleSystem, SolverState, estimate, init_state
 from .interlaced import (
     PAIRINGS,
     BoundInputs,
@@ -52,6 +52,7 @@ __all__ = [
     "pinv_solve",
     "factored_full_solution",
     "METHODS",
+    "SingleSystem",
     "SolverState",
     "init_state",
     "estimate",

@@ -17,11 +17,11 @@ tolerance check (every m steps, when a tolerance is set) and at the end
 of the sampling block, so records and checks see the same iterate, at
 the same step, as they would step by step.
 
-A sub-block of B > 1 steps runs the method's block kernel
-(``solvers.block_kernel``, ``interlaced.pairing_block``), and a 1-step
-sub-block its per-step kernel (``solvers.step_kernel``,
-``interlaced.pairing_kernel``), the one the sequential reference steps
-with.  This module holds no algebra of its own: it schedules draws,
+A target (``solvers.SingleSystem``, ``interlaced.FactoredSystem``) gives
+the samplers, flops, state, kernels, estimate and residuals.  A sub-block
+of B > 1 steps runs its block kernel, and a 1-step sub-block its per-step
+kernel, the one the sequential reference steps with.  This module holds
+no algebra and no branch on the target's type: it schedules draws,
 sub-blocks, records and tolerance checks.
 
 L(T) is ``solvers.MAX_BLOCK`` (32) at T = 1 and 1 at T >= 2, so the
@@ -44,19 +44,10 @@ import functools
 
 import numpy as np
 
-from .interlaced import (
-    FactoredSystem,
-    InterlacedState,
-    init_interlaced,
-    pairing_block,
-    pairing_cost,
-    pairing_kernel,
-    pairing_samplers,
-)
 from .sampling import trial_rng
-from .solvers import MAX_BLOCK, block_kernel, estimate, init_state, samplers, step_cost, step_kernel
+from .solvers import MAX_BLOCK
 
-__all__ = ["run_trials", "step_flops"]
+__all__ = ["run_trials"]
 
 _BLOCK = 1024
 
@@ -64,13 +55,6 @@ _BLOCK = 1024
 def _round_steps(trials: int) -> int:
     """L(T): the longest sub-block at ``trials`` lock-step trials (1: per-step path)."""
     return MAX_BLOCK if trials == 1 else 1
-
-
-def step_flops(method: str, target) -> int:
-    """Cost of one step of ``method`` on ``target`` under the flop model."""
-    if isinstance(target, FactoredSystem):
-        return pairing_cost(method, target)
-    return step_cost(method, target[0])
 
 
 class _Batch:
@@ -84,34 +68,17 @@ class _Batch:
     def __init__(self, method: str, target, trials: int):
         self.method = method
         self.target = target
-        if isinstance(target, FactoredSystem):
-            s = init_interlaced(method, target)
-            vectors = (s.x, s.b, s.z, s.zv, s.res_u, s.res_v)
-            self.samplers = pairing_samplers(method, target)
-            kernel, block, fixed = pairing_kernel, pairing_block, (method, target)
-        else:
-            s = init_state(method, *target)
-            vectors = (s.beta, s.z, s.residual)
-            self.samplers = samplers(method, target[0])
-            kernel, block, fixed = step_kernel, block_kernel, (method, *target)
-        vectors = tuple(None if v is None else np.tile(v, (trials, 1)) for v in vectors)
+        s = target.init(method)
+        vectors = tuple(None if v is None else np.tile(v, (trials, 1)) for v in vars(s).values())
         self.state = type(s)(*vectors)
-        self.kernel = functools.partial(kernel, *fixed, *vectors, np.arange(trials))
-        self.advance = functools.partial(block, *fixed, *(None if v is None else v[0] for v in vectors))
-
-    def estimates(self) -> np.ndarray:
-        if isinstance(self.state, InterlacedState):
-            return self.state.b
-        return estimate(self.method, self.state)
+        self.samplers = target.samplers(method)
+        kernel, block = target.kernels(method)
+        self.kernel = functools.partial(kernel, *vectors, np.arange(trials))
+        self.advance = functools.partial(block, *(None if v is None else v[0] for v in vectors))
 
     def max_residual(self) -> float:
-        """Largest residual norm across trials (joint for factored runs)."""
-        if isinstance(self.state, InterlacedState):
-            sys, st = self.target, self.state
-            parts = (st.x @ sys.U.data.T - sys.y, st.b @ sys.V.data.T - st.x)
-        else:
-            A, y = self.target
-            parts = (self.estimates() @ A.data.T - y,)
+        """Largest residual norm across trials (joint over a pairing's two subsystems)."""
+        parts = self.target.residuals(self.method, self.state)
         return float(max(np.sqrt((res * res).sum(axis=1).max()) for res in parts))
 
 
@@ -140,8 +107,8 @@ def run_trials(
         raise ValueError("need at least one trial")
     batch = _Batch(method, target, trials)
     draws = len(batch.samplers)
-    per_step = step_flops(method, target)
-    check_every = target.m if isinstance(target, FactoredSystem) else target[0].rows
+    per_step = target.step_flops(method)
+    check_every = target.m
 
     schedule = sorted(set(int(t) for t in record_ts))
     if schedule and (schedule[0] < 1 or schedule[-1] > budget):
@@ -181,7 +148,7 @@ def run_trials(
                 record_now = True
                 next_rec += 1
             if record_now:
-                diff = batch.estimates() - beta_star
+                diff = target.estimate(method, batch.state) - beta_star
                 iters.append(t)
                 errors.append(np.einsum("ij,ij->i", diff, diff))
             if stopped:

@@ -1,10 +1,11 @@
 """Benchmark driver: multi-trial runs, trajectory CSVs, summary curves.
 
 A run is specified by a RunConfig (method, trials, budget, seed, record
-stride).  Errors are always measured as the squared distance to the
-oracle solution of the *full* system; for factored targets the product
-U @ V is materialized once on the oracle side to compute it, never
-inside the solver loop.
+stride) and a target: a FactoredSystem for the pairings, a SingleSystem
+for the single-system methods (an ``(A, y)`` pair is made one at entry).
+Errors are the squared distance to the oracle solution of the *full*
+system; for factored targets the product U @ V is materialized once on
+the oracle side to compute it, never inside the solver loop.
 
 Trial j draws from the stream ``trial_rng(config.seed, j)``, so a
 (config, seed) pair pins every number in the output.  CSV values are
@@ -21,8 +22,8 @@ Output schema:
                     error bound applies: rk-rk on S1 data, rek-rk on
                     S3b data, and empty otherwise)
   run manifest      one JSON line per invocation: scenario, dims,
-                    seed, method, budget, and the oracle rate
-                    constants of the factors.
+                    seed, method, budget, and a factored target's
+                    oracle rate constants.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from . import _engine
 from .dense import _as_float_vector
 from .interlaced import PAIRINGS, BoundInputs, FactoredSystem, bound_inputs, expected_error_bound
 from .oracle import factored_full_solution, pinv_solve
-from .solvers import METHODS, default_stride
+from .solvers import METHODS, SingleSystem, default_stride
 
 __all__ = [
     "RunConfig",
@@ -126,46 +127,36 @@ def record_schedule(budget: int, stride: int) -> list[int]:
     return ts
 
 
+def _as_target(target):
+    """target, with an ``(A, y)`` pair made a SingleSystem (which checks y)."""
+    return SingleSystem(*target) if isinstance(target, tuple) else target
+
+
 def oracle_solution(target) -> np.ndarray:
     """Optimal solution of the full system (product formed oracle-side)."""
+    target = _as_target(target)
     if isinstance(target, FactoredSystem):
         return factored_full_solution(target.U, target.V, target.y)
-    A, y = target
-    return pinv_solve(A, y)
-
-
-def _checked_target(method: str, target):
-    """target, with an (A, y) pair's y as a float64 vector.
-
-    Rejects a method that does not run on target's kind, and a y that
-    is not a finite vector.
-    """
-    if isinstance(target, FactoredSystem):
-        if method not in PAIRINGS:
-            raise ValueError(f"method {method!r} runs on a single matrix; factored targets need one of {PAIRINGS}")
-        return target
-    if method not in METHODS:
-        raise ValueError(f"method {method!r} needs a factored target; single systems take one of {METHODS}")
-    A, y = target
-    return A, _as_float_vector(y, "rhs")
+    return pinv_solve(target.A, target.y)
 
 
 def run_experiment(config: RunConfig, target, beta_star: np.ndarray | None = None) -> Trajectory:
     """Run config.trials independent trials against one target.
 
-    target is a FactoredSystem (interlaced methods) or an
-    ``(A, y)`` pair (single-system methods).  beta_star overrides the
-    oracle solution, e.g. to reuse one across several configs; it must
-    be a finite vector of length n (A.cols for a pair).
+    target is a FactoredSystem (interlaced methods), or a SingleSystem
+    or an ``(A, y)`` pair (single-system methods).  beta_star overrides
+    the oracle solution, e.g. to reuse one across several configs; it
+    must be a finite vector of length n.
     """
-    target = _checked_target(config.method, target)
+    target = _as_target(target)
+    if config.method not in target.methods:
+        raise ValueError(f"{config.method!r} does not run on a {type(target).__name__}; it takes {target.methods}")
     if beta_star is None:
         beta_star = oracle_solution(target)
     else:
         beta_star = _as_float_vector(beta_star, "beta_star")
-        n = target.n if isinstance(target, FactoredSystem) else target[0].cols
-        if beta_star.shape != (n,):
-            raise ValueError(f"beta_star has shape {beta_star.shape}, expected ({n},)")
+        if beta_star.shape != (target.n,):
+            raise ValueError(f"beta_star has shape {beta_star.shape}, expected ({target.n},)")
     ts = record_schedule(config.budget, config.effective_stride)
     iters, flops, errors = _engine.run_trials(
         config.method,
@@ -186,8 +177,7 @@ def bound_variant_for(method: str, target) -> str | None:
     Variant "a" holds for rk-rk on consistent S1 data, variant "b" for
     rek-rk on S3b data; nothing is claimed for other combinations.
     """
-    if not isinstance(target, FactoredSystem):
-        return None
+    target = _as_target(target)
     if method == "rk-rk" and target.scenario == "S1":
         return "a"
     if method == "rek-rk" and target.scenario == "S3b":
@@ -226,35 +216,31 @@ def emit_summary_csv(traj: Trajectory, path, target=None, inputs: BoundInputs | 
     Path(path).write_text(template % tuple(values) + "\n")
 
 
-def write_run_manifest(
-    path, config: RunConfig, target, scenario: str | None = None, inputs: BoundInputs | None = None
-) -> None:
+def write_run_manifest(path, config: RunConfig, target, inputs: BoundInputs | None = None) -> None:
     """Append one JSON line describing the invocation.
 
     inputs, when given, are ``bound_inputs(target)`` computed by the caller.
     """
+    target = _as_target(target)
     entry: dict = {
         "method": config.method,
         "trials": config.trials,
         "budget": config.budget,
         "seed": config.seed,
         "stride": config.effective_stride,
+        "scenario": target.scenario,
+        "m": target.m,
+        "n": target.n,
     }
     if isinstance(target, FactoredSystem):
         if inputs is None:
             inputs = bound_inputs(target)
         entry.update(
-            scenario=scenario or target.scenario,
-            m=target.m,
-            n=target.n,
             k=target.k,
             alpha_u=inputs.alpha_u,
             alpha_v=inputs.alpha_v,
             theta_v=inputs.theta_v,
             kappa_sq_u=inputs.kappa_sq_u,
         )
-    else:
-        A, _ = target
-        entry.update(scenario=scenario or "plain", m=A.rows, n=A.cols)
     with open(path, "a") as fh:
         fh.write(json.dumps(entry, sort_keys=True) + "\n")

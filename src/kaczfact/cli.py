@@ -31,7 +31,7 @@ from .bench import (
 )
 from .dense import DenseMatrix
 from .interlaced import PAIRINGS, expected_error_bound
-from .solvers import METHODS
+from .solvers import METHODS, SingleSystem
 from .systems import SCENARIO_PRESETS, SCENARIOS, ScenarioSpec, gen_gaussian_factored, load_instance, save_instance
 
 
@@ -82,14 +82,11 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     system = load_instance(args.dir)
+    target = system
     if args.method in METHODS:
         # Baseline methods run on the assembled system; forming the
         # product here is the harness's job, not the solver's.
-        target = (DenseMatrix(system.U.data @ system.V.data), system.y)
-        scenario = system.scenario
-    else:
-        target = system
-        scenario = None
+        target = SingleSystem(DenseMatrix(system.U.data @ system.V.data), system.y, system.scenario)
     config = RunConfig(
         method=args.method,
         seed=args.seed,
@@ -104,9 +101,9 @@ def _cmd_solve(args) -> int:
     out = Path(args.out)
     emit_csv(traj, out)
     summary_path = out.with_name(out.stem + "_summary.csv")
-    emit_summary_csv(traj, summary_path, target=target if args.method in PAIRINGS else None, inputs=inputs)
+    emit_summary_csv(traj, summary_path, target=target, inputs=inputs)
     manifest_path = out.with_name(out.stem + "_manifest.jsonl")
-    write_run_manifest(manifest_path, config, target, scenario=scenario, inputs=inputs)
+    write_run_manifest(manifest_path, config, target, inputs=inputs)
     final_mean = traj.mean_errors()[-1] if traj.iters.size else float("nan")
     print(f"{args.method} on {args.dir}: {args.trials} trials x {args.budget} iterations, final mean error_sq {final_mean:.6e}")
     print(f"wrote {out}, {summary_path}, {manifest_path}")

@@ -4,8 +4,7 @@ Every solver in this package samples rows or columns proportionally to
 their squared Euclidean norms, so the norm caches are computed once at
 construction and reused for the whole run, as is a contiguous
 transposed copy for column gathers.  Matrices are immutable:
-the backing array is marked read-only and ``row``/``col`` hand out
-read-only views.
+the backing array and its transposed copy are marked read-only.
 
 All data is 64-bit real floating point.  The adjoint of a real matrix
 is its transpose.
@@ -86,10 +85,6 @@ class DenseMatrix:
         return self._data.shape[1]
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return self._data.shape
-
-    @property
     def row_sqnorms(self) -> np.ndarray:
         return self._row_sqnorms
 
@@ -100,18 +95,6 @@ class DenseMatrix:
     @property
     def frob_sq(self) -> float:
         return self._frob_sq
-
-    def row(self, i: int) -> np.ndarray:
-        """Read-only view of row ``i``."""
-        if not 0 <= i < self.rows:
-            raise IndexError(f"row index {i} out of range for {self.rows}x{self.cols} matrix")
-        return self._data[i, :]
-
-    def col(self, j: int) -> np.ndarray:
-        """Read-only view of column ``j``."""
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column index {j} out of range for {self.rows}x{self.cols} matrix")
-        return self._data_t[j]
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols}, frob_sq={self._frob_sq:.6g})"

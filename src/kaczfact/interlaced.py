@@ -13,10 +13,10 @@ x; both are ``solvers.step_kernel`` (``pairing_kernel``).  B steps of
 one trial are the outer method's ``solvers.block_kernel`` on (U, y, x),
 then the inner one's on (V, x, b) (``pairing_block``).  Each side starts
 from its method's initial state (on (V, x_0 = 0) for the inner one),
-and the pairing's draws, samplers and flops are the outer method's
-followed by the inner one's.  The lock-step engine (``_engine``) runs
-both kernels; ``tests/reference.py`` runs ``pairing_kernel`` one trial
-and one step at a time as the sequential reference.
+and a pairing's draws, samplers and flops (``FactoredSystem.samplers``,
+``.step_flops``) are the outer method's followed by the inner one's.
+The engine gets both kernels from ``FactoredSystem.kernels``;
+``tests/reference.py`` steps ``pairing_kernel`` as the reference.
 
 Two rules carry the outer side's moves of x to the inner side:
 
@@ -53,6 +53,7 @@ a row draw on V 4n + 2 and a column draw on V 4k + 2.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,6 +92,8 @@ class FactoredSystem:
     y: np.ndarray
     scenario: str = "custom"
 
+    methods = PAIRINGS
+
     def __post_init__(self):
         if self.U.cols != self.V.rows:
             raise ValueError(
@@ -112,6 +115,30 @@ class FactoredSystem:
     @property
     def n(self) -> int:
         return self.V.cols
+
+    def step_flops(self, method: str) -> int:
+        """Flops of one interlaced step: its outer step on U plus its inner step on V."""
+        outer, inner, _ = _split(method)
+        return step_cost(outer, self.U) + step_cost(inner, self.V)
+
+    def samplers(self, method: str) -> tuple:
+        """The samplers of one interlaced step in draw order: the outer method's on U, then the inner's on V."""
+        outer, inner, _ = _split(method)
+        return samplers(outer, self.U) + samplers(inner, self.V)
+
+    def init(self, method: str) -> InterlacedState:
+        return init_interlaced(method, self)
+
+    def kernels(self, method: str) -> tuple:
+        """``pairing_kernel`` and ``pairing_block`` with the pairing and the system bound."""
+        return functools.partial(pairing_kernel, method, self), functools.partial(pairing_block, method, self)
+
+    def estimate(self, method: str, state: InterlacedState) -> np.ndarray:
+        return state.b
+
+    def residuals(self, method: str, state: InterlacedState) -> tuple:
+        """U x - y and V b - x, one row per trial of (T, dim) state."""
+        return (state.x @ self.U.data.T - self.y, state.b @ self.V.data.T - state.x)
 
 
 @dataclass
@@ -137,18 +164,6 @@ def _split(method: str) -> tuple[str, str, int]:
     if parts is None:
         raise ValueError(f"unsupported pairing {method!r}; supported pairings are {PAIRINGS}")
     return parts
-
-
-def pairing_cost(method: str, sys: FactoredSystem) -> int:
-    """Flops of one interlaced step: its outer step on U plus its inner step on V."""
-    outer, inner, _ = _split(method)
-    return step_cost(outer, sys.U) + step_cost(inner, sys.V)
-
-
-def pairing_samplers(method: str, sys: FactoredSystem) -> tuple:
-    """The samplers of one interlaced step in draw order: the outer method's on U, then the inner's on V."""
-    outer, inner, _ = _split(method)
-    return samplers(outer, sys.U) + samplers(inner, sys.V)
 
 
 def init_interlaced(method: str, sys: FactoredSystem) -> InterlacedState:

@@ -10,13 +10,14 @@ The full product U @ V of a factored system is formed in three places,
 all outside the solvers, which only ever touch the factors:
 ``factored_full_solution`` here, for the error reference;
 ``systems.make_inconsistent_rhs``, to plant a residual orthogonal to
-range(U V); and ``cli._cmd_solve``, to build the single-system target
-that the baseline methods run on.
+range(U V); and ``cli._cmd_solve``, which wraps the product in the
+``solvers.SingleSystem`` that the baseline methods run on.
 
 Each SVD-derived quantity is written once, as a function of an
 ``SvdFactors``: ``pinv_apply`` and ``rate_constants_of``.
-``pinv_solve(A, y)`` and ``rate_constants(A)`` take ``svd(A)`` and apply
-it, and ``interlaced.bound_inputs`` gets both factors' constants and
+``pinv_solve(A, y)`` takes ``svd(A)`` and applies it, a matrix's rate
+constants are ``rate_constants_of(svd(A), A.frob_sq)``, and
+``interlaced.bound_inputs`` gets both factors' constants and
 both of its solves from one SVD of U and one of V.  So ``kaczfact
 solve`` takes three SVDs on a pairing (U V for the error reference, then
 U and V) and one on a baseline (the assembled matrix), ``kaczfact
@@ -41,7 +42,6 @@ __all__ = [
     "pinv_apply",
     "rate_constants_of",
     "pinv_solve",
-    "rate_constants",
     "factored_full_solution",
 ]
 
@@ -133,11 +133,6 @@ def rate_constants_of(f: SvdFactors, frob_sq: float) -> RateConstants:
 def pinv_solve(A: DenseMatrix, y: np.ndarray) -> np.ndarray:
     """Minimum-norm least-squares solution pinv(A) @ y (``pinv_apply`` on ``svd(A)``)."""
     return pinv_apply(svd(A), y)
-
-
-def rate_constants(A: DenseMatrix) -> RateConstants:
-    """Contraction constants of A (``rate_constants_of`` on ``svd(A)``)."""
-    return rate_constants_of(svd(A), A.frob_sq)
 
 
 def factored_full_solution(U: DenseMatrix, V: DenseMatrix, y: np.ndarray) -> np.ndarray:

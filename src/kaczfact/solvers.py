@@ -59,15 +59,16 @@ one scaled add), a column draw acts on a length-m column and costs
 """
 from __future__ import annotations
 
+import functools
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseMatrix
+from .dense import DenseMatrix, _as_float_vector
 from .sampling import col_sampler, row_sampler
 
-__all__ = ["METHODS", "SolverState", "init_state", "estimate"]
+__all__ = ["METHODS", "SingleSystem", "SolverState", "init_state", "estimate"]
 
 METHODS = ("rk", "rek", "rgs", "regs")
 
@@ -306,6 +307,56 @@ def estimate(method: str, state: SolverState) -> np.ndarray:
     if method == "regs":
         return state.beta - state.z
     return state.beta
+
+
+# --- the target -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class SingleSystem:
+    """A system A @ beta = y: the single-system methods' target, with FactoredSystem's run members.
+
+    y is stored as a float64 vector; scenario is a free-form tag, "plain" unless A was assembled from tagged factors.
+    """
+
+    A: DenseMatrix
+    y: np.ndarray
+    scenario: str = "plain"
+
+    methods = METHODS
+
+    def __post_init__(self):
+        object.__setattr__(self, "y", _as_float_vector(self.y, "rhs"))
+        if self.y.shape != (self.A.rows,):
+            raise ValueError(f"rhs shape {self.y.shape} does not match {self.A.rows}x{self.A.cols} matrix")
+
+    @property
+    def m(self) -> int:
+        return self.A.rows
+
+    @property
+    def n(self) -> int:
+        return self.A.cols
+
+    def step_flops(self, method: str) -> int:
+        return step_cost(method, self.A)
+
+    def samplers(self, method: str) -> tuple:
+        return samplers(method, self.A)
+
+    def init(self, method: str) -> SolverState:
+        return init_state(method, self.A, self.y)
+
+    def kernels(self, method: str) -> tuple:
+        """``step_kernel`` and ``block_kernel`` with the method and the data bound."""
+        bound = (method, self.A, self.y)
+        return functools.partial(step_kernel, *bound), functools.partial(block_kernel, *bound)
+
+    estimate = staticmethod(estimate)
+
+    def residuals(self, method: str, state: SolverState) -> tuple:
+        """A estimate - y, one row per trial of (T, dim) state."""
+        return (estimate(method, state) @ self.A.data.T - self.y,)
 
 
 def default_stride(budget: int) -> int:

@@ -30,6 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+import json
+
 import numpy as np
 
 from .dense import DenseMatrix, load_matrix, load_vector, save_json, save_matrix, save_vector
@@ -189,12 +191,11 @@ def save_instance(inst: GeneratedInstance, spec: ScenarioSpec, out_dir) -> None:
 def load_instance(in_dir) -> FactoredSystem:
     """Load a directory written by ``save_instance`` (manifest optional)."""
     src = Path(in_dir)
-    scenario = "custom"
     manifest_path = src / _MANIFEST_NAME
-    if manifest_path.exists():
-        import json
-
-        scenario = json.loads(manifest_path.read_text()).get("scenario", "custom")
+    manifest = json.loads(manifest_path.read_text()) if manifest_path.exists() else {}
+    scenario = manifest.get("scenario", "custom") if isinstance(manifest, dict) else None
+    if not isinstance(scenario, str):
+        raise ValueError(f"{manifest_path} must hold a JSON object whose scenario, if given, is a string")
     return load_factored(src / _U_NAME, src / _V_NAME, src / _Y_NAME, scenario=scenario)
 
 

@@ -9,8 +9,8 @@ on (1, dim) views of one trial's state, draws each index with
 records and stops step by step, on a schedule of its own rather than the
 engine's sub-blocks.
 
-A target is a ``FactoredSystem`` (interlaced pairings) or an ``(A, y)``
-pair (single-system methods).
+A target is a ``FactoredSystem`` (interlaced pairings) or a
+``SingleSystem`` (single-system methods).
 """
 
 from __future__ import annotations
@@ -20,17 +20,22 @@ import functools
 
 import numpy as np
 
-from kaczfact.interlaced import FactoredSystem, init_interlaced, pairing_cost, pairing_kernel, pairing_samplers
-from kaczfact.solvers import default_stride, estimate, init_state, samplers, step_cost, step_kernel
+from kaczfact.interlaced import FactoredSystem, init_interlaced, pairing_kernel
+from kaczfact.solvers import SingleSystem, default_stride, estimate, init_state, step_kernel
+
+
+def _target(target):
+    """target, with an ``(A, y)`` pair made a SingleSystem, as ``bench.run_experiment`` does."""
+    return SingleSystem(*target) if isinstance(target, tuple) else target
 
 
 def _stepper(method: str, target, state, rng: np.random.Generator):
     """A callable that takes one step of ``state`` and returns its draws as ints."""
     if isinstance(target, FactoredSystem):
-        kernel, fixed, draw_from = pairing_kernel, (method, target), pairing_samplers(method, target)
+        kernel, fixed = pairing_kernel, (method, target)
     else:
-        A, y = target
-        kernel, fixed, draw_from = step_kernel, (method, A, y), samplers(method, A)
+        kernel, fixed = step_kernel, (method, target.A, target.y)
+    draw_from = target.samplers(method)
     views = (None if v is None else v[None] for v in (getattr(state, f.name) for f in dataclasses.fields(state)))
     kernel = functools.partial(kernel, *fixed, *views, 0)
 
@@ -44,7 +49,7 @@ def _stepper(method: str, target, state, rng: np.random.Generator):
 
 def step(method: str, target, state, rng: np.random.Generator) -> tuple:
     """One ``method`` step of ``state`` on ``target``.  Returns its draws in draw order."""
-    return _stepper(method, target, state, rng)()
+    return _stepper(method, _target(target), state, rng)()
 
 
 def run(method: str, target, budget: int, rng: np.random.Generator, *, recorder=None, stride=None, tolerance=None,
@@ -65,18 +70,18 @@ def run(method: str, target, budget: int, rng: np.random.Generator, *, recorder=
         stride = default_stride(budget)
     if stride < 1:
         raise ValueError("stride must be at least 1")
+    target = _target(target)
     if isinstance(target, FactoredSystem):
         state = init_interlaced(method, target)
         U, V, y = target.U.data, target.V.data, target.y
         residuals = lambda: (y - U @ state.x, state.x - V @ state.b)
         reported = lambda: state.b
-        check_every, cost = target.m, pairing_cost(method, target)
     else:
-        A, y = target
+        A, y = target.A, target.y
         state = init_state(method, A, y)
         residuals = lambda: (y - A.data @ estimate(method, state),)
         reported = lambda: estimate(method, state)
-        check_every, cost = A.rows, step_cost(method, A)
+    check_every, cost = target.m, target.step_flops(method)
     one_step = _stepper(method, target, state, rng)
     t = 0
     while t < budget:

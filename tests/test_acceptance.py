@@ -13,7 +13,7 @@ import pytest
 from kaczfact.bench import RunConfig, emit_csv, run_experiment
 from kaczfact.dense import DenseMatrix
 from kaczfact.interlaced import FactoredSystem, bound_inputs, expected_error_bound, init_interlaced
-from kaczfact.oracle import factored_full_solution, pinv_solve, rate_constants, svd
+from kaczfact.oracle import factored_full_solution, pinv_solve, rate_constants_of, svd
 from kaczfact.sampling import master_rng
 from kaczfact.solvers import init_state
 from kaczfact.systems import ScenarioSpec, gen_gaussian_factored
@@ -200,8 +200,8 @@ def test_criterion_5_flop_ordering(s3b_instance):
     y_ill = u_ill.data @ (v_ill.data @ beta)
     ill = FactoredSystem(U=u_ill, V=v_ill, y=y_ill)
     x_ill = DenseMatrix(u_ill.data @ v_ill.data)
-    kappa_u = rate_constants(u_ill).kappa_sq
-    kappa_x = rate_constants(x_ill).kappa_sq
+    kappa_u = rate_constants_of(svd(u_ill), u_ill.frob_sq).kappa_sq
+    kappa_x = rate_constants_of(svd(x_ill), x_ill.frob_sq).kappa_sq
     star_ill = factored_full_solution(u_ill, v_ill, y_ill)
     thr_ill = 1e-4 * float(star_ill @ star_ill)
     e_rekrk = run_experiment(
@@ -242,9 +242,10 @@ def test_criterion_6_factor_contraction_dominates_full_system():
         family = ("S1", "S3a", "S3b")[i % 3]
         dims = dims_for[family][(i // 3) % 4]
         sys_ = gen_gaussian_factored(ScenarioSpec(family, *dims, seed=1000 + i)).system
-        alpha_u = rate_constants(sys_.U).alpha
-        alpha_v = rate_constants(sys_.V).alpha
-        alpha_x = rate_constants(DenseMatrix(sys_.U.data @ sys_.V.data)).alpha
+        alpha_u = rate_constants_of(svd(sys_.U), sys_.U.frob_sq).alpha
+        alpha_v = rate_constants_of(svd(sys_.V), sys_.V.frob_sq).alpha
+        x = DenseMatrix(sys_.U.data @ sys_.V.data)
+        alpha_x = rate_constants_of(svd(x), x.frob_sq).alpha
         margin = min(alpha_x - alpha_u, alpha_x - alpha_v)
         worst_margin = min(worst_margin, margin)
         violations += margin < 0
@@ -315,7 +316,7 @@ def test_criterion_8_per_step_invariants(s3b_instance):
     row_gap = 0.0
     for _ in range(100):
         (i,) = step("rk", (a, y), state, rng)
-        row_gap = max(row_gap, abs(y[i] - a.row(i) @ state.beta) / (1.0 + abs(y[i])))
+        row_gap = max(row_gap, abs(y[i] - a.data[i] @ state.beta) / (1.0 + abs(y[i])))
 
     # (ii) drawn-column orthogonality of z after each rek step
     ai, yi, _ = inconsistent_system(15, 6, seed=802)
@@ -325,7 +326,7 @@ def test_criterion_8_per_step_invariants(s3b_instance):
         _, j = step("rek", (ai, yi), state, rng)
         col_gap = max(
             col_gap,
-            abs(ai.col(j) @ state.z) / (np.linalg.norm(ai.col(j)) * (1.0 + np.linalg.norm(state.z))),
+            abs(ai.data_t[j] @ state.z) / (np.linalg.norm(ai.data_t[j]) * (1.0 + np.linalg.norm(state.z))),
         )
 
     # (iii) drawn-row annihilation of the regs correction
@@ -335,7 +336,7 @@ def test_criterion_8_per_step_invariants(s3b_instance):
         i, _ = step("regs", (ai, yi), state, rng)
         ann_gap = max(
             ann_gap,
-            abs(ai.row(i) @ state.z) / (np.linalg.norm(ai.row(i)) * (1.0 + np.linalg.norm(state.z))),
+            abs(ai.data[i] @ state.z) / (np.linalg.norm(ai.data[i]) * (1.0 + np.linalg.norm(state.z))),
         )
 
     # (iv) rk error monotone along one consistent trajectory

@@ -23,11 +23,20 @@ from kaczfact.dense import DenseMatrix
 from kaczfact.interlaced import PAIRINGS, FactoredSystem, bound_inputs, expected_error_bound
 from kaczfact.oracle import factored_full_solution, pinv_solve
 from kaczfact.sampling import trial_rng
-from kaczfact.solvers import METHODS
+from kaczfact.solvers import METHODS, SingleSystem
 from kaczfact.systems import ScenarioSpec, gen_gaussian_factored
 
 from conftest import inconsistent_system, random_dense, small_factored
 from reference import run
+
+
+def target_kinds(method: str, u: DenseMatrix, v: DenseMatrix) -> tuple:
+    """Constructors, from y, of each target kind that runs ``method`` on U V b = y: a FactoredSystem
+    for a pairing; an (A, y) pair and a SingleSystem of the assembled A for a single-system method."""
+    if method in PAIRINGS:
+        return (lambda y: FactoredSystem(u, v, y),)
+    a = DenseMatrix(u.data @ v.data)
+    return (lambda y: (a, y), lambda y: SingleSystem(a, y))
 
 
 class TestRunConfig:
@@ -85,7 +94,7 @@ class TestRunExperiment:
         traj = run_experiment(config, sys_)
         assert traj.iters.tolist() == [10, 20, 30, 40, 50]
         assert traj.errors.shape == (3, 5)
-        per_step = _engine.step_flops("rk-rk", sys_)
+        per_step = sys_.step_flops("rk-rk")
         assert traj.flops.tolist() == [t * per_step for t in traj.iters]
         assert traj.trials == 3
 
@@ -103,9 +112,9 @@ class TestRunExperiment:
         u, v = random_dense(6, 3, seed=1), random_dense(3, 4, seed=2)
         y = np.ones(6)
         y[2] = bad
-        with pytest.raises(ValueError, match="non-finite"):
-            target = FactoredSystem(u, v, y) if method in PAIRINGS else (DenseMatrix(u.data @ v.data), y)
-            run_experiment(RunConfig(method=method, seed=1, trials=1, budget=10), target)
+        for make in target_kinds(method, u, v):
+            with pytest.raises(ValueError, match="non-finite"):
+                run_experiment(RunConfig(method=method, seed=1, trials=1, budget=10), make(y))
 
     @pytest.mark.parametrize("trials", [1, 3])
     @pytest.mark.parametrize("method", METHODS + PAIRINGS)
@@ -113,25 +122,39 @@ class TestRunExperiment:
         """An integer, float32 or list y is converted to a float64 vector once, at entry,
         so the run equals the run on its float64 values bit for bit."""
         u, v = random_dense(6, 3, seed=1), random_dense(3, 4, seed=2)
-        a = DenseMatrix(u.data @ v.data)
-        make = (lambda y: FactoredSystem(u, v, y)) if method in PAIRINGS else (lambda y: (a, y))
         ints = np.array([3, -1, 4, 1, -5, 9])
         floats = np.linspace(-1.0, 2.0, 6).astype(np.float32)
         config = RunConfig(method=method, seed=4, trials=trials, budget=60, stride=20)
-        for y in (ints, floats, ints.tolist()):
-            got = run_experiment(config, make(y))
-            want = run_experiment(config, make(np.array(y, dtype=np.float64)))
-            assert got.iters.tolist() == want.iters.tolist() == [20, 40, 60]
-            assert got.errors.tobytes() == want.errors.tobytes()
+        for make in target_kinds(method, u, v):
+            for y in (ints, floats, ints.tolist()):
+                got = run_experiment(config, make(y))
+                want = run_experiment(config, make(np.array(y, dtype=np.float64)))
+                assert got.iters.tolist() == want.iters.tolist() == [20, 40, 60]
+                assert got.errors.tobytes() == want.errors.tobytes()
+
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_pair_and_single_system_run_alike(self, method, trials):
+        """An (A, y) pair is a SingleSystem of the same data: equal oracle bits, equal trajectories,
+        tolerance stop included."""
+        a, y, _ = inconsistent_system(10, 4, seed=95)
+        assert oracle_solution((a, y)).tobytes() == oracle_solution(SingleSystem(a, y)).tobytes()
+        for tolerance in (None, 6.0):
+            config = RunConfig(method=method, seed=6, trials=trials, budget=300, stride=30, tolerance=tolerance)
+            pair = run_experiment(config, (a, y))
+            single = run_experiment(config, SingleSystem(a, y, "S3b"))
+            assert (single.iters[-1] < 300) == (tolerance is not None)
+            for got, want in zip((single.iters, single.flops, single.errors), (pair.iters, pair.flops, pair.errors)):
+                assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("shape", [(6, 1), (1, 6)])
     @pytest.mark.parametrize("method", METHODS + PAIRINGS)
     def test_two_dimensional_rhs_rejected(self, method, shape):
         u, v = random_dense(6, 3, seed=1), random_dense(3, 4, seed=2)
         y = np.ones(shape)
-        with pytest.raises(ValueError):
-            target = FactoredSystem(u, v, y) if method in PAIRINGS else (DenseMatrix(u.data @ v.data), y)
-            run_experiment(RunConfig(method=method, seed=1, trials=1, budget=10), target)
+        for make in target_kinds(method, u, v):
+            with pytest.raises(ValueError):
+                run_experiment(RunConfig(method=method, seed=1, trials=1, budget=10), make(y))
 
     @pytest.mark.parametrize("trials", [1, 3])
     @pytest.mark.parametrize("method", ["rk-rk", "rek"])
@@ -212,6 +235,10 @@ class TestRunExperiment:
             run_experiment(RunConfig(method="rk", seed=1, trials=1, budget=10), sys_)
         with pytest.raises(ValueError):
             run_experiment(RunConfig(method="rk-rk", seed=1, trials=1, budget=10), (a, y))
+        with pytest.raises(ValueError):
+            run_experiment(RunConfig(method="rk-rk", seed=1, trials=1, budget=10), SingleSystem(a, y))
+        with pytest.raises(ValueError):
+            SingleSystem(a, y[:-1])
 
     def test_tolerance_stops_all_trials_early(self):
         sys_, _ = small_factored(20, 5, 10, seed=94)
@@ -291,15 +318,15 @@ class TestEngineMatchesSequentialPath:
 
     def test_step_flops_table(self):
         sys_, _ = small_factored(9, 3, 5, seed=99)
-        assert _engine.step_flops("rk-rk", sys_) == (4 * 3 + 2) + (4 * 5 + 2)
-        assert _engine.step_flops("rek-rk", sys_) == (4 * 3 + 2) + (4 * 9 + 2) + (4 * 5 + 2)
-        assert _engine.step_flops("rek-rek", sys_) == (4 * 3 + 2) + (4 * 9 + 2) + (4 * 5 + 2) + (4 * 3 + 2)
-        assert _engine.step_flops("rgs-rgs", sys_) == (4 * 9 + 2) + (4 * 3 + 2)
+        assert sys_.step_flops("rk-rk") == (4 * 3 + 2) + (4 * 5 + 2)
+        assert sys_.step_flops("rek-rk") == (4 * 3 + 2) + (4 * 9 + 2) + (4 * 5 + 2)
+        assert sys_.step_flops("rek-rek") == (4 * 3 + 2) + (4 * 9 + 2) + (4 * 5 + 2) + (4 * 3 + 2)
+        assert sys_.step_flops("rgs-rgs") == (4 * 9 + 2) + (4 * 3 + 2)
         a, y, _ = inconsistent_system(9, 4, seed=100)
-        assert _engine.step_flops("rk", (a, y)) == 4 * 4 + 2
-        assert _engine.step_flops("rek", (a, y)) == (4 * 4 + 2) + (4 * 9 + 2)
-        assert _engine.step_flops("rgs", (a, y)) == 4 * 9 + 2
-        assert _engine.step_flops("regs", (a, y)) == (4 * 9 + 2) + (4 * 4 + 2)
+        assert SingleSystem(a, y).step_flops("rk") == 4 * 4 + 2
+        assert SingleSystem(a, y).step_flops("rek") == (4 * 4 + 2) + (4 * 9 + 2)
+        assert SingleSystem(a, y).step_flops("rgs") == 4 * 9 + 2
+        assert SingleSystem(a, y).step_flops("regs") == (4 * 9 + 2) + (4 * 4 + 2)
 
 
 class TestOracleSolution:
@@ -406,3 +433,13 @@ class TestOutputFiles:
         assert plain["scenario"] == "plain"
         assert (plain["m"], plain["n"]) == (10, 4)
         assert "k" not in plain
+
+    def test_manifest_of_single_system(self, tmp_path):
+        """An (A, y) pair writes the line of SingleSystem(A, y); a SingleSystem's scenario tag is written."""
+        a, y, _ = inconsistent_system(10, 4, seed=108)
+        config = RunConfig(method="rek", seed=2, trials=1, budget=5)
+        for i, target in enumerate([(a, y), SingleSystem(a, y), SingleSystem(a, y, "S3b")]):
+            write_run_manifest(tmp_path / f"{i}.jsonl", config, target)
+        assert (tmp_path / "0.jsonl").read_bytes() == (tmp_path / "1.jsonl").read_bytes()
+        tagged = json.loads((tmp_path / "2.jsonl").read_text())
+        assert (tagged["scenario"], tagged["m"], tagged["n"]) == ("S3b", 10, 4)

@@ -147,6 +147,19 @@ class TestSolve:
             main(["solve", "--method", "cg", "--dir", str(tmp_path), "--out", "x.csv"])
 
 
+@pytest.mark.parametrize("command", ["solve", "bound"])
+@pytest.mark.parametrize("manifest", ["[]", '{"scenario": 5}'], ids=["list", "number-scenario"])
+def test_malformed_instance_manifest_exits_2(tmp_path, capsys, manifest, command):
+    """An instance manifest that is not a JSON object, or whose scenario is not a string, is an error, not a traceback."""
+    args, out_dir = gen_args(tmp_path)
+    assert main(args) == 0
+    (out_dir / "manifest.json").write_text(manifest)
+    rest = {"solve": ["--method", "rk-rk", "--out", str(tmp_path / "x.csv")], "bound": ["--variant", "a", "--tmax", "3"]}
+    assert main([command, "--dir", str(out_dir), *rest[command]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "manifest.json" in err
+
+
 class TestBound:
     def test_curve_matches_library_values(self, tmp_path, capsys):
         args, out_dir = gen_args(tmp_path)
@@ -198,7 +211,7 @@ class TestOracleSvdCount:
         real = oracle.svd
 
         def counted(A):
-            shapes.append(A.shape)
+            shapes.append(A.data.shape)
             return real(A)
 
         monkeypatch.setattr(oracle, "svd", counted)

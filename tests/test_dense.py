@@ -46,19 +46,6 @@ class TestConstruction:
         a = random_dense(3, 4, seed=7)
         with pytest.raises(ValueError):
             a.data[0, 0] = 99.0
-        with pytest.raises(ValueError):
-            a.row(1)[0] = 99.0
-        with pytest.raises(ValueError):
-            a.col(2)[0] = 99.0
-
-    def test_row_col_views(self):
-        a = random_dense(3, 4, seed=8)
-        assert np.array_equal(a.row(2), a.data[2, :])
-        assert np.array_equal(a.col(1), a.data[:, 1])
-        with pytest.raises(IndexError):
-            a.row(3)
-        with pytest.raises(IndexError):
-            a.col(-5)
 
     def test_transposed_copy_is_contiguous_and_read_only(self):
         a = random_dense(3, 4, seed=9)
@@ -66,8 +53,8 @@ class TestConstruction:
         assert a.data_t.flags.c_contiguous
         with pytest.raises(ValueError):
             a.data_t[0, 0] = 99.0
-        # Column views and gathers read the transposed copy.
-        assert a.col(1).flags.c_contiguous
+        # Column gathers read the transposed copy.
+        assert a.data_t[1].flags.c_contiguous
 
     def test_norm_caches_match_direct_computation(self):
         for seed in range(5):

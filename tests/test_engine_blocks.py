@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaczfact import _engine, solvers
+from kaczfact import _engine, interlaced, solvers
 from kaczfact.bench import RunConfig, oracle_solution, run_experiment
 from kaczfact.dense import DenseMatrix
 from kaczfact.interlaced import (
@@ -26,7 +26,6 @@ from kaczfact.interlaced import (
     init_interlaced,
     pairing_block,
     pairing_kernel,
-    pairing_samplers,
 )
 from kaczfact.sampling import master_rng, trial_rng
 from kaczfact.solvers import DRAWS, METHODS, block_kernel, estimate, init_state, samplers, step_kernel
@@ -127,7 +126,7 @@ def test_block_kernel_equals_per_step_kernel(method, block, dims=(7, 4, 6)):
         s = init_interlaced(method, target)
         vectors = (s.x, s.b, s.z, s.zv, s.res_u, s.res_v)
         fixed, kernel, block_step = (method, target), pairing_kernel, pairing_block
-        step_samplers = pairing_samplers(method, target)
+        step_samplers = target.samplers(method)
     else:
         a, y = target
         s = init_state(method, a, y)
@@ -254,11 +253,11 @@ def test_one_trial_tolerance_checks_every_m_steps(method, monkeypatch):
         checks.append(steps[0])
         return real_check(self)
 
-    # The batch binds its kernels from these names.
-    monkeypatch.setattr(_engine, "step_kernel", counted(_engine.step_kernel, "kernel"))
-    monkeypatch.setattr(_engine, "pairing_kernel", counted(_engine.pairing_kernel, "kernel"))
-    monkeypatch.setattr(_engine, "block_kernel", counted(_engine.block_kernel, "block"))
-    monkeypatch.setattr(_engine, "pairing_block", counted(_engine.pairing_block, "block"))
+    # The targets' kernels() bind the kernels from these names.
+    monkeypatch.setattr(solvers, "step_kernel", counted(solvers.step_kernel, "kernel"))
+    monkeypatch.setattr(interlaced, "pairing_kernel", counted(interlaced.pairing_kernel, "kernel"))
+    monkeypatch.setattr(solvers, "block_kernel", counted(solvers.block_kernel, "block"))
+    monkeypatch.setattr(interlaced, "pairing_block", counted(interlaced.pairing_block, "block"))
     monkeypatch.setattr(_engine._Batch, "max_residual", max_residual)
     budget, tol, stride = 100_000, 1e-10, 21
     config = RunConfig(method=method, seed=9, trials=1, budget=budget, stride=stride, tolerance=tol)

@@ -1,5 +1,5 @@
 """Every exported name resolves, every top-level export is one the package itself reads,
-and every callable the benchmark tracer wraps exists."""
+every callable the benchmark tracer wraps exists, and the engine holds no branch on its target's type."""
 
 import ast
 import importlib
@@ -64,3 +64,13 @@ def test_package_loads_no_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert proc.stdout.strip() == "[]"
+
+
+def test_engine_holds_no_type_branch():
+    """``_engine`` reads a target only through the members SingleSystem and FactoredSystem share:
+    it imports nothing from ``interlaced`` and calls no ``isinstance``."""
+    tree = ast.parse((REPO / "src" / "kaczfact" / "_engine.py").read_text())
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    modules = [getattr(node, "module", None) or "" for node in imports] + [a.name for node in imports for a in node.names]
+    assert "interlaced" not in {part for name in modules for part in name.split(".")}
+    assert "isinstance" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}

@@ -11,9 +11,8 @@ from kaczfact.interlaced import (
     bound_inputs,
     expected_error_bound,
     init_interlaced,
-    pairing_cost,
 )
-from kaczfact.oracle import factored_full_solution, pinv_solve, rate_constants
+from kaczfact.oracle import factored_full_solution, pinv_solve, rate_constants_of, svd
 from kaczfact.sampling import master_rng
 from kaczfact.solvers import init_state
 from kaczfact.systems import SCENARIO_PRESETS, SCENARIOS, ScenarioSpec, gen_gaussian_factored
@@ -63,7 +62,7 @@ class TestStepAlgebra:
         assert (i, p) == (0, 0)
         assert np.allclose(state.x, [1.0, 0.0], atol=1e-15)
         assert np.allclose(state.b, [1.0, 0.0], atol=1e-15)
-        assert pairing_cost("rk-rk", sys_) == (4 * 2 + 2) + (4 * 2 + 2) == 20
+        assert sys_.step_flops("rk-rk") == (4 * 2 + 2) + (4 * 2 + 2) == 20
 
     def test_rkrk_second_draw_pair(self):
         sys_ = identity_system()
@@ -127,7 +126,7 @@ class TestStepAlgebra:
             seen = []
             _, t = run(method, sys_, 33, master_rng(9), recorder=lambda t, v, f: seen.append(f), stride=33)
             assert t == 33
-            assert pairing_cost(method, sys_) == per_step
+            assert sys_.step_flops(method) == per_step
             assert seen == [33 * per_step]
 
     def test_dispatch_matches_direct_step(self):
@@ -258,7 +257,7 @@ class TestExpectedErrorBound:
         constants and pseudo-inverse solve taking their own SVD."""
 
         def four_svd_formula(sys_):
-            cu, cv = rate_constants(sys_.U), rate_constants(sys_.V)
+            cu, cv = rate_constants_of(svd(sys_.U), sys_.U.frob_sq), rate_constants_of(svd(sys_.V), sys_.V.frob_sq)
             x_star = pinv_solve(sys_.U, sys_.y)
             b_star = pinv_solve(sys_.V, x_star)
             return BoundInputs(

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kaczfact.dense import DenseMatrix
-from kaczfact.oracle import DEFAULT_RANK_TOL, factored_full_solution, pinv_solve, rate_constants, svd
+from kaczfact.oracle import DEFAULT_RANK_TOL, factored_full_solution, pinv_solve, rate_constants_of, svd
 from kaczfact.sampling import master_rng
 
 from conftest import jacobi_eigvalsh, projector_rowspace, random_dense
@@ -96,7 +96,8 @@ class TestPinvSolve:
 
 class TestRateConstants:
     def test_diagonal_example(self):
-        c = rate_constants(DenseMatrix([[1.0, 0.0], [0.0, 2.0]]))
+        a = DenseMatrix([[1.0, 0.0], [0.0, 2.0]])
+        c = rate_constants_of(svd(a), a.frob_sq)
         assert c.sigma_min_sq == pytest.approx(1.0, rel=1e-12)
         assert c.sigma_max_sq == pytest.approx(4.0, rel=1e-12)
         assert c.frob_sq == pytest.approx(5.0, rel=1e-15)
@@ -105,21 +106,24 @@ class TestRateConstants:
         assert c.theta == pytest.approx(1.0, rel=1e-12)
 
     def test_rank_deficient_uses_smallest_nonzero_singular_value(self):
-        c = rate_constants(DenseMatrix([[3.0, 0.0], [0.0, 0.0]]))
+        a = DenseMatrix([[3.0, 0.0], [0.0, 0.0]])
+        c = rate_constants_of(svd(a), a.frob_sq)
         assert c.sigma_min_sq == pytest.approx(9.0, rel=1e-12)
         assert c.alpha == pytest.approx(0.0, abs=1e-15)
         assert c.kappa_sq == pytest.approx(1.0, rel=1e-12)
         assert c.theta == pytest.approx(1.0 / 9.0, rel=1e-12)
 
     def test_identity_contraction_rate(self):
-        c = rate_constants(DenseMatrix([[1.0, 0.0], [0.0, 1.0]]))
+        a = DenseMatrix([[1.0, 0.0], [0.0, 1.0]])
+        c = rate_constants_of(svd(a), a.frob_sq)
         assert c.alpha == pytest.approx(0.5, rel=1e-14)
 
     def test_alpha_always_a_valid_contraction_factor(self):
         for seed in range(8):
             rows = 4 + seed
             cols = 3 + (seed % 4)
-            c = rate_constants(random_dense(rows, cols, seed=80 + seed))
+            a = random_dense(rows, cols, seed=80 + seed)
+            c = rate_constants_of(svd(a), a.frob_sq)
             assert 0.0 <= c.alpha < 1.0
             assert c.kappa_sq >= 1.0
             assert c.theta > 0.0
@@ -127,7 +131,7 @@ class TestRateConstants:
     def test_rank_tolerance_is_relative(self):
         a = DenseMatrix([[1e6, 0.0], [0.0, 1e-6]])
         # 1e-6 / 1e6 = 1e-12 < DEFAULT_RANK_TOL, so the tiny value is noise.
-        assert rate_constants(a).sigma_min_sq == pytest.approx(1e12, rel=1e-9)
+        assert rate_constants_of(svd(a), a.frob_sq).sigma_min_sq == pytest.approx(1e12, rel=1e-9)
         assert DEFAULT_RANK_TOL == 1e-10
 
 

@@ -5,7 +5,7 @@ import pytest
 
 from kaczfact.bench import RunConfig, run_experiment
 from kaczfact.dense import DenseMatrix
-from kaczfact.oracle import pinv_solve, rate_constants
+from kaczfact.oracle import pinv_solve, rate_constants_of, svd
 from kaczfact.sampling import master_rng
 from kaczfact.solvers import METHODS, apply_col_project, apply_row_step, estimate, init_state, step_cost, step_kernel
 
@@ -133,15 +133,15 @@ class TestPerStepInvariants:
         state = init_state("rk", a, y)
         for _ in range(40):
             (i,) = step("rk", (a, y), state, rng)
-            assert abs(y[i] - a.row(i) @ state.beta) < 1e-10 * (1.0 + abs(y[i]))
+            assert abs(y[i] - a.data[i] @ state.beta) < 1e-10 * (1.0 + abs(y[i]))
 
     def test_rek_drawn_column_orthogonal_to_z(self, rng):
         a, y, _ = inconsistent_system(12, 6, seed=32)
         state = init_state("rek", a, y)
         for _ in range(40):
             _, j = step("rek", (a, y), state, rng)
-            scale = np.linalg.norm(a.col(j)) * (1.0 + np.linalg.norm(state.z))
-            assert abs(a.col(j) @ state.z) < 1e-10 * scale
+            scale = np.linalg.norm(a.data_t[j]) * (1.0 + np.linalg.norm(state.z))
+            assert abs(a.data_t[j] @ state.z) < 1e-10 * scale
 
     def test_rgs_residual_stays_in_sync(self, rng):
         a, y, _ = inconsistent_system(12, 6, seed=33)
@@ -155,8 +155,8 @@ class TestPerStepInvariants:
         state = init_state("regs", a, y)
         for _ in range(60):
             i, _ = step("regs", (a, y), state, rng)
-            scale = np.linalg.norm(a.row(i)) * (1.0 + np.linalg.norm(state.z))
-            assert abs(a.row(i) @ state.z) < 1e-10 * scale
+            scale = np.linalg.norm(a.data[i]) * (1.0 + np.linalg.norm(state.z))
+            assert abs(a.data[i] @ state.z) < 1e-10 * scale
         assert np.allclose(state.residual, y - a.data @ state.beta, atol=1e-10)
 
     def test_rk_error_never_increases_on_consistent_data(self, rng):
@@ -256,7 +256,7 @@ class TestExpectedRates:
 
     def test_rk_mean_error_dominated_by_contraction_curve(self):
         a, y, _ = consistent_system(20, 5, seed=7)
-        c = rate_constants(a)
+        c = rate_constants_of(svd(a), a.frob_sq)
         star = pinv_solve(a, y)
         traj = run_experiment(
             RunConfig(method="rk", seed=301, trials=200, budget=1000, stride=50),
@@ -268,7 +268,7 @@ class TestExpectedRates:
 
     def test_rek_mean_error_dominated_by_half_rate_curve(self):
         a, y, _ = inconsistent_system(60, 20, seed=8)
-        c = rate_constants(a)
+        c = rate_constants_of(svd(a), a.frob_sq)
         star = pinv_solve(a, y)
         traj = run_experiment(
             RunConfig(method="rek", seed=302, trials=200, budget=3000, stride=100),
