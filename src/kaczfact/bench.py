@@ -91,7 +91,7 @@ class RunConfig:
         return self.stride if self.stride is not None else default_stride(self.budget)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Trajectory:
     """Recorded error trajectories of one experiment.
 

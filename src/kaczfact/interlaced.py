@@ -78,7 +78,7 @@ PAIRINGS = ("rk-rk", "rek-rk", "rek-rek", "rgs-rgs")
 _PARTS = {p: (*p.split("-"), len(DRAWS[p.split("-")[0]])) for p in PAIRINGS}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactoredSystem:
     """A system U @ V @ b = y held in factored form.
 
@@ -195,7 +195,8 @@ def pairing_block(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v, d
     (B,) index arrays, in draw order, as in ``block_kernel``.
     """
     outer, inner, split = _split(method)
-    rhs = x.copy()  # the inner side's right-hand side as the block began
+    # An inner row side reads x as the block began; an inner rgs side reads res_v instead.
+    rhs = x.copy() if res_v is None else None
     coef = block_kernel(outer, sys.U, sys.y, x, z, res_u, draws[:split])
     if res_v is None:
         # Inner row step s reads x[p_s] moved by the outer row steps r <= s: U[i_r, p_s] coef_r.

@@ -49,7 +49,7 @@ __all__ = [
 DEFAULT_RANK_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SvdFactors:
     """Thin SVD ``A = left @ diag(singular_values) @ right.T``.
 

@@ -64,6 +64,7 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg._umath_linalg import solve1 as _solve1  # np.linalg.solve's dgesv gufunc
 
 from .dense import DenseMatrix, _as_float_vector
 from .sampling import col_sampler, row_sampler
@@ -179,17 +180,23 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
 # z[i_s] and the regs correction's coordinate patches, both from A[I][:, J].
 # A side costs one gather, one (B, B) Gram matrix and one (B, B) solve
 # instead of B rounds of per-step numpy calls, and agrees with them to
-# rounding.  On a matrix's short side (its columns when cols <= rows, its
-# rows when rows <= cols) the Gram matrix is gathered from a table of all
-# pairwise inner products, A^T A or A A^T, built on the first block that
-# needs it and memoized per matrix, as the samplers are; the table is never
-# larger than A.  On the long side it is vecs @ vecs.T of the gathered
-# vectors, whose length is the short dimension.  The state is one trial's
-# (dim,) arrays; draw entry s is step s's index.
+# rounding.  The (B, B) solve calls dgesv through numpy's LAPACK gufunc,
+# skipping np.linalg.solve's wrapper, which costs more than dgesv at these
+# sizes.  The wrapper only promotes types (the arrays are float64 already)
+# and turns a singular matrix into an error under errstate; the triangle is
+# never singular, as its diagonal holds squared norms of drawn rows or
+# columns and NormSampler never draws a zero weight.  On a matrix's short
+# side (its columns when cols <= rows, its rows when rows <= cols) the Gram
+# matrix is gathered from a table of all pairwise inner products, A^T A or
+# A A^T, built on the first block that needs it and memoized per matrix, as
+# the samplers are; the table is never larger than A.  On the long side it
+# is vecs @ vecs.T of the gathered vectors, whose length is the short
+# dimension.  The state is one trial's (dim,) arrays; draw entry s is step
+# s's index.
 
-# Longest block: the cross matrices are cut from one cached triangle.
+# Longest block.  _LOWERS[b] is the contiguous b x b lower-triangular mask.
 MAX_BLOCK = 32
-_LOWER = np.tril(np.ones((MAX_BLOCK, MAX_BLOCK)))
+_LOWERS = [np.tril(np.ones((b, b))) for b in range(MAX_BLOCK + 1)]
 
 # Memoized Gram tables, A A^T (rows) and A^T A (columns); the weak keys keep
 # a table from outliving its matrix.
@@ -199,9 +206,8 @@ _col_grams: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def cross_sum(mat: np.ndarray, at: np.ndarray, by: np.ndarray, coef: np.ndarray) -> np.ndarray:
     """Entry s: sum over r <= s of mat[at[s], by[r]] * coef[r], for (B,) at, by, coef."""
-    b = at.size
     cross = mat.take(at, 0).take(by, 1)
-    cross *= _LOWER[:b, :b]
+    cross *= _LOWERS[at.size]
     return cross @ coef
 
 
@@ -224,9 +230,9 @@ def _gram(tables: weakref.WeakKeyDictionary, A: DenseMatrix, side: np.ndarray, v
 def _solve_lower(gram: np.ndarray, rhs: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """Solve tril(gram) c = rhs, with the cached squared norms on the diagonal.  Overwrites gram."""
     b = gram.shape[0]
-    gram *= _LOWER[:b, :b]
+    gram *= _LOWERS[b]
     gram.flat[:: b + 1] = diag
-    return np.linalg.solve(gram, rhs)
+    return _solve1(gram, rhs, signature="dd->d")
 
 
 def _rows_block(A: DenseMatrix, beta: np.ndarray, idx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -312,7 +318,7 @@ def estimate(method: str, state: SolverState) -> np.ndarray:
 # --- the target -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SingleSystem:
     """A system A @ beta = y: the single-system methods' target, with FactoredSystem's run members.
 

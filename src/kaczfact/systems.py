@@ -102,7 +102,7 @@ class ScenarioSpec:
         return self.scenario in ("S1", "S2")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneratedInstance:
     """A generated system plus the quantities generation controlled."""
 

@@ -21,7 +21,7 @@ from kaczfact.bench import (
 )
 from kaczfact.dense import DenseMatrix
 from kaczfact.interlaced import PAIRINGS, FactoredSystem, bound_inputs, expected_error_bound
-from kaczfact.oracle import factored_full_solution, pinv_solve
+from kaczfact.oracle import factored_full_solution, pinv_solve, svd
 from kaczfact.sampling import trial_rng
 from kaczfact.solvers import METHODS, SingleSystem
 from kaczfact.systems import ScenarioSpec, gen_gaussian_factored
@@ -443,3 +443,28 @@ class TestOutputFiles:
         assert (tmp_path / "0.jsonl").read_bytes() == (tmp_path / "1.jsonl").read_bytes()
         tagged = json.loads((tmp_path / "2.jsonl").read_text())
         assert (tagged["scenario"], tagged["m"], tagged["n"]) == ("S3b", 10, 4)
+
+
+def _array_holders():
+    """One of each frozen dataclass that holds arrays, twice over, built from equal inputs."""
+    sys_, _ = small_factored(4, 3, 5, seed=8)
+    a = DenseMatrix(sys_.U.data @ sys_.V.data)
+    it = np.arange(1, 4)
+    spec = ScenarioSpec("S1", m=6, n=4, k=3, seed=2)
+    return {
+        "FactoredSystem": lambda: FactoredSystem(sys_.U, sys_.V, sys_.y),
+        "SingleSystem": lambda: SingleSystem(a, sys_.y),
+        "Trajectory": lambda: Trajectory(method="rk", iters=it, flops=it * 7, errors=np.ones((2, 3))),
+        "SvdFactors": lambda: svd(a),
+        "GeneratedInstance": lambda: gen_gaussian_factored(spec),
+    }
+
+
+@pytest.mark.parametrize("kind", list(_array_holders()))
+def test_array_holders_compare_by_identity_and_hash(kind):
+    """== on two objects built from equal inputs is False, not a ValueError on an array, and an object is a dict key."""
+    make = _array_holders()[kind]
+    first, second = make(), make()
+    assert first == first and not (first == second) and first != second
+    assert {first: 1, second: 2}[first] == 1
+    assert hash(first) == hash(first) != hash(second)

@@ -271,3 +271,47 @@ def test_one_trial_tolerance_checks_every_m_steps(method, monkeypatch):
     assert traj.iters.tolist() == sorted(records)
     reference = np.array([records[t] for t in traj.iters])
     assert np.all(np.abs(traj.errors[0] - reference) <= 1e-10 * (1.0 + float(star @ star)))
+
+
+def lower_cases(b):
+    """(name, vecs, diag) per kind of block: distinct rows, a repeated index, and rows of growing
+    norm along one direction, whose entry (s, r) exceeds diagonal r for s > r so that dgesv pivots."""
+    rng = master_rng(200 + b)
+    a = DenseMatrix(rng.standard_normal((40, 6)))
+    distinct = rng.permutation(40)[:b]
+    repeated = np.append(distinct[: b - 1], distinct[0])
+    aligned = DenseMatrix((rng.standard_normal(6) + 0.01 * rng.standard_normal((b, 6))) * 2.0 ** np.arange(b)[:, None])
+    return [
+        ("distinct", a.data[distinct], a.row_sqnorms[distinct]),
+        ("repeated", a.data[repeated], a.row_sqnorms[repeated]),
+        ("pivoting", aligned.data, aligned.row_sqnorms),
+    ]
+
+
+@pytest.mark.parametrize("b", range(1, solvers.MAX_BLOCK + 1))
+def test_solve_lower_equals_linalg_solve(b):
+    """The block solve calls np.linalg.solve's dgesv gufunc directly, so it returns np.linalg.solve's
+    bits on the same masked triangle, pivoting included."""
+    rng = master_rng(b)
+    for name, vecs, diag in lower_cases(b):
+        gram = vecs @ vecs.T
+        masked = gram * np.tril(np.ones((b, b)))
+        masked[np.diag_indices(b)] = diag
+        if name == "pivoting" and b > 1:
+            assert np.any(np.tril(masked, -1) > diag[None, :])
+        rhs = rng.standard_normal(b)
+        got = solvers._solve_lower(gram, rhs, diag)
+        assert np.array_equal(gram, masked)
+        assert np.array_equal(got, np.linalg.solve(masked, rhs)), name
+
+
+@pytest.mark.parametrize("method", METHODS + PAIRINGS)
+def test_block_path_calls_no_linalg_solve(method, monkeypatch):
+    """A T = 1 run's sub-blocks solve their triangles without np.linalg.solve."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.solve called")
+
+    target = make_target(method, 7, 4, 6, seed=5, consistent=False)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    run_experiment(RunConfig(method=method, seed=3, trials=1, budget=200, stride=100), target)
