@@ -1,17 +1,19 @@
-"""Dense real matrices and vectors with eagerly cached row/column norms.
+"""Dense real matrices and vectors with eagerly cached row norms.
 
-Every solver in this package samples rows or columns proportionally to
-their squared Euclidean norms, so the norm caches are computed once at
-construction and reused for the whole run, as is a contiguous
-transposed copy for column gathers.  Matrices are immutable:
-the backing array and its transposed copy are marked read-only.
+Every solver in this package samples rows proportionally to their
+squared Euclidean norms, so the norms are computed once at construction
+and reused for the whole run.  A column of A is a row of ``A.T``, the
+transpose as a ``DenseMatrix`` (a contiguous transposed copy and the
+column norms, built with A), so no other module handles columns.
+Matrices are immutable: both copies are marked read-only.
 
-All data is 64-bit real floating point.  The adjoint of a real matrix
-is its transpose.
+All data is 64-bit real floating point; complex input is rejected.  The
+adjoint of a real matrix is its transpose.
 """
 from __future__ import annotations
 
 import json
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -22,8 +24,16 @@ __all__ = ["DenseMatrix", "save_matrix", "load_matrix", "save_vector", "load_vec
 _FLOAT_FMT = "%.17g"
 
 
+def _as_real(data, what: str) -> np.ndarray:
+    """data as an array, rejected if complex: a cast to float64 would drop the imaginary part."""
+    arr = np.asarray(data)
+    if np.iscomplexobj(arr):
+        raise ValueError(f"{what} is complex; only real data is supported")
+    return arr
+
+
 def _as_float_vector(v, name: str = "vector") -> np.ndarray:
-    arr = np.asarray(v, dtype=np.float64)
+    arr = np.asarray(_as_real(v, name), dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -32,49 +42,47 @@ def _as_float_vector(v, name: str = "vector") -> np.ndarray:
 
 
 class DenseMatrix:
-    """Immutable row-major dense matrix with cached squared norms.
+    """Immutable row-major dense matrix with cached squared row norms.
 
     Attributes
     ----------
     data : np.ndarray
-        Read-only (rows, cols) float64 array.
+        Read-only C-contiguous (rows, cols) float64 array.
     row_sqnorms : np.ndarray
         ``row_sqnorms[i] == ||data[i, :]||^2``.
-    data_t : np.ndarray
-        Read-only C-contiguous copy of ``data.T``: row ``j`` is column
-        ``j``, so column gathers read contiguous memory.
-    col_sqnorms : np.ndarray
-        ``col_sqnorms[j] == ||data[:, j]||^2``.
     frob_sq : float
         Squared Frobenius norm, equal to ``row_sqnorms.sum()``.
+    T : DenseMatrix
+        The transpose, whose ``data`` is a C-contiguous copy of
+        ``data.T``; its row norms are A's column norms and its
+        ``frob_sq`` is A's.  It refers back to A weakly, so dropping A
+        frees both at once, and ``A.T.T`` is A while A lives.
     """
 
     def __init__(self, data) -> None:
-        arr = np.array(data, dtype=np.float64, order="C", copy=True)
+        arr = np.array(_as_real(data, "matrix data"), dtype=np.float64, order="C", copy=True)
         if arr.ndim != 2:
             raise ValueError(f"matrix data must be two-dimensional, got shape {arr.shape}")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
             raise ValueError(f"matrix dimensions must be positive, got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("matrix contains a non-finite entry")
-        arr.setflags(write=False)
-        self._data = arr
-        self._data_t = np.ascontiguousarray(arr.T)
-        self._data_t.setflags(write=False)
+        t = self._T = object.__new__(DenseMatrix)
+        t._data, t._T = np.ascontiguousarray(arr.T), weakref.ref(self)
         sq = arr * arr
-        self._row_sqnorms = sq.sum(axis=1)
-        self._col_sqnorms = sq.sum(axis=0)
-        self._row_sqnorms.setflags(write=False)
-        self._col_sqnorms.setflags(write=False)
-        self._frob_sq = float(self._row_sqnorms.sum())
+        self._data, self._row_sqnorms, t._row_sqnorms = arr, sq.sum(axis=1), sq.sum(axis=0)
+        self._frob_sq = t._frob_sq = float(self._row_sqnorms.sum())
+        for a in (arr, self._row_sqnorms, t._data, t._row_sqnorms):
+            a.setflags(write=False)
 
     @property
     def data(self) -> np.ndarray:
         return self._data
 
     @property
-    def data_t(self) -> np.ndarray:
-        return self._data_t
+    def T(self) -> DenseMatrix:
+        t = self._T
+        return t() if isinstance(t, weakref.ref) else t
 
     @property
     def rows(self) -> int:
@@ -87,10 +95,6 @@ class DenseMatrix:
     @property
     def row_sqnorms(self) -> np.ndarray:
         return self._row_sqnorms
-
-    @property
-    def col_sqnorms(self) -> np.ndarray:
-        return self._col_sqnorms
 
     @property
     def frob_sq(self) -> float:

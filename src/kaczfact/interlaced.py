@@ -28,6 +28,9 @@ Two rules carry the outer side's moves of x to the inner side:
   inner step s's inner product gains the outer moves r <= s (through
   V[j_r, q_s]) and the patches are applied to res_v after the block.
 
+In a block both reach the inner ``block_kernel`` as one drift, the
+drop in each step's right-hand side.
+
 Supported pairings:
 
 rk-rk     rk on U, rk on V.  Converges when both subsystems behave as
@@ -198,12 +201,10 @@ def pairing_block(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v, d
     # An inner row side reads x as the block began; an inner rgs side reads res_v instead.
     rhs = x.copy() if res_v is None else None
     coef = block_kernel(outer, sys.U, sys.y, x, z, res_u, draws[:split])
-    if res_v is None:
-        # Inner row step s reads x[p_s] moved by the outer row steps r <= s: U[i_r, p_s] coef_r.
-        drift = cross_sum(sys.U.data_t, draws[split], draws[0], coef)
-    else:
-        # Inner rgs step s sees res_v patched by the outer coordinate moves r <= s: V[j_r, q_s] gamma_r.
-        drift = cross_sum(sys.V.data_t, draws[split], draws[split - 1], coef)
+    # Inner step s's rhs dropped with the outer steps r <= s: x[p_s] by U[i_r, p_s] coef_r (row side),
+    # or, as the rgs residual's inner product grew, by V[j_r, q_s] coef_r.
+    mat, by = (sys.U, draws[0]) if res_v is None else (sys.V, draws[split - 1])
+    drift = cross_sum(mat.T.data, draws[split], by, coef)
     block_kernel(inner, sys.V, rhs, b, zv, res_v, draws[split:], drift)
     if res_v is not None:
         np.add.at(res_v, draws[split - 1], coef)

@@ -1,7 +1,9 @@
 """Norm-proportional index sampling and reproducible random streams.
 
-The solvers draw row index i with probability ||A^i||^2 / ||A||_F^2 and
-column index j with probability ||A_(j)||^2 / ||A||_F^2.  Sampling uses
+The solvers draw row index i with probability ||A^i||^2 / ||A||_F^2.
+A column draw is a row draw on ``A.T``, whose row norms are A's column
+norms and whose Frobenius norm is A's, so ``row_sampler`` serves both
+sides, keyed by A or A.T.  Sampling uses
 inverse-CDF lookup over a prefix-sum table of the squared norms: index
 ``searchsorted(cum, u * total, side="right")`` for a uniform u.
 
@@ -99,25 +101,15 @@ class NormSampler:
 
 # Matrices are immutable, so samplers can be memoized per matrix.  The
 # weak keys keep cached samplers from outliving their matrix.
-_row_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_col_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def row_sampler(A: DenseMatrix) -> NormSampler:
     """Sampler over A's rows, weighted by their squared norms; memoized per matrix."""
-    s = _row_cache.get(A)
+    s = _cache.get(A)
     if s is None:
         s = NormSampler(A.row_sqnorms)
-        _row_cache[A] = s
-    return s
-
-
-def col_sampler(A: DenseMatrix) -> NormSampler:
-    """Sampler over A's columns, weighted by their squared norms; memoized per matrix."""
-    s = _col_cache.get(A)
-    if s is None:
-        s = NormSampler(A.col_sqnorms)
-        _col_cache[A] = s
+        _cache[A] = s
     return s
 
 

@@ -41,12 +41,14 @@ generator (rk: 1 row draw; rgs: 1 column draw; rek and regs: row then
 column), which is what makes trial streams reproducible.
 
 Each method's update is written once, in ``step_kernel``, on (T, dim)
-state (one row per trial) with one (T,) index array per draw.  The
-lock-step engine (``_engine``, run through ``bench.run_experiment``) is
-the package's only driver.  The sequential reference the tests hold it
-to, ``tests/reference.py``, runs the same kernel at T = 1 on (1, dim)
-views of its state, so the two perform the same floating-point
-operations.
+state (one row per trial) with one (T,) index array per draw.  Every
+update is one Kaczmarz projection, ``project``, on a row of A or of
+``A.T`` (a column of A); rgs moves beta_j by the coefficient its
+residual projection takes off column j.  The lock-step engine
+(``_engine``, run through ``bench.run_experiment``) is the package's
+only driver.  The sequential reference the tests hold it to,
+``tests/reference.py``, runs the same kernel at T = 1 on (1, dim) views
+of its state, so the two perform the same floating-point operations.
 
 ``block_kernel`` takes B consecutive steps of the same method on one
 trial at once, block-exact; see the block section below.
@@ -67,7 +69,7 @@ import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1  # np.linalg.solve's dgesv gufunc
 
 from .dense import DenseMatrix, _as_float_vector
-from .sampling import col_sampler, row_sampler
+from .sampling import row_sampler
 
 __all__ = ["METHODS", "SingleSystem", "SolverState", "init_state", "estimate"]
 
@@ -88,18 +90,18 @@ class SolverState:
     residual: np.ndarray | None = None
 
 
-# Indices each step draws, in draw order: a row or a column of A.
+# Indices each step draws, in draw order: a row of A, or a column (a row of A.T).
 DRAWS = {"rk": ("row",), "rek": ("row", "col"), "rgs": ("col",), "regs": ("row", "col")}
 
 
 def step_cost(method: str, A: DenseMatrix) -> int:
     """Flops of one ``method`` step on A: 4 A.cols + 2 per row draw, 4 A.rows + 2 per column draw."""
-    return sum(4 * (A.cols if d == "row" else A.rows) + 2 for d in DRAWS[method])
+    return sum(4 * (A if d == "row" else A.T).cols + 2 for d in DRAWS[method])
 
 
 def samplers(method: str, A: DenseMatrix) -> tuple:
     """The samplers of one ``method`` step on A, one per uniform, in draw order."""
-    return tuple(row_sampler(A) if d == "row" else col_sampler(A) for d in DRAWS[method])
+    return tuple(row_sampler(A if d == "row" else A.T) for d in DRAWS[method])
 
 
 # --- the per-step kernel ----------------------------------------------------
@@ -108,35 +110,23 @@ def samplers(method: str, A: DenseMatrix) -> tuple:
 # index per trial.  The lock-step engine passes arange(T) and (T,) index
 # arrays; a sequential caller passes (1, dim) views of its state, ar = 0
 # and one-element index arrays.  Either way each trial performs the same
-# floating-point operations.  The kernel gathers the drawn rows or
-# columns with ``take``, so the apply_* helpers get a copy and scale it in
-# place: ``rows *= coef[:, None]; beta += rows`` forms the same products
-# and sums as ``beta += coef[:, None] * rows`` without a temporary.
+# floating-point operations.  The kernel gathers the drawn rows of A or
+# A.T with ``take``, so ``project`` gets a copy and scales it in place:
+# ``rows *= c[:, None]; v -= rows`` forms the same products and
+# differences as ``v -= c[:, None] * rows`` without a temporary.
 
 
-def apply_row_step(beta: np.ndarray, rows: np.ndarray, rhs: np.ndarray, sqnorms: np.ndarray) -> np.ndarray:
-    """Kaczmarz projection of each beta[t] onto {b : rows[t] @ b = rhs[t]}.  Overwrites rows."""
-    coef = (rhs - np.einsum("ij,ij->i", rows, beta)) / sqnorms
-    rows *= coef[:, None]
-    beta += rows
-    return coef
+def project(v: np.ndarray, rows: np.ndarray, sqnorms: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    """Kaczmarz projection of each v[t] onto {w : rows[t] @ w = rhs[t]}, with rhs = 0 when None.
 
-
-def apply_col_project(z: np.ndarray, cols: np.ndarray, sqnorms: np.ndarray) -> np.ndarray:
-    """Remove from each z[t] its component along cols[t].  Overwrites cols."""
-    coef = np.einsum("ij,ij->i", cols, z) / sqnorms
-    cols *= coef[:, None]
-    z -= cols
-    return coef
-
-
-def apply_coord_step(beta: np.ndarray, residual: np.ndarray, cols: np.ndarray, at, sqnorms: np.ndarray) -> np.ndarray:
-    """One coordinate-descent step per trial, along beta[at], keeping residual in sync.  Overwrites cols."""
-    gamma = np.einsum("ij,ij->i", cols, residual) / sqnorms
-    beta[at] += gamma
-    cols *= gamma[:, None]
-    residual -= cols
-    return gamma
+    Returns c[t] = (rows[t] @ v[t] - rhs[t]) / sqnorms[t], the multiple
+    of rows[t] taken off v[t].  Overwrites rows.
+    """
+    dots = np.einsum("ij,ij->i", rows, v)
+    c = (dots if rhs is None else dots - rhs) / sqnorms
+    rows *= c[:, None]
+    v -= rows
+    return c
 
 
 def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual, ar, draws):
@@ -149,59 +139,58 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
     column draw, and None for rk and rek.
     """
     if method in ("rgs", "regs"):
-        j = draws[-1]
-        gamma = apply_coord_step(beta, residual, A.data_t.take(j, axis=0), (ar, j), A.col_sqnorms.take(j))
+        j, t = draws[-1], A.T
+        gamma = project(residual, t.data.take(j, axis=0), t.row_sqnorms.take(j))
+        beta[ar, j] += gamma
         if method == "regs":
             # w = z + (beta_t - beta_{t-1}) differs from z only in coordinate j.
             z[ar, j] += gamma
-            apply_col_project(z, A.data.take(draws[0], axis=0), A.row_sqnorms.take(draws[0]))
+            i = draws[0]
+            project(z, A.data.take(i, axis=0), A.row_sqnorms.take(i))
         return gamma
     i = draws[0]
     target = rhs.take(i) if rhs.ndim == 1 else rhs[ar, i]
     if method == "rek":
-        j = draws[1]
-        apply_col_project(z, A.data_t.take(j, axis=0), A.col_sqnorms.take(j))
+        j, t = draws[1], A.T
+        project(z, t.data.take(j, axis=0), t.row_sqnorms.take(j))
         target -= z[ar, i]
-    apply_row_step(beta, A.data.take(i, axis=0), target, A.row_sqnorms.take(i))
+    project(beta, A.data.take(i, axis=0), A.row_sqnorms.take(i), target)
     return None
 
 
 # --- the block kernel -------------------------------------------------------
 # B consecutive steps of one method at once, block-exact (s-step stepping,
 # Devarakonda et al., arXiv:1612.04003): the B projections of a side are
-# one lower-triangular system.  For row projections onto rows I against
-# right-hand sides r,
+# one lower-triangular system.  A column of A is a row of A.T, so one block
+# projection serves both sides: projecting v onto rows I of A or of A.T
+# against right-hand sides r solves
 #
-#     tril(A_I A_I^T) c = r - A_I beta_0,    beta_B = beta_0 + A_I^T c,
+#     tril(A_I A_I^T) c = A_I v_0 - r,    v_B = v_0 - A_I^T c.
 #
-# and column projections of z onto columns J solve tril(A_J^T A_J) d =
-# A_J^T z_0 likewise.  What step r changes and a later step s reads enters
-# through an inclusive lower-triangular cross matrix (cross_sum): rek's
-# z[i_s] and the regs correction's coordinate patches, both from A[I][:, J].
-# A side costs one gather, one (B, B) Gram matrix and one (B, B) solve
-# instead of B rounds of per-step numpy calls, and agrees with them to
-# rounding.  The (B, B) solve calls dgesv through numpy's LAPACK gufunc,
-# skipping np.linalg.solve's wrapper, which costs more than dgesv at these
-# sizes.  The wrapper only promotes types (the arrays are float64 already)
-# and turns a singular matrix into an error under errstate; the triangle is
-# never singular, as its diagonal holds squared norms of drawn rows or
-# columns and NormSampler never draws a zero weight.  On a matrix's short
-# side (its columns when cols <= rows, its rows when rows <= cols) the Gram
-# matrix is gathered from a table of all pairwise inner products, A^T A or
-# A A^T, built on the first block that needs it and memoized per matrix, as
-# the samplers are; the table is never larger than A.  On the long side it
-# is vecs @ vecs.T of the gathered vectors, whose length is the short
-# dimension.  The state is one trial's (dim,) arrays; draw entry s is step
-# s's index.
+# What step r changes and a later step s reads enters through an inclusive
+# lower-triangular cross matrix (cross_sum): rek's z[i_s] and the regs
+# correction's coordinate patches, both from A[I][:, J].  A side costs one
+# gather, one (B, B) Gram matrix and one (B, B) solve instead of B rounds
+# of per-step numpy calls, and agrees with them to rounding.  The (B, B)
+# solve calls dgesv through numpy's LAPACK gufunc, skipping
+# np.linalg.solve's wrapper, which costs more than dgesv at these sizes.
+# The wrapper only promotes types (the arrays are float64 already) and
+# turns a singular matrix into an error under errstate; the triangle is
+# never singular, as its diagonal holds squared norms of drawn rows and
+# NormSampler never draws a zero weight.  On a short side (the rows of M,
+# A or A.T, with no more rows than columns) the Gram matrix is gathered
+# from M M^T, A A^T or A^T A, built on the first block that needs it and
+# memoized per M, as the samplers are; the table is never larger than A.
+# On a long side it is rows @ rows.T of the gathered rows, whose length is
+# the short dimension.  The state is one trial's (dim,) arrays; draw
+# entry s is step s's index.
 
 # Longest block.  _LOWERS[b] is the contiguous b x b lower-triangular mask.
 MAX_BLOCK = 32
 _LOWERS = [np.tril(np.ones((b, b))) for b in range(MAX_BLOCK + 1)]
 
-# Memoized Gram tables, A A^T (rows) and A^T A (columns); the weak keys keep
-# a table from outliving its matrix.
-_row_grams: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_col_grams: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+# Memoized Gram tables M M^T; the weak keys keep a table from outliving M.
+_grams: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 def cross_sum(mat: np.ndarray, at: np.ndarray, by: np.ndarray, coef: np.ndarray) -> np.ndarray:
@@ -211,19 +200,20 @@ def cross_sum(mat: np.ndarray, at: np.ndarray, by: np.ndarray, coef: np.ndarray)
     return cross @ coef
 
 
-def _gram(tables: weakref.WeakKeyDictionary, A: DenseMatrix, side: np.ndarray, vecs: np.ndarray, idx) -> np.ndarray:
-    """The (B, B) Gram matrix of vecs = side[idx], where side is A.data or A.data_t.
+def _gram(M: DenseMatrix, rows: np.ndarray, idx) -> np.ndarray:
+    """The (B, B) Gram matrix of rows = M.data[idx].
 
-    Gathered from A's memoized side @ side.T when side has no more rows
-    than columns, else computed from vecs.
+    Gathered from M's memoized M M^T when M has no more rows than
+    columns, else computed from rows.
     """
-    if side.shape[0] > side.shape[1]:
-        return vecs @ vecs.T
-    table = tables.get(A)
+    data = M.data
+    if data.shape[0] > data.shape[1]:
+        return rows @ rows.T
+    table = _grams.get(M)
     if table is None:
-        table = side @ side.T
+        table = data @ data.T
         table.setflags(write=False)
-        tables[A] = table
+        _grams[M] = table
     return table.take(idx, 0).take(idx, 1)
 
 
@@ -235,26 +225,16 @@ def _solve_lower(gram: np.ndarray, rhs: np.ndarray, diag: np.ndarray) -> np.ndar
     return _solve1(gram, rhs, signature="dd->d")
 
 
-def _rows_block(A: DenseMatrix, beta: np.ndarray, idx: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Row projections onto rows idx[0], idx[1], ... against rhs[s]; returns the (B,) step coefficients."""
-    rows = A.data.take(idx, 0)
-    coef = _solve_lower(_gram(_row_grams, A, A.data, rows, idx), rhs - rows @ beta, A.row_sqnorms.take(idx))
-    beta += coef @ rows
-    return coef
+def _project_block(M: DenseMatrix, v: np.ndarray, idx: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    """Projections of v onto rows idx[0], idx[1], ... of M against rhs[s] (0 when None): B ``project`` calls.
 
-
-def _cols_block(A: DenseMatrix, z: np.ndarray, idx: np.ndarray, extra=None) -> np.ndarray:
-    """Column projections of z onto columns idx[s], extra[s] (if given) joining step s's inner product.
-
-    Returns the (B,) step coefficients.
+    Returns the (B,) step coefficients c.
     """
-    cols = A.data_t.take(idx, 0)
-    rhs = cols @ z
-    if extra is not None:
-        rhs += extra
-    coef = _solve_lower(_gram(_col_grams, A, A.data_t, cols, idx), rhs, A.col_sqnorms.take(idx))
-    z -= coef @ cols
-    return coef
+    rows = M.data.take(idx, 0)
+    dots = rows @ v
+    c = _solve_lower(_gram(M, rows, idx), dots if rhs is None else dots - rhs, M.row_sqnorms.take(idx))
+    v -= c @ rows
+    return c
 
 
 def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual, draws, drift=None):
@@ -262,31 +242,33 @@ def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual
 
     rhs is (m,) and beta, z and residual are the trial's (dim,) state
     (None where the method keeps none); draws are (B,) index arrays in
-    draw order.  drift[s] is how far step s's right-hand side has moved
-    since the block began, as that step reads it: at its row draw for
-    rk and rek, in its column's inner product for rgs and regs (None for
-    a fixed one).  Returns the (B,) step coefficients: the row steps' of
-    rk and rek, the coordinate moves of rgs and regs.
+    draw order.  drift[s] is how far step s's right-hand side has dropped
+    since the block began (None for a fixed one): rk and rek subtract it
+    from rhs at the row draw; for rgs and regs, whose residual's inner
+    product with the drawn column has grown by it, -drift[s] is the rhs
+    of the residual's projection.  Returns the (B,) step coefficients:
+    the row projections' c for rk and rek, the coordinate moves of rgs
+    and regs.
     """
     if method in ("rgs", "regs"):
         j = draws[-1]
-        gamma = _cols_block(A, residual, j, drift)
+        gamma = _project_block(A.T, residual, j, None if drift is None else -drift)
         np.add.at(beta, j, gamma)
         if method == "regs":
             # Row step s projects z + sum_{r<=s} gamma_r e_{j_r}: the patches enter its rhs.
-            _rows_block(A, z, draws[0], -cross_sum(A.data, draws[0], j, gamma))
+            _project_block(A, z, draws[0], -cross_sum(A.data, draws[0], j, gamma))
             np.add.at(z, j, gamma)
         return gamma
     i = draws[0]
     target = rhs.take(i)
     if drift is not None:
-        target += drift
+        target -= drift
     if method == "rek":
         # Row step s reads z[i_s] after the column projections r <= s.
         z_rows = z.take(i)
-        z_rows -= cross_sum(A.data, i, draws[1], _cols_block(A, z, draws[1]))
+        z_rows -= cross_sum(A.data, i, draws[1], _project_block(A.T, z, draws[1]))
         target -= z_rows
-    return _rows_block(A, beta, i, target)
+    return _project_block(A, beta, i, target)
 
 
 # --- state ------------------------------------------------------------------

@@ -11,6 +11,12 @@ engine's sub-blocks.
 
 A target is a ``FactoredSystem`` (interlaced pairings) or a
 ``SingleSystem`` (single-system methods).
+
+The per-side formulas at the end write each projection out for its own
+side: the row step, which adds ``(rhs - row @ beta) / ||row||^2`` times
+the row, the column projection and the coordinate step, and the row and
+column block forms.  ``solvers.project`` and the block projection, one
+for both sides, are held to them bit for bit.
 """
 
 from __future__ import annotations
@@ -99,3 +105,62 @@ def run(method: str, target, budget: int, rng: np.random.Generator, *, recorder=
         if stopped:
             break
     return state, t
+
+
+# --- per-side projection formulas ---------------------------------------------
+# One formula per side, on (T, dim) state for a step and (dim,) state for a
+# block; each overwrites its gathered rows or columns, as the kernels do.
+
+
+def row_step(beta, rows, rhs, sqnorms):
+    """Kaczmarz projection of each beta[t] onto {b : rows[t] @ b = rhs[t]}."""
+    coef = (rhs - np.einsum("ij,ij->i", rows, beta)) / sqnorms
+    rows *= coef[:, None]
+    beta += rows
+    return coef
+
+
+def col_project(z, cols, sqnorms):
+    """Remove from each z[t] its component along cols[t]."""
+    coef = np.einsum("ij,ij->i", cols, z) / sqnorms
+    cols *= coef[:, None]
+    z -= cols
+    return coef
+
+
+def coord_step(beta, residual, cols, at, sqnorms):
+    """One coordinate-descent step per trial along beta[at], keeping residual in sync."""
+    gamma = np.einsum("ij,ij->i", cols, residual) / sqnorms
+    beta[at] += gamma
+    cols *= gamma[:, None]
+    residual -= cols
+    return gamma
+
+
+def _block_solve(side, vecs, idx, rhs, diag):
+    """tril(G) c = rhs for the Gram matrix G of vecs = side[idx], read from side @ side.T on a short side."""
+    b = idx.size
+    gram = vecs @ vecs.T if side.shape[0] > side.shape[1] else (side @ side.T).take(idx, 0).take(idx, 1)
+    gram = gram * np.tril(np.ones((b, b)))
+    gram[np.diag_indices(b)] = diag
+    return np.linalg.solve(gram, rhs)
+
+
+def rows_block(A, beta, idx, rhs):
+    """Row projections of beta onto rows idx[0], idx[1], ... of A against rhs[s]."""
+    rows = A.data.take(idx, 0)
+    coef = _block_solve(A.data, rows, idx, rhs - rows @ beta, A.row_sqnorms.take(idx))
+    beta += coef @ rows
+    return coef
+
+
+def cols_block(A, z, idx, extra=None):
+    """Column projections of z onto columns idx[s] of A, extra[s] (if given) joining step s's inner product."""
+    side = np.ascontiguousarray(A.data.T)
+    cols = side.take(idx, 0)
+    rhs = cols @ z
+    if extra is not None:
+        rhs += extra
+    coef = _block_solve(side, cols, idx, rhs, (A.data * A.data).sum(axis=0).take(idx))
+    z -= coef @ cols
+    return coef

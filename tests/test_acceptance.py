@@ -326,7 +326,7 @@ def test_criterion_8_per_step_invariants(s3b_instance):
         _, j = step("rek", (ai, yi), state, rng)
         col_gap = max(
             col_gap,
-            abs(ai.data_t[j] @ state.z) / (np.linalg.norm(ai.data_t[j]) * (1.0 + np.linalg.norm(state.z))),
+            abs(ai.T.data[j] @ state.z) / (np.linalg.norm(ai.T.data[j]) * (1.0 + np.linalg.norm(state.z))),
         )
 
     # (iii) drawn-row annihilation of the regs correction

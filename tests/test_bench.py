@@ -106,14 +106,15 @@ class TestRunExperiment:
         state, _ = run("rk-rk", sys_, 400, trial_rng(8, 0))
         assert traj.errors[0, -1] == pytest.approx(float(np.sum((state.b - star) ** 2)), rel=1e-9)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 2j])
     @pytest.mark.parametrize("method", METHODS + PAIRINGS)
     def test_non_finite_rhs_rejected(self, method, bad):
+        """A non-finite y is rejected, and so is a complex one, whose cast to float64 would drop its imaginary part."""
         u, v = random_dense(6, 3, seed=1), random_dense(3, 4, seed=2)
-        y = np.ones(6)
+        y = np.ones(6, dtype=type(bad))
         y[2] = bad
         for make in target_kinds(method, u, v):
-            with pytest.raises(ValueError, match="non-finite"):
+            with pytest.raises(ValueError, match="complex" if isinstance(bad, complex) else "non-finite"):
                 run_experiment(RunConfig(method=method, seed=1, trials=1, budget=10), make(y))
 
     @pytest.mark.parametrize("trials", [1, 3])

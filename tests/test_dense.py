@@ -18,7 +18,7 @@ class TestConstruction:
     def test_known_norm_caches(self):
         a = DenseMatrix([[3.0, 4.0], [0.0, 1e-4]])
         assert a.row_sqnorms.tolist() == [25.0, 1e-8]
-        assert a.col_sqnorms.tolist() == [9.0, 16.0 + 1e-8]
+        assert a.T.row_sqnorms.tolist() == [9.0, 16.0 + 1e-8]
         assert a.frob_sq == 25.0 + 1e-8
 
     def test_rejects_wrong_entry_count(self):
@@ -33,6 +33,14 @@ class TestConstruction:
             DenseMatrix([[np.inf, 0.0]])
         with pytest.raises(ValueError):
             save_vector(np.array([1.0, float("inf")]), tmp_path / "v.vec")
+
+    def test_rejects_complex_entries(self, tmp_path):
+        # numpy would drop the imaginary parts with only a warning, and the solve would run on another system.
+        for data in ([[1 + 2j, 3.0]], np.array([[1.0, 3.0]], dtype=complex)):
+            with pytest.raises(ValueError, match="complex"):
+                DenseMatrix(data)
+        with pytest.raises(ValueError, match="complex"):
+            save_vector(np.array([1.0, 2j]), tmp_path / "v.vec")
 
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
@@ -49,19 +57,30 @@ class TestConstruction:
 
     def test_transposed_copy_is_contiguous_and_read_only(self):
         a = random_dense(3, 4, seed=9)
-        assert np.array_equal(a.data_t, a.data.T)
-        assert a.data_t.flags.c_contiguous
+        assert np.array_equal(a.T.data, a.data.T)
+        assert a.T.data.flags.c_contiguous
         with pytest.raises(ValueError):
-            a.data_t[0, 0] = 99.0
+            a.T.data[0, 0] = 99.0
         # Column gathers read the transposed copy.
-        assert a.data_t[1].flags.c_contiguous
+        assert a.T.data[1].flags.c_contiguous
+
+    def test_transpose_is_the_same_matrix_turned(self):
+        a = random_dense(3, 4, seed=9)
+        t = a.T
+        assert t is a.T and t.T is a
+        assert (t.rows, t.cols) == (a.cols, a.rows)
+        # The column norms are A's cached ones, and the Frobenius norm is the same float.
+        assert t.frob_sq == a.frob_sq
+        assert np.array_equal(t.row_sqnorms, (a.data * a.data).sum(axis=0))
+        with pytest.raises(ValueError):
+            t.row_sqnorms[0] = 1.0
 
     def test_norm_caches_match_direct_computation(self):
         for seed in range(5):
             a = random_dense(6 + seed, 4 + seed, seed=seed)
             dense = a.data
             assert np.allclose(a.row_sqnorms, (dense * dense).sum(axis=1), rtol=1e-14)
-            assert np.allclose(a.col_sqnorms, (dense * dense).sum(axis=0), rtol=1e-14)
+            assert np.allclose(a.T.row_sqnorms, (dense * dense).sum(axis=0), rtol=1e-14)
             assert np.isclose(a.frob_sq, (dense * dense).sum(), rtol=1e-14)
 
 

@@ -8,6 +8,8 @@ Apart from the engine's scheduling, one block of each block kernel is
 held to the same number of per-step kernel calls.
 """
 
+import gc
+import weakref
 from contextlib import nullcontext
 from unittest import mock
 
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaczfact import _engine, interlaced, solvers
+from kaczfact import _engine, interlaced, sampling, solvers
 from kaczfact.bench import RunConfig, oracle_solution, run_experiment
 from kaczfact.dense import DenseMatrix
 from kaczfact.interlaced import (
@@ -28,11 +30,21 @@ from kaczfact.interlaced import (
     pairing_kernel,
 )
 from kaczfact.sampling import master_rng, trial_rng
-from kaczfact.solvers import DRAWS, METHODS, block_kernel, estimate, init_state, samplers, step_kernel
+from kaczfact.solvers import (
+    DRAWS,
+    METHODS,
+    SingleSystem,
+    block_kernel,
+    estimate,
+    init_state,
+    project,
+    samplers,
+    step_kernel,
+)
 from kaczfact.systems import ScenarioSpec, gen_gaussian_factored
 
 from conftest import consistent_system, inconsistent_system, small_factored
-from reference import run
+from reference import col_project, cols_block, coord_step, row_step, rows_block, run
 
 
 def sequential(method, target, budget, seed, trial, stride, tolerance, star, err=None):
@@ -155,8 +167,8 @@ def test_block_kernel_equals_per_step_kernel_wide_u(method, block):
 
 
 def gram_tables(matrix):
-    """(row table, column table) memoized for matrix; None where none is built."""
-    return solvers._row_grams.get(matrix), solvers._col_grams.get(matrix)
+    """(row table, column table) memoized for matrix, keyed by it and its transpose; None where none is built."""
+    return solvers._grams.get(matrix), solvers._grams.get(matrix.T)
 
 
 def sides(method, target):
@@ -188,6 +200,27 @@ def test_gram_tables_built_once_on_short_sides(method, dims):
     run_experiment(config, target)
     for (matrix, _), tables in zip(sides(method, target), built):
         assert all(again is first for again, first in zip(gram_tables(matrix), tables))
+
+
+def test_matrix_is_freed_by_refcounting():
+    """A matrix, its transpose and the samplers and Gram tables memoized for both go with the last
+    reference to the matrix, with no garbage-collection pass: nothing in them refers back to the matrix."""
+    a = make_target("rek", 5, 1, 5, seed=6, consistent=False)[0]
+    target = SingleSystem(a, np.ones(5))
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(sampling._cache), len(solvers._grams)
+        # rek draws rows and columns, and on a square matrix both sides get a Gram table.
+        run_experiment(RunConfig(method="rek", seed=2, trials=1, budget=100, stride=50), target)
+        for key in (a, a.T):
+            assert key in sampling._cache and key in solvers._grams
+        alive = weakref.ref(a), weakref.ref(a.T)
+        del a, target, key
+        assert all(ref() is None for ref in alive)
+        assert (len(sampling._cache), len(solvers._grams)) == before
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("method", METHODS + PAIRINGS)
@@ -271,6 +304,58 @@ def test_one_trial_tolerance_checks_every_m_steps(method, monkeypatch):
     assert traj.iters.tolist() == sorted(records)
     reference = np.array([records[t] for t in traj.iters])
     assert np.all(np.abs(traj.errors[0] - reference) <= 1e-10 * (1.0 + float(star @ star)))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(
+    shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+    count=st.sampled_from([1, 2, 5]),
+    seed=st.integers(0, 2**16),
+    with_rhs=st.booleans(),
+    repeat=st.booleans(),
+)
+def test_projections_equal_per_side_formulas(shape, count, seed, with_rhs, repeat):
+    """``project`` and the block projection, one for rows of A and of A.T, equal the per-side formulas in
+    ``reference`` bit for bit (up to the sign of an exact zero): the row step's coefficient is negated,
+    as (rhs - p) / s == -((p - rhs) / s) exactly, and everything else is the same sum.  count is the
+    number of trials of a step and the length of a block; with repeat a block draws one index twice."""
+    rng = master_rng(seed)
+    a = DenseMatrix(rng.standard_normal(shape))
+    m, n = shape
+    col_sqnorms = (a.data * a.data).sum(axis=0)
+    i, j = rng.integers(0, m, count), rng.integers(0, n, count)
+    if repeat:
+        i[-1], j[-1] = i[0], j[0]
+    rhs = rng.standard_normal(count) if with_rhs else None
+
+    def same(got, want):
+        return got.shape == want.shape and np.array_equal(got, want)
+
+    # Per step, on (count, dim) state: a row step (rk, rek) or a row projection of z (regs) on rows of A,
+    # a column projection of z (rek) and a coordinate step (rgs, regs) on rows of A.T.
+    beta, z, residual = (rng.standard_normal((count, dim)) for dim in (n, m, m))
+    ours = [v.copy() for v in (beta, z, residual)]
+    rows, sqnorms = a.data[i], a.row_sqnorms[i]
+    if with_rhs:
+        assert same(-project(ours[0], rows.copy(), sqnorms, rhs), row_step(beta, rows.copy(), rhs, sqnorms))
+    else:
+        assert same(project(ours[0], rows.copy(), sqnorms), col_project(beta, rows.copy(), sqnorms))
+    assert same(project(ours[1], a.T.data[j], a.T.row_sqnorms[j]), col_project(z, a.data.T[j], col_sqnorms[j]))
+    gamma = coord_step(beta, residual, a.data.T[j], (np.arange(count), j), col_sqnorms[j])
+    c = project(ours[2], a.T.data[j], a.T.row_sqnorms[j])
+    ours[0][np.arange(count), j] += c
+    assert same(c, gamma)
+    assert all(same(got, want) for got, want in zip(ours, (beta, z, residual)))
+
+    # One block, on (dim,) state: rows of A against rhs, and columns of A with a drift, which the
+    # column formula adds to the inner product and the block projection takes as its rhs negated.
+    beta, z = rng.standard_normal(n), rng.standard_normal(m)
+    ours = [beta.copy(), z.copy()]
+    row_rhs = np.zeros(count) if rhs is None else rhs
+    assert same(-solvers._project_block(a, ours[0], i, rhs), rows_block(a, beta, i, row_rhs))
+    drift = None if rhs is None else -rhs
+    assert same(solvers._project_block(a.T, ours[1], j, rhs), cols_block(a, z, j, drift))
+    assert same(ours[0], beta) and same(ours[1], z)
 
 
 def lower_cases(b):

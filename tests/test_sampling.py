@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kaczfact.dense import DenseMatrix
-from kaczfact.sampling import NormSampler, col_sampler, master_rng, row_sampler, trial_rng
+from kaczfact.sampling import NormSampler, master_rng, row_sampler, trial_rng
 
 from conftest import FixedUniforms, random_dense
 
@@ -19,7 +19,7 @@ class TestNormSampler:
 
     def test_column_weights(self):
         # Column weights (9, 16 + 1e-8): column 0 owns [0, 9 / (25 + 1e-8)) = [0, 0.36).
-        sampler = col_sampler(DenseMatrix([[3.0, 4.0], [0.0, 1e-4]]))
+        sampler = row_sampler(DenseMatrix([[3.0, 4.0], [0.0, 1e-4]]).T)
         assert sampler.draw_many(np.array([0.0, 0.3599, 0.3601, 0.9999])).tolist() == [0, 0, 1, 1]
 
     def test_rejects_zero_weight(self):
@@ -146,7 +146,7 @@ class TestSamplerCache:
     def test_row_sampler_is_memoized_per_matrix(self):
         a = random_dense(4, 3, seed=1)
         assert row_sampler(a) is row_sampler(a)
-        assert col_sampler(a) is col_sampler(a)
+        assert row_sampler(a.T) is row_sampler(a.T)
         b = random_dense(4, 3, seed=1)
         assert row_sampler(a) is not row_sampler(b)
 
@@ -154,7 +154,7 @@ class TestSamplerCache:
         a = random_dense(5, 2, seed=2)
         uniforms = master_rng(3).random(256)
         assert np.array_equal(row_sampler(a).draw_many(uniforms), NormSampler(a.row_sqnorms).draw_many(uniforms))
-        assert np.array_equal(col_sampler(a).draw_many(uniforms), NormSampler(a.col_sqnorms).draw_many(uniforms))
+        assert np.array_equal(row_sampler(a.T).draw_many(uniforms), NormSampler(a.T.row_sqnorms).draw_many(uniforms))
 
 
 class TestStreams:

@@ -7,7 +7,7 @@ from kaczfact.bench import RunConfig, run_experiment
 from kaczfact.dense import DenseMatrix
 from kaczfact.oracle import pinv_solve, rate_constants_of, svd
 from kaczfact.sampling import master_rng
-from kaczfact.solvers import METHODS, apply_col_project, apply_row_step, estimate, init_state, step_cost, step_kernel
+from kaczfact.solvers import METHODS, estimate, init_state, project, step_cost, step_kernel
 
 from conftest import FixedUniforms, consistent_system, inconsistent_system
 from reference import run, step
@@ -87,11 +87,11 @@ class TestUpdateAlgebra:
     def test_kernel_return_values(self):
         # Two trials at once: each row is its own projection.
         beta = np.zeros((2, 2))
-        coef = apply_row_step(beta, np.array([[3.0, 4.0], [0.0, 5.0]]), np.array([10.0, 5.0]), np.array([25.0, 25.0]))
-        assert coef == pytest.approx([0.4, 0.2], rel=1e-15)
+        coef = project(beta, np.array([[3.0, 4.0], [0.0, 5.0]]), np.array([25.0, 25.0]), np.array([10.0, 5.0]))
+        assert coef == pytest.approx([-0.4, -0.2], rel=1e-15)
         assert np.allclose(beta, [[1.2, 1.6], [0.0, 1.0]], rtol=1e-15)
         z = np.array([[10.0, 5.0], [10.0, 5.0]])
-        coef = apply_col_project(z, np.array([[3.0, 0.0], [0.0, 5.0]]), np.array([9.0, 25.0]))
+        coef = project(z, np.array([[3.0, 0.0], [0.0, 5.0]]), np.array([9.0, 25.0]))
         assert coef == pytest.approx([10.0 / 3.0, 1.0], rel=1e-15)
         assert np.allclose(z, [[0.0, 5.0], [10.0, 0.0]], atol=1e-14)
 
@@ -140,8 +140,8 @@ class TestPerStepInvariants:
         state = init_state("rek", a, y)
         for _ in range(40):
             _, j = step("rek", (a, y), state, rng)
-            scale = np.linalg.norm(a.data_t[j]) * (1.0 + np.linalg.norm(state.z))
-            assert abs(a.data_t[j] @ state.z) < 1e-10 * scale
+            scale = np.linalg.norm(a.T.data[j]) * (1.0 + np.linalg.norm(state.z))
+            assert abs(a.T.data[j] @ state.z) < 1e-10 * scale
 
     def test_rgs_residual_stays_in_sync(self, rng):
         a, y, _ = inconsistent_system(12, 6, seed=33)

@@ -6,9 +6,11 @@ The golden cases pin the SHA-256 of what each writer produces on fixed
 inputs, edge floats included.  The property tests hold the writers to
 plain per-value loops, kept here as the reference.  The solver golden
 cases pin the trajectory, summary and manifest that ``kaczfact solve``
-writes for every method at T >= 2, and for one tolerance-stopped solve
-of each target kind, so a change to the engine, the kernels, the
-sampler or the oracle that moves one bit of one output shows here.
+writes for every method at T >= 2, the trajectory of every method at
+T = 1 (the block path) on two generated instances, and one
+tolerance-stopped solve of each target kind, so a change to the engine,
+the kernels, the sampler or the oracle that moves one bit of one output
+shows here.
 """
 
 import hashlib
@@ -208,7 +210,7 @@ def test_save_vector_matches_reference(values, tmp_path_factory):
 
 
 # ---------------------------------------------------------------------------
-# Solver output: ``kaczfact solve`` at T >= 2, every method.
+# Solver output: ``kaczfact solve`` of every method, at T >= 2 and at T = 1.
 # ---------------------------------------------------------------------------
 
 
@@ -320,3 +322,45 @@ def test_tolerance_stopped_solve_golden_bytes(method, tmp_path):
     outputs = solve_outputs(method, tmp_path / "instance", tmp_path / "traj.csv", *options)
     assert outputs[0].splitlines()[-1].split(b",")[1] == str(stop).encode()
     assert tuple(hashlib.sha256(b).hexdigest() for b in outputs) == golden
+
+
+# SHA-256 of the trajectory CSV of a one-trial solve on the generated S1 (60x40x20) and S2 (40x60x50)
+# desk instances, seed 0: 1500 steps recorded every 50, so the T = 1 block path runs sub-blocks of 32,
+# 18, 24 and 26 steps on both short and long sides of each matrix.
+SINGLE_TRIAL_GOLDEN = {
+    ("S1", "rk-rk"): "a3c923088e3698e6e98981627b15c99a78bc6861b6178b6f9185b888f1907315",
+    ("S1", "rek-rk"): "2a0e9c77be298d12d2c1c6bd372ddcd2d3ac07f03e193c9d9252926760305269",
+    ("S1", "rek-rek"): "4b3210b2d65463c73e00566f939651b5f06f9e21bcc6a9ed0efc66a6fcf29d21",
+    ("S1", "rgs-rgs"): "626ace54031a6619037dc7a180c8a788b53bf1f5edb0850955dc42331bbc330b",
+    ("S1", "rk"): "085eaaa33d92ab2a83d59fc01d3cdc8c0e874cf75cb978a65a5446262b611da7",
+    ("S1", "rek"): "1fc8cfb85d8d4032c112f9744ff3b806bec4b774582dc13c95219ed10c8a0b81",
+    ("S1", "rgs"): "f0628b6b1d83d45f1a6154c6db30d6b2fd273d128148df74f058d7165832e7fc",
+    ("S1", "regs"): "6f0d25b97162cb578458e20b7936852f2ca6b47f399a20e660ee3b0c8cb3f5b1",
+    ("S2", "rk-rk"): "51e54905bff6aa1d372a30e1068bc8e600f1a9d21c1f045ecca2ae9156ad9f9a",
+    ("S2", "rek-rk"): "67e33fe78ebbaf8c569e1960366eb5704cd132841fd1938cb874090c641ab859",
+    ("S2", "rek-rek"): "86ee5603040a2d3ae1e99156842534bc2fa5a1e44f4aa02d66294ef021e86fd6",
+    ("S2", "rgs-rgs"): "b43e335d4edb0ed4ce10984d86af870eb1d4093eb3645c9c6e9e3b0baf8bcd30",
+    ("S2", "rk"): "5278de797b15412111e1212bedbdace832264094391488d53cf9e86e93cb5fe3",
+    ("S2", "rek"): "75f84784b37861067145e212e7c3a23eb748a01b5ff8c1e6ebf9bc6ac4ad8362",
+    ("S2", "rgs"): "4522fff25ce7f8d89c41f333f616fd3481b01bfac067bb3fae2ef50cc20656e8",
+    ("S2", "regs"): "e2ebe30437b0c4ec9832a8080be6ee5665994a5e49e36960cc754fc0718f96aa",
+}
+
+
+@pytest.fixture(scope="module")
+def desk_instances(tmp_path_factory):
+    """Directories of the generated S1 and S2 desk instances, seed 0."""
+    out = {}
+    for scenario, (m, n, k) in {"S1": (60, 40, 20), "S2": (40, 60, 50)}.items():
+        out[scenario] = tmp_path_factory.mktemp(scenario)
+        gen = ["gen", "--scenario", scenario, "--m", str(m), "--n", str(n), "--k", str(k), "--seed", "0"]
+        assert main(gen + ["--out-dir", str(out[scenario])]) == 0
+    return out
+
+
+@pytest.mark.parametrize("scenario, method", sorted(SINGLE_TRIAL_GOLDEN))
+def test_single_trial_solve_golden_bytes(scenario, method, desk_instances, tmp_path):
+    out = tmp_path / "traj.csv"
+    args = ["solve", "--method", method, "--dir", str(desk_instances[scenario]), "--trials", "1", "--seed", "5"]
+    assert main(args + ["--budget", "1500", "--stride", "50", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SINGLE_TRIAL_GOLDEN[(scenario, method)]
