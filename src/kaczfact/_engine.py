@@ -9,24 +9,26 @@ time (a sampling block), so index draws match the sequential path
 bit-for-bit.  A block's uniforms and indices are laid out as (draw,
 step, trial): each trial's stream fills its trial column in (step,
 draw) order, and a step's (T,) indices for one draw are one contiguous
-row, as is a T = 1 sub-block's run of steps.
+row, as is a T = 1 window's run of steps.
 
-Each sampling block is advanced in sub-blocks of up to L(T) steps.  A
-sub-block also ends at the next recorded iteration, at the next
-tolerance check (every m steps, when a tolerance is set) and at the end
-of the sampling block, so records and checks see the same iterate, at
-the same step, as they would step by step.
+Each sampling block is advanced in windows of L(T) steps, cut short only
+at the sampling block's end (1024 = 32 x 32, so at T = 1 only the budget
+does that).  The records and tolerance checks (every m steps, when a
+tolerance is set) in a window are taken after it, in step order: one at
+its end reads the live state, one at step s inside it the target's
+snapshot, the end state rewound to step s by the step coefficients the
+block kernel returned.  A passing check stops the run at its own step.
 
 A target (``solvers.SingleSystem``, ``interlaced.FactoredSystem``) gives
-the samplers, flops, state, kernels, estimate and residuals.  A sub-block
-of B > 1 steps runs its block kernel, and a 1-step sub-block its per-step
-kernel, the one the sequential reference steps with.  This module holds
-no algebra and no branch on the target's type: it schedules draws,
-sub-blocks, records and tolerance checks.
+the samplers, flops, state, kernels, snapshots, estimate and residuals.
+A window of B > 1 steps runs its block kernel, and a 1-step window its
+per-step kernel, the one the sequential reference steps with.  This
+module holds no algebra and no branch on the target's type: it schedules
+draws, windows, records and tolerance checks.
 
 L(T) is ``solvers.MAX_BLOCK`` (32) at T = 1 and 1 at T >= 2, so the
 block kernels take one trial.  At T = 1 nearly all of a step's time is
-interpreter overhead, which a sub-block pays once; its triangles go to
+interpreter overhead, which a window pays once; its triangles go to
 LAPACK's dgesv directly, past np.linalg.solve's wrapper and its errstate,
 as their diagonals are drawn squared norms, all > 0.  At T >= 2 the
 per-step loop spreads it over the trials, and block stepping is closed:
@@ -55,7 +57,7 @@ _BLOCK = 1024
 
 
 def _round_steps(trials: int) -> int:
-    """L(T): the longest sub-block at ``trials`` lock-step trials (1: per-step path)."""
+    """L(T): the window length at ``trials`` lock-step trials (1: per-step path)."""
     return MAX_BLOCK if trials == 1 else 1
 
 
@@ -64,7 +66,8 @@ class _Batch:
 
     kernel(draws) takes one step, with one (T,) index array per draw;
     advance(draws) takes B steps of a T = 1 batch on its (dim,) row
-    views, with one (B,) index array per draw.
+    views, with one (B,) index array per draw, and returns the step
+    coefficients the target's snapshot rewinds with.
     """
 
     def __init__(self, method: str, target, trials: int):
@@ -78,9 +81,9 @@ class _Batch:
         self.kernel = functools.partial(kernel, *vectors, np.arange(trials))
         self.advance = functools.partial(block, *(None if v is None else v[0] for v in vectors))
 
-    def max_residual(self) -> float:
-        """Largest residual norm across trials (joint over a pairing's two subsystems)."""
-        parts = self.target.residuals(self.method, self.state)
+    def max_residual(self, state) -> float:
+        """Largest residual norm across the trials of ``state`` (joint over a pairing's two subsystems)."""
+        parts = self.target.residuals(self.method, state)
         return float(max(np.sqrt((res * res).sum(axis=1).max()) for res in parts))
 
 
@@ -110,7 +113,7 @@ def run_trials(
     batch = _Batch(method, target, trials)
     draws = len(batch.samplers)
     per_step = target.step_flops(method)
-    check_every = target.m
+    check_every = target.m if tolerance is not None else budget + 1  # without a tolerance no check is due
 
     schedule = sorted(set(int(t) for t in record_ts))
     if schedule and (schedule[0] < 1 or schedule[-1] > budget):
@@ -131,30 +134,31 @@ def run_trials(
             u[:, :, tr] = rng.random((block, draws)).T
         idx = tuple(s.draw_many(u[d]) for d, s in enumerate(batch.samplers))
         start = t
-        while t < start + block:
-            # A sub-block ends at the next record, tolerance check or block end.
+        while t < start + block and not stopped:
+            # A window (t, end] ends only at L(T) steps or at the sampling block's end.
             end = min(t + round_steps, start + block)
-            if next_rec < len(schedule):
-                end = min(end, schedule[next_rec])
-            if tolerance is not None:
-                end = min(end, (t // check_every + 1) * check_every)
             if end - t == 1:
                 batch.kernel(tuple(ix[t - start] for ix in idx))
             else:
-                batch.advance(tuple(ix[t - start : end - start, 0] for ix in idx))
+                window = tuple(ix[t - start : end - start, 0] for ix in idx)
+                coef = batch.advance(window)
+            # Records and checks inside the window read a snapshot rewound from its end.
+            e = t
+            while not stopped:
+                rec = schedule[next_rec] if next_rec < len(schedule) else budget + 1
+                check = (e // check_every + 1) * check_every
+                e = min(rec, check)
+                if e > end:
+                    break
+                state = batch.state if e == end else target.snapshot(method, batch.state, window, coef, e - t)
+                stopped = e == check and batch.max_residual(state) <= tolerance
+                if e == rec:
+                    next_rec += 1
+                if stopped or e == rec:
+                    diff = target.estimate(method, state) - beta_star
+                    iters.append(e)
+                    errors.append(np.einsum("ij,ij->i", diff, diff))
             t = end
-            if tolerance is not None and t % check_every == 0 and batch.max_residual() <= tolerance:
-                stopped = True
-            record_now = stopped
-            if next_rec < len(schedule) and schedule[next_rec] == t:
-                record_now = True
-                next_rec += 1
-            if record_now:
-                diff = target.estimate(method, batch.state) - beta_star
-                iters.append(t)
-                errors.append(np.einsum("ij,ij->i", diff, diff))
-            if stopped:
-                break
 
     it = np.asarray(iters, dtype=np.int64)
     return it, it * per_step, (np.vstack(errors).T if errors else np.empty((trials, 0)))

@@ -63,7 +63,7 @@ import numpy as np
 
 from . import oracle
 from .dense import DenseMatrix, _as_float_vector
-from .solvers import DRAWS, block_kernel, cross_sum, init_state, samplers, step_cost, step_kernel
+from .solvers import DRAWS, block_kernel, cross_sum, init_state, rewind, samplers, step_cost, step_kernel
 
 __all__ = [
     "PAIRINGS",
@@ -143,6 +143,12 @@ class FactoredSystem:
         """U x - y and V b - x, one row per trial of (T, dim) state."""
         return (state.x @ self.U.data.T - self.y, state.b @ self.V.data.T - state.x)
 
+    def snapshot(self, method: str, state: InterlacedState, draws, coef, s: int) -> InterlacedState:
+        """The x and b s steps into a T = 1 block that ended at ``state`` and returned coef."""
+        outer, inner, split = _split(method)
+        x = rewind(outer, self.U, state.x, draws[:split], coef[0], s)
+        return InterlacedState(x, rewind(inner, self.V, state.b, draws[split:], coef[1], s))
+
 
 @dataclass
 class InterlacedState:
@@ -191,11 +197,12 @@ def pairing_kernel(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v, 
     step_kernel(inner, sys.V, x, b, zv, res_v, ar, draws[split:])
 
 
-def pairing_block(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v, draws) -> None:
+def pairing_block(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v, draws) -> tuple:
     """B interlaced steps for one trial: the block-exact form of B ``pairing_kernel`` calls.
 
     State arrays are the trial's (dim,) vectors and draws the pairing's
-    (B,) index arrays, in draw order, as in ``block_kernel``.
+    (B,) index arrays, in draw order, as in ``block_kernel``.  Returns
+    the outer and the inner side's step coefficients.
     """
     outer, inner, split = _split(method)
     # An inner row side reads x as the block began; an inner rgs side reads res_v instead.
@@ -205,9 +212,10 @@ def pairing_block(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v, d
     # or, as the rgs residual's inner product grew, by V[j_r, q_s] coef_r.
     mat, by = (sys.U, draws[0]) if res_v is None else (sys.V, draws[split - 1])
     drift = cross_sum(mat.T.data, draws[split], by, coef)
-    block_kernel(inner, sys.V, rhs, b, zv, res_v, draws[split:], drift)
+    inner_coef = block_kernel(inner, sys.V, rhs, b, zv, res_v, draws[split:], drift)
     if res_v is not None:
         np.add.at(res_v, draws[split - 1], coef)
+    return coef, inner_coef
 
 
 # --- expected-error bounds ---------------------------------------------------

@@ -177,13 +177,14 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
 # The wrapper only promotes types (the arrays are float64 already) and
 # turns a singular matrix into an error under errstate; the triangle is
 # never singular, as its diagonal holds squared norms of drawn rows and
-# NormSampler never draws a zero weight.  On a short side (the rows of M,
-# A or A.T, with no more rows than columns) the Gram matrix is gathered
-# from M M^T, A A^T or A^T A, built on the first block that needs it and
-# memoized per M, as the samplers are; the table is never larger than A.
-# On a long side it is rows @ rows.T of the gathered rows, whose length is
-# the short dimension.  The state is one trial's (dim,) arrays; draw
-# entry s is step s's index.
+# NormSampler never draws a zero weight.  When M (A or A.T) has at most
+# twice as many rows as columns, the Gram matrix is gathered from M M^T,
+# built on the first block that needs it and memoized per M, as the
+# samplers are; the table is then no larger than A and A.T together.  A
+# longer side computes rows @ rows.T of the gathered rows.  The state is
+# one trial's (dim,) arrays; draw entry s is step s's index.  A block
+# returns its step coefficients, from which ``rewind`` recovers the
+# iterate at any step inside it.
 
 # Longest block.  _LOWERS[b] is the contiguous b x b lower-triangular mask.
 MAX_BLOCK = 32
@@ -203,11 +204,12 @@ def cross_sum(mat: np.ndarray, at: np.ndarray, by: np.ndarray, coef: np.ndarray)
 def _gram(M: DenseMatrix, rows: np.ndarray, idx) -> np.ndarray:
     """The (B, B) Gram matrix of rows = M.data[idx].
 
-    Gathered from M's memoized M M^T when M has no more rows than
-    columns, else computed from rows.
+    Gathered from M's memoized M M^T when M has at most twice as many
+    rows as columns, so that the table is no larger than M and M.T
+    together; else computed from rows.
     """
     data = M.data
-    if data.shape[0] > data.shape[1]:
+    if data.shape[0] > 2 * data.shape[1]:
         return rows @ rows.T
     table = _grams.get(M)
     if table is None:
@@ -248,7 +250,7 @@ def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual
     product with the drawn column has grown by it, -drift[s] is the rhs
     of the residual's projection.  Returns the (B,) step coefficients:
     the row projections' c for rk and rek, the coordinate moves of rgs
-    and regs.
+    and regs, and for regs also the (B,) c of z's row projections.
     """
     if method in ("rgs", "regs"):
         j = draws[-1]
@@ -256,8 +258,9 @@ def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual
         np.add.at(beta, j, gamma)
         if method == "regs":
             # Row step s projects z + sum_{r<=s} gamma_r e_{j_r}: the patches enter its rhs.
-            _project_block(A, z, draws[0], -cross_sum(A.data, draws[0], j, gamma))
+            c = _project_block(A, z, draws[0], -cross_sum(A.data, draws[0], j, gamma))
             np.add.at(z, j, gamma)
+            return gamma, c
         return gamma
     i = draws[0]
     target = rhs.take(i)
@@ -269,6 +272,13 @@ def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual
         z_rows -= cross_sum(A.data, i, draws[1], _project_block(A.T, z, draws[1]))
         target -= z_rows
     return _project_block(A, beta, i, target)
+
+
+def rewind(method: str, A: DenseMatrix, v: np.ndarray, draws, coef: np.ndarray, s: int) -> np.ndarray:
+    """(1, dim) v s steps into a block of ``method`` on A that ended at v and returned coef: steps s.. undone."""
+    if method in ("rgs", "regs"):  # coordinate step r added coef[r] at j_r
+        return v - np.bincount(draws[-1][s:], coef[s:], v.shape[1])
+    return v + coef[s:] @ A.data.take(draws[0][s:], 0)  # row step r took coef[r] A[i_r] off v
 
 
 # --- state ------------------------------------------------------------------
@@ -341,6 +351,14 @@ class SingleSystem:
         return functools.partial(step_kernel, *bound), functools.partial(block_kernel, *bound)
 
     estimate = staticmethod(estimate)
+
+    def snapshot(self, method: str, state: SolverState, draws, coef, s: int) -> SolverState:
+        """The beta (and regs z) s steps into a T = 1 block that ended at ``state`` and returned coef."""
+        if method != "regs":
+            return SolverState(rewind(method, self.A, state.beta, draws, coef, s))
+        gamma, c = coef
+        z = rewind("rk", self.A, rewind("rgs", self.A, state.z, draws, gamma, s), draws, c, s)
+        return SolverState(rewind("rgs", self.A, state.beta, draws, gamma, s), z)
 
     def residuals(self, method: str, state: SolverState) -> tuple:
         """A estimate - y, one row per trial of (T, dim) state."""

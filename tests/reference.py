@@ -138,9 +138,10 @@ def coord_step(beta, residual, cols, at, sqnorms):
 
 
 def _block_solve(side, vecs, idx, rhs, diag):
-    """tril(G) c = rhs for the Gram matrix G of vecs = side[idx], read from side @ side.T on a short side."""
+    """tril(G) c = rhs for the Gram matrix G of vecs = side[idx], read from side @ side.T when side has
+    at most twice as many rows as columns."""
     b = idx.size
-    gram = vecs @ vecs.T if side.shape[0] > side.shape[1] else (side @ side.T).take(idx, 0).take(idx, 1)
+    gram = vecs @ vecs.T if side.shape[0] > 2 * side.shape[1] else (side @ side.T).take(idx, 0).take(idx, 1)
     gram = gram * np.tril(np.ones((b, b)))
     gram[np.diag_indices(b)] = diag
     return np.linalg.solve(gram, rhs)

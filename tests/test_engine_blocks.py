@@ -1,11 +1,14 @@
 """The lock-step engine against the per-step reference, block path included.
 
-At T=1 the engine advances in sub-blocks (block-exact stepping); these
-tests hold it to the sequential reference (``reference.run``) on
-recorded iterations, stop steps and errors.  At T >= 2 it runs the same
-per-step kernel as the reference, and its errors match it bit for bit.
+At T=1 the engine advances in 32-step blocks (block-exact stepping) and
+takes the records and checks that fall inside one from a snapshot rewound
+from its end; these tests hold it to the sequential reference
+(``reference.run``) on recorded iterations, stop steps and errors.  At
+T >= 2 it runs the same per-step kernel as the reference, and its errors
+match it bit for bit.
 Apart from the engine's scheduling, one block of each block kernel is
-held to the same number of per-step kernel calls.
+held to the same number of per-step kernel calls, and a rewound block to
+a shorter one.
 """
 
 import gc
@@ -179,20 +182,30 @@ def sides(method, target):
     return [(target[0], DRAWS[method])]
 
 
-@pytest.mark.parametrize("dims", [(7, 4, 6), (4, 7, 6), (5, 5, 5)], ids=["tall-u", "wide-u", "square"])
+def tabled(matrix) -> bool:
+    """The table rule: a side gets a Gram table when it has at most twice as many rows as columns."""
+    return matrix.rows <= 2 * matrix.cols
+
+
+@pytest.mark.parametrize(
+    "dims",
+    [(13, 4, 6), (4, 13, 9), (5, 5, 5), (70, 10, 10), (20, 10, 10)],
+    ids=["tall-u", "wide-u", "square", "70x10-u", "20x10-u"],
+)
 @pytest.mark.parametrize("method", METHODS + PAIRINGS)
 def test_gram_tables_built_once_on_short_sides(method, dims):
-    """A T = 1 run memoizes A A^T for a matrix's rows when rows <= cols and A^T A for its
-    columns when cols <= rows, on the sides its method projects on, once each; the long
-    side never gets a table."""
+    """A T = 1 run memoizes A A^T for a matrix's rows when A has at most twice as many rows as
+    columns, and A^T A for its columns when A^T has, on the sides its method projects on, once
+    each; a side longer than that gets no table.  The tall and wide cases hold one such side, a
+    70 x 10 U or A gets no table on its rows and a 20 x 10 one, at the limit, does."""
     target = make_target(method, *dims, seed=3, consistent=False)
     config = RunConfig(method=method, seed=2, trials=1, budget=100, stride=50)
     run_experiment(config, target)
     built = [gram_tables(matrix) for matrix, _ in sides(method, target)]
     for (matrix, draws), (rows, cols) in zip(sides(method, target), built):
         a = matrix.data
-        assert (rows is not None) == ("row" in draws and a.shape[0] <= a.shape[1])
-        assert (cols is not None) == ("col" in draws and a.shape[1] <= a.shape[0])
+        assert (rows is not None) == ("row" in draws and tabled(matrix))
+        assert (cols is not None) == ("col" in draws and tabled(matrix.T))
         if rows is not None:
             assert np.allclose(rows, a @ a.T, rtol=1e-13, atol=1e-13)
         if cols is not None:
@@ -256,12 +269,41 @@ def test_multi_trial_errors_are_bit_identical(method, trials):
         assert traj.errors[tr].tolist() == [records[t] for t in traj.iters.tolist()]
 
 
+@pytest.fixture
+def counted_calls(monkeypatch):
+    """(steps, calls): the steps T = 1 runs have taken so far, and the per-step and block kernel calls."""
+    steps, calls = [0], {"kernel": 0, "block": 0}
+
+    def counted(fn, kind):
+        def run_steps(*args):
+            # The draws come last: (T,) arrays for one step, (B,) for a block.
+            steps[0] += args[-1][0].shape[0] if kind == "block" else 1
+            calls[kind] += 1
+            return fn(*args)
+
+        return run_steps
+
+    # The targets' kernels() bind the kernels from these names.
+    monkeypatch.setattr(solvers, "step_kernel", counted(solvers.step_kernel, "kernel"))
+    monkeypatch.setattr(interlaced, "pairing_kernel", counted(interlaced.pairing_kernel, "kernel"))
+    monkeypatch.setattr(solvers, "block_kernel", counted(solvers.block_kernel, "block"))
+    monkeypatch.setattr(interlaced, "pairing_block", counted(interlaced.pairing_block, "block"))
+    return steps, calls
+
+
+def assert_records_match(traj, records, star):
+    assert traj.iters.tolist() == sorted(records)
+    reference = np.array([records[t] for t in traj.iters])
+    assert np.all(np.abs(traj.errors[0] - reference) <= 1e-10 * (1.0 + float(star @ star)))
+
+
 @pytest.mark.parametrize("method", ["rk", "rk-rk"])
-def test_one_trial_tolerance_checks_every_m_steps(method, monkeypatch):
+def test_one_trial_tolerance_checks_every_m_steps(method, counted_calls, monkeypatch):
     """A tolerance-stopped T=1 run checks at m, 2m, ... and stops where the per-step path does.
 
-    Records every m + 1 steps put a 1-step sub-block right after each
-    check, so both the block path and the per-step kernel run.
+    Checks every 20 steps and records every 21 fall inside 32-step
+    blocks, so they read snapshots rewound from the blocks' ends, and no
+    per-step kernel runs.
     """
     if method == "rk-rk":
         target, _ = small_factored(20, 5, 10, seed=94)
@@ -269,41 +311,75 @@ def test_one_trial_tolerance_checks_every_m_steps(method, monkeypatch):
         a, y, _ = consistent_system(20, 6, seed=95)
         target = (a, y)
     star = oracle_solution(target)
-    steps, checks, calls = [0], [], {"kernel": 0, "block": 0}
+    steps, calls = counted_calls
+    checks = []
     real_check = _engine._Batch.max_residual
 
-    def counted(fn, kind):
-        def run_steps(*args):
-            # The draws come last: (T,) arrays for one step, (B,) for a block.
-            draws = args[-1]
-            steps[0] += draws[0].shape[0] if kind == "block" else 1
-            calls[kind] += 1
-            fn(*args)
+    def snapshotting(cls):
+        real = cls.snapshot
 
-        return run_steps
+        def snapshot(self, method, state, draws, coef, s):
+            snap = real(self, method, state, draws, coef, s)
+            snap.step = steps[0] - draws[0].size + s
+            return snap
 
-    def max_residual(self):
-        checks.append(steps[0])
-        return real_check(self)
+        return snapshot
 
-    # The targets' kernels() bind the kernels from these names.
-    monkeypatch.setattr(solvers, "step_kernel", counted(solvers.step_kernel, "kernel"))
-    monkeypatch.setattr(interlaced, "pairing_kernel", counted(interlaced.pairing_kernel, "kernel"))
-    monkeypatch.setattr(solvers, "block_kernel", counted(solvers.block_kernel, "block"))
-    monkeypatch.setattr(interlaced, "pairing_block", counted(interlaced.pairing_block, "block"))
+    def max_residual(self, state):
+        # A check at a block's end reads the live state, which has no step of its own.
+        checks.append(getattr(state, "step", steps[0]))
+        return real_check(self, state)
+
+    for cls in (SingleSystem, FactoredSystem):
+        monkeypatch.setattr(cls, "snapshot", snapshotting(cls))
     monkeypatch.setattr(_engine._Batch, "max_residual", max_residual)
     budget, tol, stride = 100_000, 1e-10, 21
     config = RunConfig(method=method, seed=9, trials=1, budget=budget, stride=stride, tolerance=tol)
     traj = run_experiment(config, target, beta_star=star)
     stop = int(traj.iters[-1])
-    assert stop < budget
-    assert checks == list(range(20, stop + 1, 20))
-    assert calls["kernel"] > 0 and calls["block"] > 0
     records, _ = sequential(method, target, budget, 9, 0, stride, tol, star)
-    assert max(records) == stop
-    assert traj.iters.tolist() == sorted(records)
-    reference = np.array([records[t] for t in traj.iters])
-    assert np.all(np.abs(traj.errors[0] - reference) <= 1e-10 * (1.0 + float(star @ star)))
+    assert stop < budget and max(records) == stop
+    assert checks == list(range(20, stop + 1, 20))
+    assert calls == {"kernel": 0, "block": -(-stop // 32)}
+    assert_records_match(traj, records, star)
+
+
+@pytest.mark.parametrize("method", METHODS + PAIRINGS)
+def test_records_and_checks_cut_no_block(method, counted_calls):
+    """2048 T = 1 steps with records every 7 and a tolerance that never fires run as 64 blocks of 32."""
+    target = make_target(method, 9, 4, 6, seed=8, consistent=False)
+    star = oracle_solution(target)
+    steps, calls = counted_calls
+    config = RunConfig(method=method, seed=4, trials=1, budget=2048, stride=7, tolerance=1e-300)
+    traj = run_experiment(config, target, beta_star=star)
+    assert calls == {"kernel": 0, "block": 64} and steps[0] == 2048
+    records, _ = sequential(method, target, 2048, 4, 0, 7, None, star)
+    assert_records_match(traj, records, star)
+
+
+@pytest.mark.parametrize("method", METHODS + PAIRINGS)
+def test_block_rewound_equals_shorter_block(method):
+    """A 32-step block rewound to offset s equals an s-step block from the same start, for s = 1..31,
+    on the state that estimate and residuals read; few rows and columns make the draws repeat."""
+    target = make_target(method, 7, 4, 6, seed=10, consistent=False)
+    if method not in PAIRINGS:
+        target = SingleSystem(*target)
+    block = target.kernels(method)[1]
+    rng = master_rng(300)
+    start = [None if v is None else rng.standard_normal(v.size) for v in vars(target.init(method)).values()]
+    draws = tuple(sampler.draw_many(rng.random(32)) for sampler in target.samplers(method))
+    assert all(np.unique(d).size < 32 for d in draws)
+    ended = [None if v is None else v.copy() for v in start]
+    coef = block(*ended, draws)
+    end_state = type(target.init(method))(*(None if v is None else v[None] for v in ended))
+    for s in range(1, 32):
+        shorter = [None if v is None else v.copy() for v in start]
+        block(*shorter, tuple(d[:s] for d in draws))
+        want = vars(type(end_state)(*shorter))
+        for name, got in vars(target.snapshot(method, end_state, draws, coef, s)).items():
+            if got is not None:
+                assert got.shape == (1, want[name].size)
+                assert np.abs(got[0] - want[name]).max() <= 1e-12 * np.abs(want[name]).max(), (s, name)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

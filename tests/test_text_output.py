@@ -325,25 +325,26 @@ def test_tolerance_stopped_solve_golden_bytes(method, tmp_path):
 
 
 # SHA-256 of the trajectory CSV of a one-trial solve on the generated S1 (60x40x20) and S2 (40x60x50)
-# desk instances, seed 0: 1500 steps recorded every 50, so the T = 1 block path runs sub-blocks of 32,
-# 18, 24 and 26 steps on both short and long sides of each matrix.
+# desk instances, seed 0: 1500 steps recorded every 50, so records fall inside the T = 1 path's 32-step
+# blocks and read snapshots rewound from their ends.  The Gram entries come from tables on every side
+# but S1's U rows (60 > 2 x 20), where they are computed.
 SINGLE_TRIAL_GOLDEN = {
-    ("S1", "rk-rk"): "a3c923088e3698e6e98981627b15c99a78bc6861b6178b6f9185b888f1907315",
-    ("S1", "rek-rk"): "2a0e9c77be298d12d2c1c6bd372ddcd2d3ac07f03e193c9d9252926760305269",
-    ("S1", "rek-rek"): "4b3210b2d65463c73e00566f939651b5f06f9e21bcc6a9ed0efc66a6fcf29d21",
-    ("S1", "rgs-rgs"): "626ace54031a6619037dc7a180c8a788b53bf1f5edb0850955dc42331bbc330b",
-    ("S1", "rk"): "085eaaa33d92ab2a83d59fc01d3cdc8c0e874cf75cb978a65a5446262b611da7",
-    ("S1", "rek"): "1fc8cfb85d8d4032c112f9744ff3b806bec4b774582dc13c95219ed10c8a0b81",
-    ("S1", "rgs"): "f0628b6b1d83d45f1a6154c6db30d6b2fd273d128148df74f058d7165832e7fc",
-    ("S1", "regs"): "6f0d25b97162cb578458e20b7936852f2ca6b47f399a20e660ee3b0c8cb3f5b1",
-    ("S2", "rk-rk"): "51e54905bff6aa1d372a30e1068bc8e600f1a9d21c1f045ecca2ae9156ad9f9a",
-    ("S2", "rek-rk"): "67e33fe78ebbaf8c569e1960366eb5704cd132841fd1938cb874090c641ab859",
-    ("S2", "rek-rek"): "86ee5603040a2d3ae1e99156842534bc2fa5a1e44f4aa02d66294ef021e86fd6",
-    ("S2", "rgs-rgs"): "b43e335d4edb0ed4ce10984d86af870eb1d4093eb3645c9c6e9e3b0baf8bcd30",
-    ("S2", "rk"): "5278de797b15412111e1212bedbdace832264094391488d53cf9e86e93cb5fe3",
-    ("S2", "rek"): "75f84784b37861067145e212e7c3a23eb748a01b5ff8c1e6ebf9bc6ac4ad8362",
-    ("S2", "rgs"): "4522fff25ce7f8d89c41f333f616fd3481b01bfac067bb3fae2ef50cc20656e8",
-    ("S2", "regs"): "e2ebe30437b0c4ec9832a8080be6ee5665994a5e49e36960cc754fc0718f96aa",
+    ("S1", "rk-rk"): "5f0531b395162fd94f0f3c6b8e5dbcbc1b8922f0efcdb8c6918537a7109e989a",
+    ("S1", "rek-rk"): "4a72958c290b877848d6b7fa9bd1b91c4e18f0f7a7a51d936247098c084902f5",
+    ("S1", "rek-rek"): "289fc243ebca2232ae45a1f112a751208a5917ba1027ce066afed11486263102",
+    ("S1", "rgs-rgs"): "b0c9a69a90a153f54ee9283d8d609d8f8453e426db6d6eb3c0b38b089f8a5c71",
+    ("S1", "rk"): "93079d9cb1ec5117dc72b094cf3e4606b19b5ce306f31e81a05381027bfd7031",
+    ("S1", "rek"): "21293cce544d50af0d044b221bfc537e0d56c39b020d2aa13d6583091cc4786b",
+    ("S1", "rgs"): "a6773a249ab51293098b3e50a8ced2e4fe392cc812dcfba6c86997b55e020c1a",
+    ("S1", "regs"): "0f613f616df131928ab8585865d717944cb01644ef76cb8532e72a8f96214330",
+    ("S2", "rk-rk"): "8eb271146a7f69b9ddac75e84419dab07b132f6cdab3983178ce3fb63a962b48",
+    ("S2", "rek-rk"): "c01979b802378f730bb96bc802bb22434b21977603cee78d377b535570b14d72",
+    ("S2", "rek-rek"): "fb4d07d55f19d4033b048306d4894fa620f358f90caa0afc9a2647224a9cd885",
+    ("S2", "rgs-rgs"): "27cd1fde6e242463a5f3fc5d4418b5746a3a10ca041b04ca772cd86ea22426b0",
+    ("S2", "rk"): "90bc37809e4540e439df0df363020e293629dce269e3d45442193a71d9d4a93e",
+    ("S2", "rek"): "c406b2678342ef4de110f481f7201054be968ca6d88de07c721b04d8ae87c15a",
+    ("S2", "rgs"): "925b22a64ec926282517c7cff81b5eee9c0f0ba1a0c0bb6a251355bb4ddc5373",
+    ("S2", "regs"): "4f0c28d79e4e9a1418328baa05954676581aa7648a0af51b2950f4ed88ca049b",
 }
 
 
