@@ -13,9 +13,10 @@ row, as is a T = 1 window's run of steps.
 
 Each sampling block is advanced in windows of L(T) steps, cut short only
 at the sampling block's end (1024 = 32 x 32, so at T = 1 only the budget
-does that).  The records and tolerance checks (every m steps, when a
-tolerance is set) in a window are taken after it, in step order: one at
-its end reads the live state, one at step s inside it the target's
+does that).  Errors are recorded at every multiple of the stride and at
+the budget, and with a tolerance set the residuals are checked at every
+multiple of m.  Those in a window are taken after it, in step order: one
+at its end reads the live state, one at step s inside it the target's
 snapshot, the end state rewound to step s by the step coefficients the
 block kernel returned.  A passing check stops the run at its own step.
 
@@ -93,37 +94,28 @@ def run_trials(
     budget: int,
     seed: int,
     trials: int,
-    record_ts,
+    stride: int,
     beta_star: np.ndarray,
     tolerance: float | None = None,
 ):
-    """Run ``trials`` lock-step trials and sample errors at ``record_ts``.
+    """Run ``trials`` lock-step trials for ``budget`` steps, recording every ``stride`` steps and at the budget.
 
     Returns (iters, flops, errors): recorded iteration numbers, the
     cumulative flop count at each, and an (trials, len(iters)) array of
     squared distances ||b_t - beta_star||^2.  With a tolerance set, the
     run halts at the first every-m-steps check where *all* trials are
-    at or below it, recording that iteration; later scheduled records
-    are dropped.
+    at or below it, recording that iteration and no later one.  budget,
+    trials and stride are positive, as ``bench.RunConfig`` checks.
     """
-    if budget < 0:
-        raise ValueError("budget must be non-negative")
-    if trials < 1:
-        raise ValueError("need at least one trial")
     batch = _Batch(method, target, trials)
     draws = len(batch.samplers)
     per_step = target.step_flops(method)
     check_every = target.m if tolerance is not None else budget + 1  # without a tolerance no check is due
-
-    schedule = sorted(set(int(t) for t in record_ts))
-    if schedule and (schedule[0] < 1 or schedule[-1] > budget):
-        raise ValueError("record iterations must lie in [1, budget]")
     rngs = [trial_rng(seed, tr) for tr in range(trials)]
 
     round_steps = _round_steps(trials)
     iters: list[int] = []
     errors: list[np.ndarray] = []
-    next_rec = 0
     t = 0
     stopped = False
     while t < budget and not stopped:
@@ -144,16 +136,14 @@ def run_trials(
                 coef = batch.advance(window)
             # Records and checks inside the window read a snapshot rewound from its end.
             e = t
-            while not stopped:
-                rec = schedule[next_rec] if next_rec < len(schedule) else budget + 1
+            while e < end and not stopped:
+                rec = min((e // stride + 1) * stride, budget)
                 check = (e // check_every + 1) * check_every
                 e = min(rec, check)
                 if e > end:
                     break
                 state = batch.state if e == end else target.snapshot(method, batch.state, window, coef, e - t)
                 stopped = e == check and batch.max_residual(state) <= tolerance
-                if e == rec:
-                    next_rec += 1
                 if stopped or e == rec:
                     diff = target.estimate(method, state) - beta_star
                     iters.append(e)

@@ -119,14 +119,6 @@ class Trajectory:
         return self.errors.std(axis=0, ddof=1)
 
 
-def record_schedule(budget: int, stride: int) -> list[int]:
-    """Iterations to sample: every stride-th step, final step always."""
-    ts = list(range(stride, budget + 1, stride))
-    if not ts or ts[-1] != budget:
-        ts.append(budget)
-    return ts
-
-
 def _as_target(target):
     """target, with an ``(A, y)`` pair made a SingleSystem (which checks y)."""
     return SingleSystem(*target) if isinstance(target, tuple) else target
@@ -157,14 +149,13 @@ def run_experiment(config: RunConfig, target, beta_star: np.ndarray | None = Non
         beta_star = _as_float_vector(beta_star, "beta_star")
         if beta_star.shape != (target.n,):
             raise ValueError(f"beta_star has shape {beta_star.shape}, expected ({target.n},)")
-    ts = record_schedule(config.budget, config.effective_stride)
     iters, flops, errors = _engine.run_trials(
         config.method,
         target,
         config.budget,
         config.seed,
         config.trials,
-        ts,
+        config.effective_stride,
         beta_star,
         tolerance=config.tolerance,
     )

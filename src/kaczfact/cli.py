@@ -15,6 +15,7 @@ full product once as the benchmark baseline target.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys as _sys
 from pathlib import Path
 
@@ -117,15 +118,7 @@ def _cmd_bound(args) -> int:
         raise ValueError("--stride must be at least 1")
     system = load_instance(args.dir)
     inputs = bound_inputs(system)
-    lines = [
-        f"# alpha_u={inputs.alpha_u!r}",
-        f"# alpha_v={inputs.alpha_v!r}",
-        f"# theta_v={inputs.theta_v!r}",
-        f"# kappa_sq_u={inputs.kappa_sq_u!r}",
-        f"# b_star_sq={inputs.b_star_sq!r}",
-        f"# x_star_sq={inputs.x_star_sq!r}",
-        "t,bound",
-    ]
+    lines = [f"# {f.name}={getattr(inputs, f.name)!r}" for f in dataclasses.fields(inputs)] + ["t,bound"]
     ts = list(range(0, args.tmax + 1, args.stride))
     if ts[-1] != args.tmax:
         ts.append(args.tmax)

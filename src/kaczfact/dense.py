@@ -56,7 +56,8 @@ class DenseMatrix:
         The transpose, whose ``data`` is a C-contiguous copy of
         ``data.T``; its row norms are A's column norms and its
         ``frob_sq`` is A's.  It refers back to A weakly, so dropping A
-        frees both at once, and ``A.T.T`` is A while A lives.
+        frees both at once, and ``A.T.T`` is A while A lives.  A
+        transpose that outlives A rebuilds it on first use and holds it.
     """
 
     def __init__(self, data) -> None:
@@ -69,9 +70,13 @@ class DenseMatrix:
             raise ValueError("matrix contains a non-finite entry")
         t = self._T = object.__new__(DenseMatrix)
         t._data, t._T = np.ascontiguousarray(arr.T), weakref.ref(self)
-        sq = arr * arr
-        self._data, self._row_sqnorms, t._row_sqnorms = arr, sq.sum(axis=1), sq.sum(axis=0)
-        self._frob_sq = t._frob_sq = float(self._row_sqnorms.sum())
+        with np.errstate(over="ignore"):
+            sq = arr * arr
+            self._data, self._row_sqnorms, t._row_sqnorms = arr, sq.sum(axis=1), sq.sum(axis=0)
+            self._frob_sq = t._frob_sq = float(self._row_sqnorms.sum())
+        # Sums of non-negative terms: a finite total and largest column norm bound every square and norm.
+        if not max(self._frob_sq, t._row_sqnorms.max()) < np.inf:
+            raise ValueError("matrix squared norms overflow float64 (entries near 1e154 or larger?)")
         for a in (arr, self._row_sqnorms, t._data, t._row_sqnorms):
             a.setflags(write=False)
 
@@ -81,8 +86,11 @@ class DenseMatrix:
 
     @property
     def T(self) -> DenseMatrix:
-        t = self._T
-        return t() if isinstance(t, weakref.ref) else t
+        t = self._T() if isinstance(self._T, weakref.ref) else self._T
+        if t is None:  # the matrix this transposes was freed: rebuild it once and hold it; it refers back weakly
+            t = self._T = DenseMatrix(self._data.T)
+            t._T = weakref.ref(self)
+        return t
 
     @property
     def rows(self) -> int:
@@ -102,6 +110,12 @@ class DenseMatrix:
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.rows}x{self.cols}, frob_sq={self._frob_sq:.6g})"
+
+
+def _require_matrix(value, name: str) -> None:
+    """Reject a system's matrix field unless it is a DenseMatrix: a raw array has no cached norms or transpose."""
+    if not isinstance(value, DenseMatrix):
+        raise TypeError(f"{name} must be a DenseMatrix, got {type(value).__name__}")
 
 
 # ---------------------------------------------------------------------------

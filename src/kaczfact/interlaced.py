@@ -62,7 +62,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import oracle
-from .dense import DenseMatrix, _as_float_vector
+from .dense import DenseMatrix, _as_float_vector, _require_matrix
 from .solvers import DRAWS, block_kernel, cross_sum, init_state, rewind, samplers, step_cost, step_kernel
 
 __all__ = [
@@ -98,6 +98,8 @@ class FactoredSystem:
     methods = PAIRINGS
 
     def __post_init__(self):
+        _require_matrix(self.U, "U")
+        _require_matrix(self.V, "V")
         if self.U.cols != self.V.rows:
             raise ValueError(
                 f"factor dimension mismatch: U is {self.U.rows}x{self.U.cols}, V is {self.V.rows}x{self.V.cols}"

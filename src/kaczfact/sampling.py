@@ -55,11 +55,12 @@ class NormSampler:
             raise ValueError("sampler weights contain a non-finite entry")
         if np.any(w < 0.0) or not np.any(w > 0.0):
             raise ValueError("sampler weights must be non-negative and not all zero (zero matrix?)")
-        self._cumulative = np.cumsum(w)
+        with np.errstate(over="ignore"):
+            self._cumulative = np.cumsum(w)
         self._total = float(self._cumulative[-1])
-        if self._total < np.finfo(np.float64).tiny:
-            # u * total could round up to total and draw index size.
-            raise ValueError("sampler weights sum to a subnormal number (matrix entries near 1e-160 or smaller?)")
+        if not np.finfo(np.float64).tiny <= self._total < np.inf:
+            # u * total could round up to a subnormal total, or be inf or nan, and draw index size.
+            raise ValueError("sampler weights sum to a subnormal number or overflow (matrix entries near 1e-160 or 1e154?)")
         # u + 2^52 / K holds round(u * K) in its low mantissa bits (K = 2^p < 2^51).
         buckets = 1 << (2 * w.size - 1).bit_length()
         self._shift = np.float64(2.0**52 / buckets)

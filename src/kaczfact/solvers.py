@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.linalg._umath_linalg import solve1 as _solve1  # np.linalg.solve's dgesv gufunc
 
-from .dense import DenseMatrix, _as_float_vector
+from .dense import DenseMatrix, _as_float_vector, _require_matrix
 from .sampling import row_sampler
 
 __all__ = ["METHODS", "SingleSystem", "SolverState", "init_state", "estimate"]
@@ -324,6 +324,7 @@ class SingleSystem:
     methods = METHODS
 
     def __post_init__(self):
+        _require_matrix(self.A, "A")
         object.__setattr__(self, "y", _as_float_vector(self.y, "rhs"))
         if self.y.shape != (self.A.rows,):
             raise ValueError(f"rhs shape {self.y.shape} does not match {self.A.rows}x{self.A.cols} matrix")

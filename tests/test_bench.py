@@ -1,11 +1,10 @@
-"""Benchmark driver: schedules, multi-trial engine, CSV and manifest output."""
+"""Benchmark driver: record iterations, multi-trial engine, CSV and manifest output."""
 
 import json
 
 import numpy as np
 import pytest
 
-from kaczfact import _engine
 from kaczfact.bench import (
     DEFAULT_BUDGET,
     DEFAULT_TRIALS,
@@ -15,7 +14,6 @@ from kaczfact.bench import (
     emit_csv,
     emit_summary_csv,
     oracle_solution,
-    record_schedule,
     run_experiment,
     write_run_manifest,
 )
@@ -74,17 +72,46 @@ class TestRunConfig:
 
 
 class TestRecordSchedule:
+    """Errors are recorded at every multiple of the stride and at the budget, whether the engine
+    runs 32-step windows (T = 1) or single steps (T >= 2)."""
+
+    @staticmethod
+    def check_iters(budget, stride, expected):
+        sys_, _ = small_factored(10, 4, 6, seed=90)
+        for trials in (1, 3):
+            traj = run_experiment(RunConfig(method="rk-rk", seed=3, trials=trials, budget=budget, stride=stride), sys_)
+            assert traj.iters.tolist() == expected
+            assert traj.flops.tolist() == [t * sys_.step_flops("rk-rk") for t in expected]
+            assert traj.errors.shape == (trials, len(expected))
+
     def test_exact_multiples(self):
-        assert record_schedule(1000, 100) == list(range(100, 1001, 100))
+        self.check_iters(1000, 100, list(range(100, 1001, 100)))
 
     def test_off_stride_budget_appends_final(self):
-        assert record_schedule(1050, 100) == list(range(100, 1001, 100)) + [1050]
+        self.check_iters(1050, 100, list(range(100, 1001, 100)) + [1050])
 
     def test_budget_below_stride(self):
-        assert record_schedule(5, 10) == [5]
+        self.check_iters(5, 10, [5])
 
     def test_stride_one(self):
-        assert record_schedule(4, 1) == [1, 2, 3, 4]
+        self.check_iters(4, 1, [1, 2, 3, 4])
+
+    @pytest.mark.parametrize("method", ["rek-rk", "rgs-rgs", "rek", "regs"])
+    def test_single_trial_records_inside_windows_match_reference(self, method):
+        """At stride 4 and budget 77 the windows are (0, 32], (32, 64] and (64, 77]: the records at 32,
+        64 and 77 read the live state, the rest a rewound snapshot.  Each equals the sequential
+        reference's error at its step to rounding."""
+        u, v = random_dense(12, 5, seed=3), random_dense(5, 7, seed=4)
+        target = target_kinds(method, u, v)[0](np.linspace(-1.0, 1.0, 12))
+        star = oracle_solution(target)
+        traj = run_experiment(RunConfig(method=method, seed=5, trials=1, budget=77, stride=4), target, beta_star=star)
+        expected = list(range(4, 77, 4)) + [77]
+        assert traj.iters.tolist() == expected
+        values = {}
+        recorder = lambda t, value, flops: values.__setitem__(t, value)
+        run(method, target, 77, trial_rng(5, 0), recorder=recorder, stride=4, error_fn=lambda b: float(np.sum((b - star) ** 2)))
+        reference = np.array([values[t] for t in expected])
+        assert np.all(np.abs(traj.errors[0] - reference) <= 1e-10 * (1.0 + np.dot(star, star)))
 
 
 class TestRunExperiment:
@@ -241,6 +268,31 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             SingleSystem(a, y[:-1])
 
+    @pytest.mark.parametrize("trials", [1, 3])
+    @pytest.mark.parametrize("method", METHODS)
+    def test_transpose_outliving_its_matrix_runs(self, method, trials):
+        """A matrix's transpose whose matrix was freed runs as that transpose does while the matrix lives."""
+        x = np.random.default_rng(8).standard_normal((5, 7))
+        y = np.linspace(-1.0, 1.0, 7)
+        config = RunConfig(method=method, seed=2, trials=trials, budget=50, stride=10)
+        live = DenseMatrix(x)
+        want = run_experiment(config, (live.T, y))
+        got = run_experiment(config, (DenseMatrix(x).T, y))
+        assert got.iters.tolist() == want.iters.tolist() == [10, 20, 30, 40, 50]
+        assert got.errors.tobytes() == want.errors.tobytes()
+
+    def test_raw_array_matrix_rejected(self):
+        """A matrix field that is not a DenseMatrix is rejected by name, not failed on deep in a run."""
+        x, y = np.ones((4, 3)), np.ones(4)
+        with pytest.raises(TypeError, match="A must be a DenseMatrix"):
+            SingleSystem(x, y)
+        with pytest.raises(TypeError, match="A must be a DenseMatrix"):
+            run_experiment(RunConfig(method="rk", seed=1, trials=1, budget=10), (x, y))
+        with pytest.raises(TypeError, match="U must be a DenseMatrix"):
+            FactoredSystem(x, DenseMatrix(np.ones((3, 2))), y)
+        with pytest.raises(TypeError, match="V must be a DenseMatrix"):
+            FactoredSystem(DenseMatrix(x), np.ones((3, 2)), y)
+
     def test_tolerance_stops_all_trials_early(self):
         sys_, _ = small_factored(20, 5, 10, seed=94)
         config = RunConfig(method="rk-rk", seed=9, trials=3, budget=100_000, stride=10_000, tolerance=1e-12)
@@ -308,14 +360,6 @@ class TestEngineMatchesSequentialPath:
     @pytest.mark.parametrize("method", ["rk-rk", "rek-rk", "rek-rek", "rgs-rgs"])
     def test_interlaced_methods_at_trial_counts(self, method, trials):
         self.check_interlaced(method, trials)
-
-    def test_record_ts_must_lie_in_budget(self):
-        sys_, _ = small_factored(8, 3, 5, seed=98)
-        star = factored_full_solution(sys_.U, sys_.V, sys_.y)
-        with pytest.raises(ValueError):
-            _engine.run_trials("rk-rk", sys_, 10, 1, 1, [0, 5], star)
-        with pytest.raises(ValueError):
-            _engine.run_trials("rk-rk", sys_, 10, 1, 1, [5, 11], star)
 
     def test_step_flops_table(self):
         sys_, _ = small_factored(9, 3, 5, seed=99)

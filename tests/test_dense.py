@@ -75,6 +75,30 @@ class TestConstruction:
         with pytest.raises(ValueError):
             t.row_sqnorms[0] = 1.0
 
+    def test_transpose_outliving_its_matrix_rebuilds_it(self):
+        """A transpose whose matrix was freed rebuilds that matrix once and holds it: it has A's bytes and
+        norms, and the two turn into each other for as long as the transpose lives."""
+        x = np.random.default_rng(3).standard_normal((5, 3))
+        t = DenseMatrix(x).T
+        a = t.T
+        assert a is not None and a.T is t and t.T is a
+        want = DenseMatrix(x)
+        for got_arr, want_arr in ((a.data, x), (a.row_sqnorms, want.row_sqnorms), (t.row_sqnorms, want.T.row_sqnorms)):
+            assert got_arr.tobytes() == want_arr.tobytes()
+        assert a.frob_sq == t.frob_sq == want.frob_sq
+
+    @pytest.mark.parametrize(
+        "data",
+        [[[1.3e154, 0.0], [0.0, 1.3e154], [1e-3, 1.0]], [[1e200, 0.0]], [[1e154], [1e154]]],
+        ids=["total", "entry", "column"],
+    )
+    def test_rejects_overflowing_squared_norms(self, data):
+        """Squared norms past the largest double would break the samplers; the matrix is rejected
+        up front, with no overflow warning on the way."""
+        with pytest.raises(ValueError, match="overflow"):
+            DenseMatrix(data)
+        assert DenseMatrix(np.array(data) * 1e-60).frob_sq < np.inf
+
     def test_norm_caches_match_direct_computation(self):
         for seed in range(5):
             a = random_dense(6 + seed, 4 + seed, seed=seed)

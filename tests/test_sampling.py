@@ -43,6 +43,12 @@ class TestNormSampler:
             row_sampler(DenseMatrix([[1e-160, 0.0], [0.0, 1e-160]]))
         assert NormSampler(np.array([2.2e-313, np.finfo(np.float64).tiny])).draw_many(np.array([0.9])).tolist() == [1]
 
+    def test_rejects_overflowing_total(self):
+        """Finite weights whose sum overflows would draw past the last index."""
+        with pytest.raises(ValueError, match="overflow"):
+            NormSampler(np.array([1e308, 1e308]))
+        assert NormSampler(np.array([1e308, 7e307])).draw_many(np.array([0.2, 0.7])).tolist() == [0, 1]
+
     def test_rejects_empty_or_non_finite_weights(self):
         with pytest.raises(ValueError):
             NormSampler(np.array([]))
