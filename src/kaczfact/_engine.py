@@ -29,9 +29,10 @@ draws, windows, records and tolerance checks.
 
 L(T) is ``solvers.MAX_BLOCK`` (32) at T = 1 and 1 at T >= 2, so the
 block kernels take one trial.  At T = 1 nearly all of a step's time is
-interpreter overhead, which a window pays once; its triangles go to
-LAPACK's dgesv directly, past np.linalg.solve's wrapper and its errstate,
-as their diagonals are drawn squared norms, all > 0.  At T >= 2 the
+interpreter overhead, which a window pays once; its triangles go to the
+BLAS forward substitution dtrsv (``solvers.BLOCK_SOLVER`` names the path
+a numpy build runs), with no singular-matrix guard, as their diagonals
+are drawn squared norms, all > 0.  At T >= 2 the
 per-step loop spreads it over the trials, and block stepping is closed:
 on S3b 120x75x50 the per-step kernels took 0.74-1.46 us per trial-step
 at T = 40 and 0.44-0.97 at T = 200, against 0.82-1.80 and 0.68-1.52 at

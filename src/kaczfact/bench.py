@@ -39,7 +39,7 @@ from . import _engine
 from .dense import _as_float_vector
 from .interlaced import PAIRINGS, BoundInputs, FactoredSystem, bound_inputs, expected_error_bound
 from .oracle import factored_full_solution, pinv_solve
-from .solvers import METHODS, SingleSystem, default_stride
+from .solvers import BLOCK_SOLVER, METHODS, SingleSystem, default_stride
 
 __all__ = [
     "RunConfig",
@@ -223,6 +223,8 @@ def write_run_manifest(path, config: RunConfig, target, inputs: BoundInputs | No
         "m": target.m,
         "n": target.n,
     }
+    if config.trials == 1:  # only single-trial runs solve triangles
+        entry["block_solver"] = BLOCK_SOLVER
     if isinstance(target, FactoredSystem):
         if inputs is None:
             inputs = bound_inputs(target)

@@ -61,11 +61,14 @@ one scaled add), a column draw acts on a length-m column and costs
 """
 from __future__ import annotations
 
+import ctypes
 import functools
+import threading
 import weakref
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 from numpy.linalg._umath_linalg import solve1 as _solve1  # np.linalg.solve's dgesv gufunc
 
 from .dense import DenseMatrix, _as_float_vector, _require_matrix
@@ -172,19 +175,23 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
 # correction's coordinate patches, both from A[I][:, J].  A side costs one
 # gather, one (B, B) Gram matrix and one (B, B) solve instead of B rounds
 # of per-step numpy calls, and agrees with them to rounding.  The (B, B)
-# solve calls dgesv through numpy's LAPACK gufunc, skipping
-# np.linalg.solve's wrapper, which costs more than dgesv at these sizes.
-# The wrapper only promotes types (the arrays are float64 already) and
-# turns a singular matrix into an error under errstate; the triangle is
-# never singular, as its diagonal holds squared norms of drawn rows and
-# NormSampler never draws a zero weight.  When M (A or A.T) has at most
-# twice as many rows as columns, the Gram matrix is gathered from M M^T,
-# built on the first block that needs it and memoized per M, as the
-# samplers are; the table is then no larger than A and A.T together.  A
-# longer side computes rows @ rows.T of the gathered rows.  The state is
-# one trial's (dim,) arrays; draw entry s is step s's index.  A block
-# returns its step coefficients, from which ``rewind`` recovers the
-# iterate at any step inside it.
+# triangle goes to CBLAS dtrsv, a forward substitution, in the BLAS that
+# numpy links to, called through ctypes with its arguments bound once per
+# B to persistent buffers.  ctypes releases the GIL during the call, so
+# each thread has buffers of its own.  A numpy build that exports no CBLAS
+# dtrsv falls back to LAPACK dgesv through numpy's gufunc (the call
+# np.linalg.solve makes, without its wrapper) on the masked triangle; the
+# two paths differ at rounding, and BLOCK_SOLVER names the one this build
+# runs.  Neither needs a singular-matrix guard: the diagonal holds squared
+# norms of drawn rows, and NormSampler never draws a zero weight.  When M
+# (A or A.T) has at most twice as many rows as columns, the Gram matrix is
+# gathered from M M^T, built on the first block that needs it and
+# memoized per M, as the samplers are; the table is then no larger than A
+# and A.T together.  einsum builds it, as a threaded gemm's bits would
+# depend on the BLAS thread count.  A longer side computes rows @ rows.T
+# of the gathered rows.  The state is one trial's (dim,) arrays; draw
+# entry s is step s's index.  A block returns its step coefficients, from
+# which ``rewind`` recovers the iterate at any step inside it.
 
 # Longest block.  _LOWERS[b] is the contiguous b x b lower-triangular mask.
 MAX_BLOCK = 32
@@ -213,18 +220,73 @@ def _gram(M: DenseMatrix, rows: np.ndarray, idx) -> np.ndarray:
         return rows @ rows.T
     table = _grams.get(M)
     if table is None:
-        table = data @ data.T
+        table = np.einsum("ik,jk->ij", data, data)
         table.setflags(write=False)
         _grams[M] = table
     return table.take(idx, 0).take(idx, 1)
 
 
-def _solve_lower(gram: np.ndarray, rhs: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Solve tril(gram) c = rhs, with the cached squared norms on the diagonal.  Overwrites gram."""
+def _find_dtrsv():
+    """(numpy's CBLAS dtrsv, its integer type), or None when this numpy build exports none."""
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+        ilp64 = _umath_linalg._ilp64
+    except (AttributeError, OSError):  # an older numpy lacks these names
+        return None
+    blasint = ctypes.c_int64 if ilp64 else ctypes.c_int
+    suffix = "64_" if ilp64 else ""
+    for prefix in ("scipy_", ""):
+        fn = getattr(lib, f"{prefix}cblas_dtrsv{suffix}", None)
+        if fn is not None:
+            fn.argtypes = [ctypes.c_int] * 4 + [blasint, ctypes.c_void_p, blasint, ctypes.c_void_p, blasint]
+            fn.restype = None
+            return fn, blasint
+    return None
+
+
+_DTRSV = _find_dtrsv()
+BLOCK_SOLVER = "dgesv" if _DTRSV is None else "cblas_dtrsv"
+# CBLAS enums: row-major, lower triangle, no transpose, non-unit diagonal.
+_DTRSV_FLAGS = tuple(ctypes.c_int(v) for v in (101, 122, 111, 131))
+
+
+class _DtrsvBuffers(threading.local):
+    """Per thread, for each B: a (B, B) matrix, a view of its diagonal, a (B,) vector and dtrsv bound to them."""
+
+    def __init__(self):
+        fn, blasint = _DTRSV
+        self.by_size = [None]
+        for b in range(1, MAX_BLOCK + 1):
+            mat, vec = np.zeros((b, b)), np.zeros(b)
+            n = blasint(b)
+            pointers = ctypes.c_void_p(mat.ctypes.data), n, ctypes.c_void_p(vec.ctypes.data), blasint(1)
+            call = functools.partial(fn, *_DTRSV_FLAGS, n, *pointers)
+            self.by_size.append((mat, mat.reshape(-1)[:: b + 1], vec, call))
+
+
+def _solve_lower_dtrsv(gram: np.ndarray, rhs: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Solve tril(gram) c = rhs, with the cached squared norms on the diagonal, by CBLAS dtrsv."""
+    mat, mat_diag, vec, call = _buffers.by_size[gram.shape[0]]
+    np.copyto(mat, gram)
+    np.copyto(mat_diag, diag)
+    np.copyto(vec, rhs)
+    call()
+    return vec.copy()
+
+
+def _solve_lower_dgesv(gram: np.ndarray, rhs: np.ndarray, diag: np.ndarray) -> np.ndarray:
+    """Solve tril(gram) c = rhs, with the cached squared norms on the diagonal, by LAPACK dgesv.  Overwrites gram."""
     b = gram.shape[0]
     gram *= _LOWERS[b]
     gram.flat[:: b + 1] = diag
     return _solve1(gram, rhs, signature="dd->d")
+
+
+if _DTRSV is None:
+    _solve_lower = _solve_lower_dgesv
+else:
+    _buffers = _DtrsvBuffers()
+    _solve_lower = _solve_lower_dtrsv
 
 
 def _project_block(M: DenseMatrix, v: np.ndarray, idx: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:

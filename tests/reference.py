@@ -26,6 +26,7 @@ import functools
 
 import numpy as np
 
+from kaczfact import solvers
 from kaczfact.interlaced import FactoredSystem, init_interlaced, pairing_kernel
 from kaczfact.solvers import SingleSystem, default_stride, estimate, init_state, step_kernel
 
@@ -138,13 +139,18 @@ def coord_step(beta, residual, cols, at, sqnorms):
 
 
 def _block_solve(side, vecs, idx, rhs, diag):
-    """tril(G) c = rhs for the Gram matrix G of vecs = side[idx], read from side @ side.T when side has
-    at most twice as many rows as columns."""
+    """tril(G) c = rhs for the Gram matrix G of vecs = side[idx], read from the table of side's row inner
+    products when side has at most twice as many rows as columns.  The masked triangle goes to the
+    package's triangle solve, whichever path this numpy build runs; the tests hold that solve to
+    np.linalg.solve on its own."""
     b = idx.size
-    gram = vecs @ vecs.T if side.shape[0] > 2 * side.shape[1] else (side @ side.T).take(idx, 0).take(idx, 1)
+    if side.shape[0] > 2 * side.shape[1]:
+        gram = vecs @ vecs.T
+    else:
+        gram = np.einsum("ik,jk->ij", side, side).take(idx, 0).take(idx, 1)
     gram = gram * np.tril(np.ones((b, b)))
     gram[np.diag_indices(b)] = diag
-    return np.linalg.solve(gram, rhs)
+    return solvers._solve_lower(gram, rhs, diag)
 
 
 def rows_block(A, beta, idx, rhs):

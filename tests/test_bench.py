@@ -21,7 +21,7 @@ from kaczfact.dense import DenseMatrix
 from kaczfact.interlaced import PAIRINGS, FactoredSystem, bound_inputs, expected_error_bound
 from kaczfact.oracle import factored_full_solution, pinv_solve, svd
 from kaczfact.sampling import trial_rng
-from kaczfact.solvers import METHODS, SingleSystem
+from kaczfact.solvers import BLOCK_SOLVER, METHODS, SingleSystem
 from kaczfact.systems import ScenarioSpec, gen_gaussian_factored
 
 from conftest import inconsistent_system, random_dense, small_factored
@@ -478,6 +478,15 @@ class TestOutputFiles:
         assert plain["scenario"] == "plain"
         assert (plain["m"], plain["n"]) == (10, 4)
         assert "k" not in plain
+
+    def test_manifest_names_the_block_solver_of_single_trial_runs(self, tmp_path):
+        """Only T = 1 runs solve triangles, so only their lines name the path that solves them."""
+        sys_, _, _ = self.make_traj()
+        for trials in (1, 4):
+            config = RunConfig(method="rk-rk", seed=1, trials=trials, budget=40)
+            write_run_manifest(tmp_path / f"{trials}.jsonl", config, sys_)
+        assert json.loads((tmp_path / "1.jsonl").read_text())["block_solver"] == BLOCK_SOLVER
+        assert "block_solver" not in json.loads((tmp_path / "4.jsonl").read_text())
 
     def test_manifest_of_single_system(self, tmp_path):
         """An (A, y) pair writes the line of SingleSystem(A, y); a SingleSystem's scenario tag is written."""

@@ -8,10 +8,14 @@ T >= 2 it runs the same per-step kernel as the reference, and its errors
 match it bit for bit.
 Apart from the engine's scheduling, one block of each block kernel is
 held to the same number of per-step kernel calls, and a rewound block to
-a shorter one.
+a shorter one.  Each triangle path is held to np.linalg.solve and, through
+the engine, to the reference, and concurrent T = 1 runs to the same runs
+made one after the other.
 """
 
 import gc
+import sys
+import threading
 import weakref
 from contextlib import nullcontext
 from unittest import mock
@@ -449,11 +453,34 @@ def lower_cases(b):
     ]
 
 
+# The triangle paths by the name BLOCK_SOLVER gives them; dtrsv only where this numpy build exports it.
+SOLVE_PATHS = {"dgesv": solvers._solve_lower_dgesv, "cblas_dtrsv": solvers._solve_lower_dtrsv}
+needs_dtrsv = pytest.mark.skipif(solvers.BLOCK_SOLVER != "cblas_dtrsv", reason="numpy exports no CBLAS dtrsv")
+EACH_PATH = ["dgesv", pytest.param("cblas_dtrsv", marks=needs_dtrsv)]
+
+
+@pytest.fixture(params=EACH_PATH)
+def solve_path(request, monkeypatch):
+    """Each triangle path in turn, forced as the one the block projection and the reference call."""
+    monkeypatch.setattr(solvers, "_solve_lower", SOLVE_PATHS[request.param])
+    return request.param
+
+
+def test_default_solve_path_is_named():
+    """BLOCK_SOLVER, which single-trial manifests write, names the path that runs."""
+    assert solvers._solve_lower is SOLVE_PATHS[solvers.BLOCK_SOLVER]
+
+
 @pytest.mark.parametrize("b", range(1, solvers.MAX_BLOCK + 1))
 def test_solve_lower_equals_linalg_solve(b):
-    """The block solve calls np.linalg.solve's dgesv gufunc directly, so it returns np.linalg.solve's
-    bits on the same masked triangle, pivoting included."""
+    """Each path this numpy build has solves the masked triangle L x = rhs as np.linalg.solve does, to
+    rounding, pivoting included: within 4 B eps |L^-1| |L| |x| of it componentwise.  A componentwise
+    backward error of d |L| moves a solution by at most about d |L^-1| |L| |x|; substitution's d is at
+    most B eps (Higham, Thm 8.5) and dgesv's is at most 2.5 B eps on these cases, so the two differ by
+    less than 3.5 B eps times that (2.5 measured).  dgesv makes np.linalg.solve's own call: equal bits."""
     rng = master_rng(b)
+    eps = np.finfo(np.float64).eps
+    paths = sorted({"dgesv", solvers.BLOCK_SOLVER})
     for name, vecs, diag in lower_cases(b):
         gram = vecs @ vecs.T
         masked = gram * np.tril(np.ones((b, b)))
@@ -461,9 +488,13 @@ def test_solve_lower_equals_linalg_solve(b):
         if name == "pivoting" and b > 1:
             assert np.any(np.tril(masked, -1) > diag[None, :])
         rhs = rng.standard_normal(b)
-        got = solvers._solve_lower(gram, rhs, diag)
-        assert np.array_equal(gram, masked)
-        assert np.array_equal(got, np.linalg.solve(masked, rhs)), name
+        want = np.linalg.solve(masked, rhs)
+        skeel = np.abs(np.linalg.inv(masked)) @ (np.abs(masked) @ np.abs(want))
+        for path in paths:
+            got = SOLVE_PATHS[path](gram.copy(), rhs, diag)
+            assert np.all(np.abs(got - want) <= 4 * b * eps * skeel), (name, path)
+            if path == "dgesv":
+                assert np.array_equal(got, want), name
 
 
 @pytest.mark.parametrize("method", METHODS + PAIRINGS)
@@ -476,3 +507,56 @@ def test_block_path_calls_no_linalg_solve(method, monkeypatch):
     target = make_target(method, 7, 4, 6, seed=5, consistent=False)
     monkeypatch.setattr(np.linalg, "solve", refuse)
     run_experiment(RunConfig(method=method, seed=3, trials=1, budget=200, stride=100), target)
+
+
+@pytest.mark.parametrize("method", METHODS + PAIRINGS)
+def test_one_trial_engine_matches_reference_on_each_solve_path(method, solve_path):
+    """On either triangle path, a tolerance-checked T = 1 run records and stops as the sequential
+    reference does, its errors within the engine test's rounding bound."""
+    target = make_target(method, 9, 4, 6, seed=12, consistent=True)
+    star = oracle_solution(target)
+    y = target.y if isinstance(target, FactoredSystem) else target[1]
+    tol = 1e-6 * (1.0 + float(np.linalg.norm(y)))
+    config = RunConfig(method=method, seed=6, trials=1, budget=1100, stride=9, tolerance=tol)
+    traj = run_experiment(config, target, beta_star=star)
+    last, records = expected_run(method, target, 1100, 6, 1, 9, tol, star)
+    assert traj.iters[-1] == last
+    assert_records_match(traj, records[0], star)
+
+
+def test_concurrent_one_trial_runs_equal_runs_one_after_another():
+    """Four threads, more than this suite's two cores, that each run a T = 1 rek-rk and a T = 1 regs run at
+    once write the bytes that the same runs write one after the other.  The triangle solve releases the
+    GIL, so each thread needs buffers of its own; a short switch interval makes the threads interleave."""
+    runs = [
+        ("rek-rk", make_target("rek-rk", 30, 12, 20, seed=21, consistent=False), 3),
+        ("regs", SingleSystem(*make_target("regs", 30, 20, 20, seed=22, consistent=False)), 4),
+    ]
+
+    def solve(method, target, seed):
+        traj = run_experiment(RunConfig(method=method, seed=seed, trials=1, budget=3000, stride=1), target)
+        return traj.iters.tobytes() + traj.errors.tobytes()
+
+    want = [solve(*run) for run in runs]
+    orders = [(0, 1), (1, 0)] * 2
+    got = [None] * len(orders)
+
+    def worker(n):
+        try:
+            got[n] = [solve(*runs[k]) for k in orders[n]]
+        except Exception as exc:  # handed to the main thread, which fails on it
+            got[n] = exc
+
+    threads = [threading.Thread(target=worker, args=(n,)) for n in range(len(orders))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    for n, order in enumerate(orders):
+        assert got[n] == [want[k] for k in order]

@@ -10,16 +10,23 @@ writes for every method at T >= 2, the trajectory of every method at
 T = 1 (the block path) on two generated instances, and one
 tolerance-stopped solve of each target kind, so a change to the engine,
 the kernels, the sampler or the oracle that moves one bit of one output
-shows here.
+shows here.  One more case checks that T = 1 bytes at the full presets
+do not depend on the BLAS thread count.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import kaczfact
 from kaczfact.bench import Trajectory, bound_variant_for, emit_csv, emit_summary_csv
 from kaczfact.cli import main
 from kaczfact.dense import DenseMatrix, save_matrix, save_vector
@@ -330,22 +337,22 @@ def test_tolerance_stopped_solve_golden_bytes(method, tmp_path):
 # blocks and read snapshots rewound from their ends.  The Gram entries come from tables on every side
 # but S1's U rows (60 > 2 x 20), where they are computed.
 SINGLE_TRIAL_GOLDEN = {
-    ("S1", "rk-rk"): "5f0531b395162fd94f0f3c6b8e5dbcbc1b8922f0efcdb8c6918537a7109e989a",
-    ("S1", "rek-rk"): "4a72958c290b877848d6b7fa9bd1b91c4e18f0f7a7a51d936247098c084902f5",
-    ("S1", "rek-rek"): "289fc243ebca2232ae45a1f112a751208a5917ba1027ce066afed11486263102",
-    ("S1", "rgs-rgs"): "b0c9a69a90a153f54ee9283d8d609d8f8453e426db6d6eb3c0b38b089f8a5c71",
-    ("S1", "rk"): "93079d9cb1ec5117dc72b094cf3e4606b19b5ce306f31e81a05381027bfd7031",
-    ("S1", "rek"): "21293cce544d50af0d044b221bfc537e0d56c39b020d2aa13d6583091cc4786b",
-    ("S1", "rgs"): "a6773a249ab51293098b3e50a8ced2e4fe392cc812dcfba6c86997b55e020c1a",
-    ("S1", "regs"): "0f613f616df131928ab8585865d717944cb01644ef76cb8532e72a8f96214330",
-    ("S2", "rk-rk"): "8eb271146a7f69b9ddac75e84419dab07b132f6cdab3983178ce3fb63a962b48",
-    ("S2", "rek-rk"): "c01979b802378f730bb96bc802bb22434b21977603cee78d377b535570b14d72",
-    ("S2", "rek-rek"): "fb4d07d55f19d4033b048306d4894fa620f358f90caa0afc9a2647224a9cd885",
-    ("S2", "rgs-rgs"): "27cd1fde6e242463a5f3fc5d4418b5746a3a10ca041b04ca772cd86ea22426b0",
-    ("S2", "rk"): "90bc37809e4540e439df0df363020e293629dce269e3d45442193a71d9d4a93e",
-    ("S2", "rek"): "c406b2678342ef4de110f481f7201054be968ca6d88de07c721b04d8ae87c15a",
-    ("S2", "rgs"): "925b22a64ec926282517c7cff81b5eee9c0f0ba1a0c0bb6a251355bb4ddc5373",
-    ("S2", "regs"): "4f0c28d79e4e9a1418328baa05954676581aa7648a0af51b2950f4ed88ca049b",
+    ("S1", "rk-rk"): "0825b7e3ec9586c6fbee1f6e08feacee316bb6f76115eb20e7b3d03d11d1a146",
+    ("S1", "rek-rk"): "42f905b49c891466a32bcc35c03aef746532c66a5e07cf1b75e13a927d192028",
+    ("S1", "rek-rek"): "23437b8740bd913d4e50cd5921fb6685f399437d4947647acb0af6d443e2ea4c",
+    ("S1", "rgs-rgs"): "7738f680dbc01f1040c253241d2056b2bc02d8eecb21096bf34223088a84c485",
+    ("S1", "rk"): "1821b0df2ece3a4dc4c7840ecdef47172faa4b0a8a4f59c7ced8d03317af1113",
+    ("S1", "rek"): "65a9ff670d36bae8c268b9f280069fb06f8a5351476043123eacc7d70013712d",
+    ("S1", "rgs"): "be07af4ca5c4822c289bdc6e697c04185fa3c41073bc64142754fb27ec11fd79",
+    ("S1", "regs"): "0aa4cfe8756ffc0be8b28bbb1c3bba2c979fe2bdce64e8677df13774b194ab0f",
+    ("S2", "rk-rk"): "7752c6c3e1f29f9342e09e304647927b346662f1a60934bee56e5cf9e63cbbc1",
+    ("S2", "rek-rk"): "89e5a8f35dbf47727ee1091929fccdf4c4f084cd28ce40a2950c06d176abd95e",
+    ("S2", "rek-rek"): "e78fe9863092ebb0922fa92c1c355b7f7a4edecc1b2c87d277e92d2e0e8fd1fe",
+    ("S2", "rgs-rgs"): "744d6db3c85b2a9d9387f9d91634aac6fd87e72c0011494ad74e13c2122f816a",
+    ("S2", "rk"): "4ad8a513709d052f52de54a464876474edba3eb2fe7c721b723e2733189c026b",
+    ("S2", "rek"): "5ad51e92250c4392059490f08c7586e9b7568347a6fdab7d38915b7f84671cbd",
+    ("S2", "rgs"): "6fc924fca4d8b3ba71dee73b170eeb38892c79475af723e8e6ff14b47df60efa",
+    ("S2", "regs"): "bf896eef2963a5b1d568b5f0a2c39627cfc8b32698732e724117cb6f9307e303",
 }
 
 
@@ -366,3 +373,33 @@ def test_single_trial_solve_golden_bytes(scenario, method, desk_instances, tmp_p
     args = ["solve", "--method", method, "--dir", str(desk_instances[scenario]), "--trials", "1", "--seed", "5"]
     assert main(args + ["--budget", "1500", "--stride", "50", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SINGLE_TRIAL_GOLDEN[(scenario, method)]
+
+
+# One process per BLAS thread count runs these solves through ``kaczfact.cli.main``, as BLAS reads its
+# thread count once, when numpy loads.
+SOLVES_IN_ONE_PROCESS = "import json, sys\nfrom kaczfact.cli import main\nsys.exit(max(main(a) for a in json.loads(sys.argv[1])))"
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two cores")
+def test_single_trial_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """``kaczfact solve --trials 1 --budget 4000`` on the full S1 and S3b instances writes the same
+    trajectory and summary bytes at OPENBLAS_NUM_THREADS=1 and =2."""
+    solves = {}
+    for scenario in ("S1", "S3b"):
+        instance = tmp_path / scenario
+        assert main(["gen", "--scenario", scenario, "--seed", "0", "--out-dir", str(instance)]) == 0
+        for method in ("rk-rk", "rek-rk", "rgs-rgs", "rek"):
+            args = ["solve", "--method", method, "--dir", str(instance), "--trials", "1", "--budget", "4000"]
+            solves[f"{scenario}-{method}"] = args + ["--seed", "3"]
+    src = str(Path(kaczfact.__file__).resolve().parents[1])
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}"
+        out.mkdir()
+        calls = [args + ["--out", str(out / f"{case}.csv")] for case, args in solves.items()]
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+        proc = subprocess.run([sys.executable, "-c", SOLVES_IN_ONE_PROCESS, json.dumps(calls)], env=env, timeout=600)
+        assert proc.returncode == 0
+        outputs.append({case: [(out / f"{case}{tail}").read_bytes() for tail in (".csv", "_summary.csv")] for case in solves})
+    assert [case for case in solves if outputs[0][case] != outputs[1][case]] == []
