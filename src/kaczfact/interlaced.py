@@ -63,7 +63,7 @@ import numpy as np
 
 from . import oracle
 from .dense import DenseMatrix, _as_float_vector, _require_matrix
-from .solvers import DRAWS, block_kernel, cross_sum, init_state, rewind, samplers, step_cost, step_kernel
+from .solvers import DRAWS, block_kernel, block_length, cross_sum, init_state, rewind, samplers, step_cost, step_kernel
 
 __all__ = [
     "PAIRINGS",
@@ -135,8 +135,11 @@ class FactoredSystem:
         return init_interlaced(method, self)
 
     def kernels(self, method: str) -> tuple:
-        """``pairing_kernel`` and ``pairing_block`` with the pairing and the system bound."""
-        return functools.partial(pairing_kernel, method, self), functools.partial(pairing_block, method, self)
+        """``pairing_kernel`` and ``pairing_block`` with the pairing and the system bound, and the T = 1 window:
+        the shorter of the outer method's on U and the inner one's on V."""
+        outer, inner, _ = _split(method)
+        window = min(block_length(outer, self.U), block_length(inner, self.V))
+        return functools.partial(pairing_kernel, method, self), functools.partial(pairing_block, method, self), window
 
     def estimate(self, method: str, state: InterlacedState) -> np.ndarray:
         return state.b
@@ -213,7 +216,7 @@ def pairing_block(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v, d
     # Inner step s's rhs dropped with the outer steps r <= s: x[p_s] by U[i_r, p_s] coef_r (row side),
     # or, as the rgs residual's inner product grew, by V[j_r, q_s] coef_r.
     mat, by = (sys.U, draws[0]) if res_v is None else (sys.V, draws[split - 1])
-    drift = cross_sum(mat.T.data, draws[split], by, coef)
+    drift = cross_sum(mat.T, draws[split], by, coef)
     inner_coef = block_kernel(inner, sys.V, rhs, b, zv, res_v, draws[split:], drift)
     if res_v is not None:
         np.add.at(res_v, draws[split - 1], coef)

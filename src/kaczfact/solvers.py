@@ -172,54 +172,81 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
 #
 # What step r changes and a later step s reads enters through an inclusive
 # lower-triangular cross matrix (cross_sum): rek's z[i_s] and the regs
-# correction's coordinate patches, both from A[I][:, J].  A side costs one
-# gather, one (B, B) Gram matrix and one (B, B) solve instead of B rounds
-# of per-step numpy calls, and agrees with them to rounding.  The (B, B)
-# triangle goes to CBLAS dtrsv, a forward substitution, in the BLAS that
-# numpy links to, called through ctypes with its arguments bound once per
-# B to persistent buffers.  ctypes releases the GIL during the call, so
-# each thread has buffers of its own.  A numpy build that exports no CBLAS
-# dtrsv falls back to LAPACK dgesv through numpy's gufunc (the call
-# np.linalg.solve makes, without its wrapper) on the masked triangle; the
-# two paths differ at rounding, and BLOCK_SOLVER names the one this build
-# runs.  Neither needs a singular-matrix guard: the diagonal holds squared
-# norms of drawn rows, and NormSampler never draws a zero weight.  When M
-# (A or A.T) has at most twice as many rows as columns, the Gram matrix is
+# correction's coordinate patches, both from A[I][:, J].  cross_sum gathers
+# its B rows from whichever of A and A.T has the shorter rows.  A side
+# costs one gather, one (B, B) Gram matrix and one (B, B) solve instead of
+# B rounds of per-step numpy calls, and agrees with them to rounding.  The
+# (B, B) triangle goes to CBLAS dtrsv, a forward substitution, in the BLAS
+# that numpy links to, called through ctypes on the leading B x B part of
+# one persistent (MAX_BLOCK, MAX_BLOCK) buffer, with its arguments bound
+# once per B.  ctypes releases the GIL during the call, so each thread has
+# a buffer of its own.  A numpy build that exports no CBLAS dtrsv falls
+# back to LAPACK dgesv through numpy's gufunc (the call np.linalg.solve
+# makes, without its wrapper) on the masked triangle; the two paths differ
+# at rounding, and BLOCK_SOLVER names the one this build runs.  Neither
+# needs a singular-matrix guard: the diagonal holds squared norms of drawn
+# rows, and NormSampler never draws a zero weight.  When M (A or A.T) is
+# tabled (at most twice as many rows as columns), the Gram matrix is
 # gathered from M M^T, built on the first block that needs it and
 # memoized per M, as the samplers are; the table is then no larger than A
 # and A.T together.  einsum builds it, as a threaded gemm's bits would
 # depend on the BLAS thread count.  A longer side computes rows @ rows.T
-# of the gathered rows.  The state is one trial's (dim,) arrays; draw
-# entry s is step s's index.  A block returns its step coefficients, from
-# which ``rewind`` recovers the iterate at any step inside it.
+# of the gathered rows, whose cost grows with B, so a target with such a
+# side runs GEMM_BLOCK-step windows and one with none MAX_BLOCK-step
+# windows (``block_length``).  The state is one trial's (dim,) arrays;
+# draw entry s is step s's index.  A block returns its step coefficients,
+# from which ``rewind`` recovers the iterate at any step inside it.
 
-# Longest block.  _LOWERS[b] is the contiguous b x b lower-triangular mask.
-MAX_BLOCK = 32
-_LOWERS = [np.tril(np.ones((b, b))) for b in range(MAX_BLOCK + 1)]
+# Longest block, and the block length of a target with an untabled side.
+MAX_BLOCK = 64
+GEMM_BLOCK = 32
+# The triangular masks, whose leading b x b parts are the b x b ones.  The upper one is C-ordered, as a
+# (b, b) product with _LOWER.T's F-ordered view takes about twice as long.
+_LOWER = np.tril(np.ones((MAX_BLOCK, MAX_BLOCK)))
+_UPPER = np.triu(np.ones((MAX_BLOCK, MAX_BLOCK)))
 
 # Memoized Gram tables M M^T; the weak keys keep a table from outliving M.
 _grams: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def cross_sum(mat: np.ndarray, at: np.ndarray, by: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Entry s: sum over r <= s of mat[at[s], by[r]] * coef[r], for (B,) at, by, coef."""
-    cross = mat.take(at, 0).take(by, 1)
-    cross *= _LOWERS[at.size]
-    return cross @ coef
+def _tabled(M: DenseMatrix) -> bool:
+    """Whether blocks on M's rows gather their Gram matrix from the table M M^T.
+
+    True when M has at most twice as many rows as columns, so that the
+    table is no larger than M and M.T together.
+    """
+    return M.rows <= 2 * M.cols
+
+
+def block_length(method: str, A: DenseMatrix) -> int:
+    """The T = 1 window of ``method`` on A: MAX_BLOCK when every side it draws is tabled, else GEMM_BLOCK."""
+    sides = (A if d == "row" else A.T for d in DRAWS[method])
+    return MAX_BLOCK if all(map(_tabled, sides)) else GEMM_BLOCK
+
+
+def cross_sum(M: DenseMatrix, at: np.ndarray, by: np.ndarray, coef: np.ndarray) -> np.ndarray:
+    """Entry s: sum over r <= s of M.data[at[s], by[r]] * coef[r], for (B,) at, by, coef.
+
+    Gathers B rows of whichever of M and M.T has the shorter rows, and
+    then B^2 entries of them.
+    """
+    b = at.size
+    if M.cols <= M.rows:
+        cross = M.data.take(at, 0).take(by, 1)  # cross[s, r]
+        cross *= _LOWER[:b, :b]
+        return cross @ coef
+    cross = M.T.data.take(by, 0).take(at, 1)  # cross[r, s]
+    cross *= _UPPER[:b, :b]
+    return coef @ cross
 
 
 def _gram(M: DenseMatrix, rows: np.ndarray, idx) -> np.ndarray:
-    """The (B, B) Gram matrix of rows = M.data[idx].
-
-    Gathered from M's memoized M M^T when M has at most twice as many
-    rows as columns, so that the table is no larger than M and M.T
-    together; else computed from rows.
-    """
-    data = M.data
-    if data.shape[0] > 2 * data.shape[1]:
+    """The (B, B) Gram matrix of rows = M.data[idx]: gathered from M's memoized M M^T if M is tabled, else from rows."""
+    if not _tabled(M):
         return rows @ rows.T
     table = _grams.get(M)
     if table is None:
+        data = M.data
         table = np.einsum("ik,jk->ij", data, data)
         table.setflags(write=False)
         _grams[M] = table
@@ -251,17 +278,18 @@ _DTRSV_FLAGS = tuple(ctypes.c_int(v) for v in (101, 122, 111, 131))
 
 
 class _DtrsvBuffers(threading.local):
-    """Per thread, for each B: a (B, B) matrix, a view of its diagonal, a (B,) vector and dtrsv bound to them."""
+    """Per thread: one (MAX_BLOCK, MAX_BLOCK) matrix and one (MAX_BLOCK,) vector, and for each B the views of
+    their leading parts (the B x B matrix, its diagonal, the B-vector) and dtrsv bound to them with lda = MAX_BLOCK."""
 
     def __init__(self):
         fn, blasint = _DTRSV
-        self.by_size = [None]
-        for b in range(1, MAX_BLOCK + 1):
-            mat, vec = np.zeros((b, b)), np.zeros(b)
-            n = blasint(b)
-            pointers = ctypes.c_void_p(mat.ctypes.data), n, ctypes.c_void_p(vec.ctypes.data), blasint(1)
-            call = functools.partial(fn, *_DTRSV_FLAGS, n, *pointers)
-            self.by_size.append((mat, mat.reshape(-1)[:: b + 1], vec, call))
+        mat, vec = np.zeros((MAX_BLOCK, MAX_BLOCK)), np.zeros(MAX_BLOCK)
+        pointers = ctypes.c_void_p(mat.ctypes.data), blasint(MAX_BLOCK), ctypes.c_void_p(vec.ctypes.data), blasint(1)
+        diag = mat.reshape(-1)[:: MAX_BLOCK + 1]
+        self.by_size = [None] + [
+            (mat[:b, :b], diag[:b], vec[:b], functools.partial(fn, *_DTRSV_FLAGS, blasint(b), *pointers))
+            for b in range(1, MAX_BLOCK + 1)
+        ]
 
 
 def _solve_lower_dtrsv(gram: np.ndarray, rhs: np.ndarray, diag: np.ndarray) -> np.ndarray:
@@ -277,7 +305,7 @@ def _solve_lower_dtrsv(gram: np.ndarray, rhs: np.ndarray, diag: np.ndarray) -> n
 def _solve_lower_dgesv(gram: np.ndarray, rhs: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """Solve tril(gram) c = rhs, with the cached squared norms on the diagonal, by LAPACK dgesv.  Overwrites gram."""
     b = gram.shape[0]
-    gram *= _LOWERS[b]
+    gram *= _LOWER[:b, :b]
     gram.flat[:: b + 1] = diag
     return _solve1(gram, rhs, signature="dd->d")
 
@@ -320,7 +348,7 @@ def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual
         np.add.at(beta, j, gamma)
         if method == "regs":
             # Row step s projects z + sum_{r<=s} gamma_r e_{j_r}: the patches enter its rhs.
-            c = _project_block(A, z, draws[0], -cross_sum(A.data, draws[0], j, gamma))
+            c = _project_block(A, z, draws[0], -cross_sum(A, draws[0], j, gamma))
             np.add.at(z, j, gamma)
             return gamma, c
         return gamma
@@ -331,7 +359,7 @@ def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual
     if method == "rek":
         # Row step s reads z[i_s] after the column projections r <= s.
         z_rows = z.take(i)
-        z_rows -= cross_sum(A.data, i, draws[1], _project_block(A.T, z, draws[1]))
+        z_rows -= cross_sum(A, i, draws[1], _project_block(A.T, z, draws[1]))
         target -= z_rows
     return _project_block(A, beta, i, target)
 
@@ -409,9 +437,10 @@ class SingleSystem:
         return init_state(method, self.A, self.y)
 
     def kernels(self, method: str) -> tuple:
-        """``step_kernel`` and ``block_kernel`` with the method and the data bound."""
+        """``step_kernel`` and ``block_kernel`` with the method and the data bound, and the T = 1 window."""
         bound = (method, self.A, self.y)
-        return functools.partial(step_kernel, *bound), functools.partial(block_kernel, *bound)
+        window = block_length(method, self.A)
+        return functools.partial(step_kernel, *bound), functools.partial(block_kernel, *bound), window
 
     estimate = staticmethod(estimate)
 

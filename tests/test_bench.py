@@ -73,7 +73,7 @@ class TestRunConfig:
 
 class TestRecordSchedule:
     """Errors are recorded at every multiple of the stride and at the budget, whether the engine
-    runs 32-step windows (T = 1) or single steps (T >= 2)."""
+    runs windows of up to 64 steps (T = 1) or single steps (T >= 2)."""
 
     @staticmethod
     def check_iters(budget, stride, expected):

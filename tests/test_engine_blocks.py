@@ -1,8 +1,10 @@
 """The lock-step engine against the per-step reference, block path included.
 
-At T=1 the engine advances in 32-step blocks (block-exact stepping) and
-takes the records and checks that fall inside one from a snapshot rewound
-from its end; these tests hold it to the sequential reference
+At T=1 the engine advances in windows of the target's block length, 64
+steps when every side it draws gathers its Gram matrix from a table and 32
+otherwise (block-exact stepping), and takes the records and checks that
+fall inside one from a snapshot rewound from its end; these tests hold it
+to the sequential reference
 (``reference.run``) on recorded iterations, stop steps and errors.  At
 T >= 2 it runs the same per-step kernel as the reference, and its errors
 match it bit for bit.
@@ -14,6 +16,7 @@ made one after the other.
 """
 
 import gc
+import math
 import sys
 import threading
 import weakref
@@ -125,7 +128,7 @@ def test_engine_matches_sequential_path(method, dims, seed, consistent, trials, 
     y = target.y if isinstance(target, FactoredSystem) else target[1]
     tol = 1e-6 * (1.0 + float(np.linalg.norm(y))) if tolerance else None
     config = RunConfig(method=method, seed=seed, trials=trials, budget=budget, stride=stride, tolerance=tol)
-    forced = mock.patch.object(_engine, "_round_steps", lambda t: round_steps) if round_steps and trials == 1 else nullcontext()
+    forced = mock.patch.object(_engine, "_round_steps", lambda t, w: round_steps) if round_steps and trials == 1 else nullcontext()
     with forced:
         traj = run_experiment(config, target, beta_star=star)
     last, records = expected_run(method, target, budget, seed, trials, stride, tol, star)
@@ -136,7 +139,7 @@ def test_engine_matches_sequential_path(method, dims, seed, consistent, trials, 
         assert np.all(np.abs(traj.errors[tr] - reference) <= 1e-10 * (1.0 + float(star @ star)))
 
 
-@pytest.mark.parametrize("block", [2, 5, 32])
+@pytest.mark.parametrize("block", [2, 5, 32, 64])
 @pytest.mark.parametrize("method", METHODS + PAIRINGS)
 def test_block_kernel_equals_per_step_kernel(method, block, dims=(7, 4, 6)):
     """One block of B steps on (dim,) state equals B per-step kernel calls on (1, dim) views, on any state and any draws."""
@@ -165,7 +168,7 @@ def test_block_kernel_equals_per_step_kernel(method, block, dims=(7, 4, 6)):
             assert np.all(np.abs(got - want[0]) <= 1e-10 * (1.0 + np.abs(want).max()))
 
 
-@pytest.mark.parametrize("block", [2, 5, 32])
+@pytest.mark.parametrize("block", [2, 5, 32, 64])
 @pytest.mark.parametrize("method", METHODS + PAIRINGS)
 def test_block_kernel_equals_per_step_kernel_wide_u(method, block):
     """As above on 4x7x6, where U is wide and V tall: U's row table, V's column table
@@ -305,15 +308,17 @@ def assert_records_match(traj, records, star):
 def test_one_trial_tolerance_checks_every_m_steps(method, counted_calls, monkeypatch):
     """A tolerance-stopped T=1 run checks at m, 2m, ... and stops where the per-step path does.
 
-    Checks every 20 steps and records every 21 fall inside 32-step
-    blocks, so they read snapshots rewound from the blocks' ends, and no
+    Checks every 20 steps and records every 21 fall inside the target's
+    windows, so they read snapshots rewound from the windows' ends, and no
     per-step kernel runs.
     """
     if method == "rk-rk":
         target, _ = small_factored(20, 5, 10, seed=94)
+        window = target.kernels(method)[2]
     else:
         a, y, _ = consistent_system(20, 6, seed=95)
         target = (a, y)
+        window = SingleSystem(a, y).kernels(method)[2]
     star = oracle_solution(target)
     steps, calls = counted_calls
     checks = []
@@ -344,20 +349,96 @@ def test_one_trial_tolerance_checks_every_m_steps(method, counted_calls, monkeyp
     records, _ = sequential(method, target, budget, 9, 0, stride, tol, star)
     assert stop < budget and max(records) == stop
     assert checks == list(range(20, stop + 1, 20))
-    assert calls == {"kernel": 0, "block": -(-stop // 32)}
+    assert calls == {"kernel": 0, "block": -(-stop // window)}
     assert_records_match(traj, records, star)
 
 
 @pytest.mark.parametrize("method", METHODS + PAIRINGS)
 def test_records_and_checks_cut_no_block(method, counted_calls):
-    """2048 T = 1 steps with records every 7 and a tolerance that never fires run as 64 blocks of 32."""
+    """2048 T = 1 steps with records every 7 and a tolerance that never fires run as 2048 / L blocks of the
+    target's window L: 32 blocks of 64, or 64 of 32 where a side computes its Gram matrix (U's rows, 9 > 2 x 4)."""
     target = make_target(method, 9, 4, 6, seed=8, consistent=False)
     star = oracle_solution(target)
+    window = (target if method in PAIRINGS else SingleSystem(*target)).kernels(method)[2]
     steps, calls = counted_calls
     config = RunConfig(method=method, seed=4, trials=1, budget=2048, stride=7, tolerance=1e-300)
     traj = run_experiment(config, target, beta_star=star)
-    assert calls == {"kernel": 0, "block": 64} and steps[0] == 2048
+    assert calls == {"kernel": 0, "block": 2048 // window} and steps[0] == 2048
     records, _ = sequential(method, target, 2048, 4, 0, 7, None, star)
+    assert_records_match(traj, records, star)
+
+
+# (method, dims, window): (m, k, n) for a pairing, (m, n) for a baseline.  A drawn side with more than
+# twice as many rows as columns computes its Gram matrix, and one such side sets the target's window.
+WINDOW_CASES = [
+    ("rk-rk", (10, 8, 6), solvers.MAX_BLOCK),
+    ("rk-rk", (20, 8, 6), solvers.GEMM_BLOCK),  # U's rows
+    ("rk-rk", (10, 8, 3), solvers.GEMM_BLOCK),  # V's rows
+    ("rek-rk", (10, 8, 6), solvers.MAX_BLOCK),
+    ("rek-rk", (4, 10, 12), solvers.GEMM_BLOCK),  # U's columns
+    ("rgs-rgs", (20, 5, 8), solvers.MAX_BLOCK),  # tall U, but only its columns are drawn
+    ("rgs-rgs", (10, 5, 12), solvers.GEMM_BLOCK),  # V's columns
+    ("rk", (10, 8), solvers.MAX_BLOCK),
+    ("rk", (20, 8), solvers.GEMM_BLOCK),
+    ("rgs", (20, 8), solvers.MAX_BLOCK),
+    ("rgs", (8, 20), solvers.GEMM_BLOCK),
+    ("rek", (10, 8), solvers.MAX_BLOCK),
+    ("regs", (8, 20), solvers.GEMM_BLOCK),
+]
+
+
+@pytest.mark.parametrize(
+    "method, dims, window", WINDOW_CASES, ids=[f"{m}-{'x'.join(map(str, d))}" for m, d, _ in WINDOW_CASES]
+)
+def test_window_follows_the_gram_rule(method, dims, window, counted_calls):
+    """A T = 1 target whose drawn sides all gather their Gram matrices from tables runs MAX_BLOCK-step
+    windows, and one with a side that computes rows @ rows.T GEMM_BLOCK-step ones: 1024 steps take
+    1024 / window block calls and no per-step call."""
+    if method in PAIRINGS:
+        target = make_target(method, *dims, seed=13, consistent=False)
+    else:
+        target = SingleSystem(*make_target(method, dims[0], 1, dims[1], seed=13, consistent=False))
+    steps, calls = counted_calls
+    run_experiment(RunConfig(method=method, seed=2, trials=1, budget=1024, stride=1024), target)
+    assert target.kernels(method)[2] == window
+    assert calls == {"kernel": 0, "block": 1024 // window} and steps[0] == 1024
+
+
+def test_window_lengths_divide_the_sampling_block():
+    """Both window lengths divide the 1024-step sampling block, so only the budget cuts a T = 1 window short."""
+    assert solvers.GEMM_BLOCK < solvers.MAX_BLOCK
+    assert _engine._BLOCK % solvers.MAX_BLOCK == 0 and _engine._BLOCK % solvers.GEMM_BLOCK == 0
+
+
+@pytest.mark.parametrize("b", [1, 7, 64])
+@pytest.mark.parametrize("shape", [(5, 9), (9, 5), (6, 6)], ids=["wide", "tall", "square"])
+def test_cross_sum_equals_its_definition(shape, b):
+    """Entry s of cross_sum is the sum over r <= s of M[at[s], by[r]] coef[r], to within B eps of the sum
+    of the terms' magnitudes, whether it gathers rows of M (tall, square) or of M.T (wide); the
+    indices repeat."""
+    rng = master_rng(400 + b)
+    M = DenseMatrix(rng.standard_normal(shape))
+    at, by, coef = rng.integers(0, shape[0], b), rng.integers(0, shape[1], b), rng.standard_normal(b)
+    if b > 1:
+        assert np.unique(at).size < b or np.unique(by).size < b
+    terms = [[M.data[at[s], by[r]] * coef[r] for r in range(s + 1)] for s in range(b)]
+    want = np.array([math.fsum(t) for t in terms])
+    scale = np.array([math.fsum(abs(x) for x in t) for t in terms])
+    got = solvers.cross_sum(M, at, by, coef)
+    assert got.shape == (b,)
+    assert np.all(np.abs(got - want) <= b * np.finfo(np.float64).eps * scale)
+
+
+@pytest.mark.parametrize("method", ["rk-rk", "rek-rk"])
+def test_tall_factors_match_reference(method):
+    """A T = 1 run on a tall 600 x 200 x 20 system records what the sequential reference records, to
+    rounding.  U's and V's rows compute their Gram matrices, so the windows are GEMM_BLOCK long, and the
+    drift gathers rows of U (length 200), not of U.T (length 600)."""
+    target = make_target(method, 600, 200, 20, seed=23, consistent=False)
+    assert target.kernels(method)[2] == solvers.GEMM_BLOCK
+    star = oracle_solution(target)
+    traj = run_experiment(RunConfig(method=method, seed=7, trials=1, budget=300, stride=10), target, beta_star=star)
+    records, _ = sequential(method, target, 300, 7, 0, 10, None, star)
     assert_records_match(traj, records, star)
 
 
@@ -442,8 +523,9 @@ def lower_cases(b):
     """(name, vecs, diag) per kind of block: distinct rows, a repeated index, and rows of growing
     norm along one direction, whose entry (s, r) exceeds diagonal r for s > r so that dgesv pivots."""
     rng = master_rng(200 + b)
-    a = DenseMatrix(rng.standard_normal((40, 6)))
-    distinct = rng.permutation(40)[:b]
+    rows = solvers.MAX_BLOCK + 8
+    a = DenseMatrix(rng.standard_normal((rows, 6)))
+    distinct = rng.permutation(rows)[:b]
     repeated = np.append(distinct[: b - 1], distinct[0])
     aligned = DenseMatrix((rng.standard_normal(6) + 0.01 * rng.standard_normal((b, 6))) * 2.0 ** np.arange(b)[:, None])
     return [
@@ -471,13 +553,23 @@ def test_default_solve_path_is_named():
     assert solvers._solve_lower is SOLVE_PATHS[solvers.BLOCK_SOLVER]
 
 
+def substitution(lower, rhs):
+    """Forward substitution on the lower triangle in long double, rounded back to float64 at the end."""
+    lower, x = lower.astype(np.longdouble), np.zeros(rhs.size, dtype=np.longdouble)
+    for s in range(rhs.size):
+        x[s] = (rhs[s] - lower[s, :s] @ x[:s]) / lower[s, s]
+    return x.astype(np.float64)
+
+
 @pytest.mark.parametrize("b", range(1, solvers.MAX_BLOCK + 1))
 def test_solve_lower_equals_linalg_solve(b):
-    """Each path this numpy build has solves the masked triangle L x = rhs as np.linalg.solve does, to
-    rounding, pivoting included: within 4 B eps |L^-1| |L| |x| of it componentwise.  A componentwise
-    backward error of d |L| moves a solution by at most about d |L^-1| |L| |x|; substitution's d is at
-    most B eps (Higham, Thm 8.5) and dgesv's is at most 2.5 B eps on these cases, so the two differ by
-    less than 3.5 B eps times that (2.5 measured).  dgesv makes np.linalg.solve's own call: equal bits."""
+    """Each path this numpy build has solves the masked triangle L x = rhs to rounding, pivoting-prone cases
+    included.  dtrsv is within 4 B eps |L^-1| |L| |x| of forward substitution in long double, componentwise:
+    a componentwise backward error of d |L| moves a solution by at most about d |L^-1| |L| |x|, and
+    substitution's d is at most B eps (Higham, Thm 8.5), in either precision (measured 0.02 B eps).  dgesv
+    makes np.linalg.solve's own call: equal bits.  np.linalg.solve is no yardstick for the substitution:
+    partial-pivoting LU has no componentwise backward bound, and on the 64-step pivoting case here it is
+    about 1e9 B eps |L^-1| |L| |x| off."""
     rng = master_rng(b)
     eps = np.finfo(np.float64).eps
     paths = sorted({"dgesv", solvers.BLOCK_SOLVER})
@@ -488,13 +580,14 @@ def test_solve_lower_equals_linalg_solve(b):
         if name == "pivoting" and b > 1:
             assert np.any(np.tril(masked, -1) > diag[None, :])
         rhs = rng.standard_normal(b)
-        want = np.linalg.solve(masked, rhs)
+        want = substitution(masked, rhs)
         skeel = np.abs(np.linalg.inv(masked)) @ (np.abs(masked) @ np.abs(want))
         for path in paths:
             got = SOLVE_PATHS[path](gram.copy(), rhs, diag)
-            assert np.all(np.abs(got - want) <= 4 * b * eps * skeel), (name, path)
             if path == "dgesv":
-                assert np.array_equal(got, want), name
+                assert np.array_equal(got, np.linalg.solve(masked, rhs)), name
+            else:
+                assert np.all(np.abs(got - want) <= 4 * b * eps * skeel), (name, path)
 
 
 @pytest.mark.parametrize("method", METHODS + PAIRINGS)
@@ -522,6 +615,35 @@ def test_one_trial_engine_matches_reference_on_each_solve_path(method, solve_pat
     last, records = expected_run(method, target, 1100, 6, 1, 9, tol, star)
     assert traj.iters[-1] == last
     assert_records_match(traj, records[0], star)
+
+
+def solve_buffer_bytes() -> int:
+    """Bytes of the arrays that own the memory of this thread's triangle-solve buffers."""
+    owners, pending = {}, [vars(solvers._buffers)]
+    while pending:
+        item = pending.pop()
+        if isinstance(item, np.ndarray):
+            while item.base is not None:
+                item = item.base
+            owners[id(item)] = item
+        elif isinstance(item, dict):
+            pending.extend(item.values())
+        elif isinstance(item, (list, tuple)):
+            pending.extend(item)
+    return sum(a.nbytes for a in owners.values())
+
+
+@needs_dtrsv
+def test_solve_buffers_are_one_matrix_and_one_vector_per_thread():
+    """Each thread's triangle solves share one (MAX_BLOCK, MAX_BLOCK) matrix and one (MAX_BLOCK,) vector,
+    whatever the block length: at most (MAX_BLOCK^2 + MAX_BLOCK) 8 bytes, in the main thread and in a new one."""
+    limit = (solvers.MAX_BLOCK**2 + solvers.MAX_BLOCK) * 8
+    assert solve_buffer_bytes() <= limit
+    seen = []
+    worker = threading.Thread(target=lambda: seen.append(solve_buffer_bytes()))
+    worker.start()
+    worker.join(timeout=60)
+    assert seen and seen[0] <= limit
 
 
 def test_concurrent_one_trial_runs_equal_runs_one_after_another():

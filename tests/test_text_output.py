@@ -333,26 +333,27 @@ def test_tolerance_stopped_solve_golden_bytes(method, tmp_path):
 
 
 # SHA-256 of the trajectory CSV of a one-trial solve on the generated S1 (60x40x20) and S2 (40x60x50)
-# desk instances, seed 0: 1500 steps recorded every 50, so records fall inside the T = 1 path's 32-step
-# blocks and read snapshots rewound from their ends.  The Gram entries come from tables on every side
-# but S1's U rows (60 > 2 x 20), where they are computed.
+# desk instances, seed 0: 1500 steps recorded every 50, so records fall inside the T = 1 path's windows
+# and read snapshots rewound from their ends.  The Gram entries come from tables on every side but S1's
+# U rows (60 > 2 x 20), where they are computed, so S1's rk-rk, rek-rk and rek-rek run 32-step windows
+# and the other 13 runs 64-step ones.
 SINGLE_TRIAL_GOLDEN = {
-    ("S1", "rk-rk"): "0825b7e3ec9586c6fbee1f6e08feacee316bb6f76115eb20e7b3d03d11d1a146",
-    ("S1", "rek-rk"): "42f905b49c891466a32bcc35c03aef746532c66a5e07cf1b75e13a927d192028",
-    ("S1", "rek-rek"): "23437b8740bd913d4e50cd5921fb6685f399437d4947647acb0af6d443e2ea4c",
-    ("S1", "rgs-rgs"): "7738f680dbc01f1040c253241d2056b2bc02d8eecb21096bf34223088a84c485",
-    ("S1", "rk"): "1821b0df2ece3a4dc4c7840ecdef47172faa4b0a8a4f59c7ced8d03317af1113",
-    ("S1", "rek"): "65a9ff670d36bae8c268b9f280069fb06f8a5351476043123eacc7d70013712d",
-    ("S1", "rgs"): "be07af4ca5c4822c289bdc6e697c04185fa3c41073bc64142754fb27ec11fd79",
-    ("S1", "regs"): "0aa4cfe8756ffc0be8b28bbb1c3bba2c979fe2bdce64e8677df13774b194ab0f",
-    ("S2", "rk-rk"): "7752c6c3e1f29f9342e09e304647927b346662f1a60934bee56e5cf9e63cbbc1",
-    ("S2", "rek-rk"): "89e5a8f35dbf47727ee1091929fccdf4c4f084cd28ce40a2950c06d176abd95e",
-    ("S2", "rek-rek"): "e78fe9863092ebb0922fa92c1c355b7f7a4edecc1b2c87d277e92d2e0e8fd1fe",
-    ("S2", "rgs-rgs"): "744d6db3c85b2a9d9387f9d91634aac6fd87e72c0011494ad74e13c2122f816a",
-    ("S2", "rk"): "4ad8a513709d052f52de54a464876474edba3eb2fe7c721b723e2733189c026b",
-    ("S2", "rek"): "5ad51e92250c4392059490f08c7586e9b7568347a6fdab7d38915b7f84671cbd",
-    ("S2", "rgs"): "6fc924fca4d8b3ba71dee73b170eeb38892c79475af723e8e6ff14b47df60efa",
-    ("S2", "regs"): "bf896eef2963a5b1d568b5f0a2c39627cfc8b32698732e724117cb6f9307e303",
+    ("S1", "rk-rk"): "15cff02a5fdcdf7bbb7c32ca2fd96df3041d4c30ed49efcd54e7ab88d94cea43",
+    ("S1", "rek-rk"): "48564b54d06c5168b6efb433fda5c4ed1e8e96db928cd31baeafdc91fd280315",
+    ("S1", "rek-rek"): "95e06fdd94f976fdaffc1cdc5da957212b4c5d63a99b54301559c6235eae60cb",
+    ("S1", "rgs-rgs"): "206df9ea2b0cd823e92c470f5a4e8a2292623a1f7c99a96d10f9f5fa897fc597",
+    ("S1", "rk"): "def42e57e92ab7ee701568c6f482483dedf55862c0fd80da655f70036564c9f6",
+    ("S1", "rek"): "05b8ebae0521220359c1c7576c962231ca0b51587644ff74e8c69aa227a6894d",
+    ("S1", "rgs"): "161558a0d14fe7be9b45cabc91f3ab2f78e0427e20b89c849b6f2754cae7bddf",
+    ("S1", "regs"): "1de17d91fd0705548ae07f0e0c4dc2df0f7f1cc256151598ac0fcd3d4e5c4692",
+    ("S2", "rk-rk"): "6fa22697b1f89a03cac887ceddd5bf0f7a085ec36c7b6d3ab728b3248ae4bfa3",
+    ("S2", "rek-rk"): "23b2efa496836a31b0895c764ad8a56bcc4f8895213f5965e07bd09e1b1bb9a0",
+    ("S2", "rek-rek"): "5e757cb7bd7de5e276548bac18a0b2a8d35aee0a67f705c1ac85ac6494e6f0d8",
+    ("S2", "rgs-rgs"): "d2227bedfb34c59882fc9eb93af1f47dd821ce2452d669b5f22b69ab392fa7f4",
+    ("S2", "rk"): "f5b0a4048d08d26f526c4055f252380b6daba8e09e5012b9a1e4248461c03a2f",
+    ("S2", "rek"): "c745694db24a6b1f6ea92ce516f5a5116f8a021e813b11e0cfc8b57aa043d827",
+    ("S2", "rgs"): "9e5a5481db9131ee6973c74cf6336fc8800d624a74bdd3eb24130eb603a8756a",
+    ("S2", "regs"): "45f7655cc45df8227abc028653aa9847fdddc25b8df96394e4a7e2c225c64740",
 }
 
 
