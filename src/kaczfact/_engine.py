@@ -15,15 +15,19 @@ Each sampling block is advanced in windows of L(T) steps, cut short only
 at the sampling block's end (both T = 1 window lengths, 64 and 32,
 divide 1024, so at T = 1 only the budget does that).  Errors are
 recorded at every multiple of the stride and at the budget, and with a
-tolerance set the residuals are checked at every multiple of m.  Those
-in a window are taken after it, in step order: one at its end reads the
-live state, one at step s inside it the target's snapshot, the end state
-rewound to step s by the step coefficients the block kernel returned.  A
-passing check stops the run at its own step.
+tolerance set the residuals are checked at every multiple of m.  The
+engine keeps the next record and check step, so a window with neither
+due costs no walk.  Those in a window are taken after it, in step order:
+one at its end reads the live state, and one at step s inside it reads
+the end state rewound to step s by the step coefficients and rows the
+block kernel returned.  A check rewinds all that the residuals read (the
+target's snapshot); a record that is not also a check rewinds only what
+the estimate reads (``estimate_at``: b of a pairing, not x).  A passing
+check stops the run at its own step.
 
 A target (``solvers.SingleSystem``, ``interlaced.FactoredSystem``) gives
-the samplers, flops, state, kernels and T = 1 window, snapshots,
-estimate and residuals.  A window of B > 1 steps runs its block kernel,
+the samplers, flops, state, kernels and T = 1 window, snapshots and
+rewound estimates, estimate and residuals.  A window of B > 1 steps runs its block kernel,
 and a 1-step window its per-step kernel, the one the sequential
 reference steps with.  This module holds no algebra and no branch on the
 target's type: it schedules draws, windows, records and tolerance
@@ -54,6 +58,7 @@ The flop count is the per-step model however the steps are grouped.
 from __future__ import annotations
 
 import functools
+import math
 
 import numpy as np
 
@@ -93,7 +98,8 @@ class _Batch:
     def max_residual(self, state) -> float:
         """Largest residual norm across the trials of ``state`` (joint over a pairing's two subsystems)."""
         parts = self.target.residuals(self.method, state)
-        return float(max(np.sqrt((res * res).sum(axis=1).max()) for res in parts))
+        # One sqrt of the largest square: sqrt is monotone and correctly rounded, so this is the largest norm.
+        return math.sqrt(max(float((res * res).sum(axis=1).max()) for res in parts))
 
 
 def run_trials(
@@ -126,36 +132,45 @@ def run_trials(
     errors: list[np.ndarray] = []
     t = 0
     stopped = False
+    # The next record and check steps, and the first of them.
+    next_rec, next_check = min(stride, budget), check_every
+    due = min(next_rec, next_check)
     while t < budget and not stopped:
         block = min(_BLOCK, budget - t)
         # (draw, step, trial): each trial's uniforms in its stream's (step, draw) order.
         u = np.empty((draws, block, trials))
         for tr, rng in enumerate(rngs):
             u[:, :, tr] = rng.random((block, draws)).T
-        idx = tuple(s.draw_many(u[d]) for d, s in enumerate(batch.samplers))
+        idx = [s.draw_many(u[d]) for d, s in enumerate(batch.samplers)]
+        runs = [ix[:, 0] for ix in idx]  # the first trial's indices, which a T = 1 window slices
         start = t
         while t < start + block and not stopped:
             # A window (t, end] ends only at L(T) steps or at the sampling block's end.
             end = min(t + round_steps, start + block)
             if end - t == 1:
-                batch.kernel(tuple(ix[t - start] for ix in idx))
+                batch.kernel(tuple([ix[t - start] for ix in idx]))
             else:
-                window = tuple(ix[t - start : end - start, 0] for ix in idx)
+                window = tuple([r[t - start : end - start] for r in runs])
                 coef = batch.advance(window)
-            # Records and checks inside the window read a snapshot rewound from its end.
-            e = t
-            while e < end and not stopped:
-                rec = min((e // stride + 1) * stride, budget)
-                check = (e // check_every + 1) * check_every
-                e = min(rec, check)
-                if e > end:
-                    break
-                state = batch.state if e == end else target.snapshot(method, batch.state, window, coef, e - t)
-                stopped = e == check and batch.max_residual(state) <= tolerance
-                if stopped or e == rec:
-                    diff = target.estimate(method, state) - beta_star
+            # Records and checks due in the window, in step order.  Inside it a check reads the snapshot
+            # rewound from its end, and a record that is not also a check only the rewound estimate.
+            while due <= end and not stopped:
+                e = due
+                if e == next_check:
+                    state = batch.state if e == end else target.snapshot(method, batch.state, window, coef, e - t)
+                    stopped = batch.max_residual(state) <= tolerance
+                    next_check += check_every
+                    est = target.estimate(method, state) if stopped or e == next_rec else None
+                elif e == end:
+                    est = target.estimate(method, batch.state)
+                else:
+                    est = target.estimate_at(method, batch.state, window, coef, e - t)
+                if est is not None:
+                    diff = est - beta_star
                     iters.append(e)
                     errors.append(np.einsum("ij,ij->i", diff, diff))
+                    next_rec = min(e + stride, budget) if e < budget else budget + 1
+                due = min(next_rec, next_check)
             t = end
 
     it = np.asarray(iters, dtype=np.int64)

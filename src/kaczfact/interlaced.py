@@ -63,7 +63,8 @@ import numpy as np
 
 from . import oracle
 from .dense import DenseMatrix, _as_float_vector, _require_matrix
-from .solvers import DRAWS, block_kernel, block_length, cross_sum, init_state, rewind, samplers, step_cost, step_kernel
+from .solvers import DRAWS, block_kernel, block_length, cross_sum, gather, init_state, rewind, samplers, step_cost
+from .solvers import step_kernel
 
 __all__ = [
     "PAIRINGS",
@@ -150,9 +151,14 @@ class FactoredSystem:
 
     def snapshot(self, method: str, state: InterlacedState, draws, coef, s: int) -> InterlacedState:
         """The x and b s steps into a T = 1 block that ended at ``state`` and returned coef."""
-        outer, inner, split = _split(method)
-        x = rewind(outer, self.U, state.x, draws[:split], coef[0], s)
-        return InterlacedState(x, rewind(inner, self.V, state.b, draws[split:], coef[1], s))
+        outer, _, split = _split(method)
+        x = rewind(outer, state.x, draws[:split], coef[0], s)
+        return InterlacedState(x, self.estimate_at(method, state, draws, coef, s))
+
+    def estimate_at(self, method: str, state: InterlacedState, draws, coef, s: int) -> np.ndarray:
+        """b s steps into a T = 1 block that ended at ``state`` and returned coef; x is not rewound."""
+        _, inner, split = _split(method)
+        return rewind(inner, state.b, draws[split:], coef[1], s)
 
 
 @dataclass
@@ -210,14 +216,20 @@ def pairing_block(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v, d
     the outer and the inner side's step coefficients.
     """
     outer, inner, split = _split(method)
+    inner_draws = draws[split:]
+    inner_rows = gather(inner, sys.V, inner_draws)
     # An inner row side reads x as the block began; an inner rgs side reads res_v instead.
     rhs = x.copy() if res_v is None else None
     coef = block_kernel(outer, sys.U, sys.y, x, z, res_u, draws[:split])
-    # Inner step s's rhs dropped with the outer steps r <= s: x[p_s] by U[i_r, p_s] coef_r (row side),
-    # or, as the rgs residual's inner product grew, by V[j_r, q_s] coef_r.
-    mat, by = (sys.U, draws[0]) if res_v is None else (sys.V, draws[split - 1])
-    drift = cross_sum(mat.T, draws[split], by, coef)
-    inner_coef = block_kernel(inner, sys.V, rhs, b, zv, res_v, draws[split:], drift)
+    # Inner step s's rhs dropped with the outer steps r <= s: x[p_s] by U[i_r, p_s] c_r (row side, from
+    # the outer rows U[i_r]), or, as the rgs residual's inner product grew, by V[j_r, q_s] gamma_r (from
+    # the inner rows V.T[q_s]).
+    if res_v is None:
+        c, rows = coef
+        drift = cross_sum(sys.U.T, inner_draws[0], draws[0], c, by_rows=rows)
+    else:
+        drift = cross_sum(sys.V.T, inner_draws[0], draws[split - 1], coef, at_rows=inner_rows[0])
+    inner_coef = block_kernel(inner, sys.V, rhs, b, zv, res_v, inner_draws, drift, inner_rows)
     if res_v is not None:
         np.add.at(res_v, draws[split - 1], coef)
     return coef, inner_coef

@@ -172,38 +172,47 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
 #
 # What step r changes and a later step s reads enters through an inclusive
 # lower-triangular cross matrix (cross_sum): rek's z[i_s] and the regs
-# correction's coordinate patches, both from A[I][:, J].  cross_sum gathers
-# its B rows from whichever of A and A.T has the shorter rows.  A side
+# correction's coordinate patches, both from A[I][:, J].  A block gathers
+# each draw's rows once (``gather``), and everything in it reads them: the
+# projections, the cross sums, which take B^2 entries from whichever of A[I]
+# and A.T[J] has the shorter rows, and ``rewind``, which undoes row steps
+# with the rows the block returned beside their coefficients.  A side
 # costs one gather, one (B, B) Gram matrix and one (B, B) solve instead of
 # B rounds of per-step numpy calls, and agrees with them to rounding.  The
 # (B, B) triangle goes to CBLAS dtrsv, a forward substitution, in the BLAS
-# that numpy links to, called through ctypes on the leading B x B part of
-# one persistent (MAX_BLOCK, MAX_BLOCK) buffer, with its arguments bound
-# once per B.  ctypes releases the GIL during the call, so each thread has
-# a buffer of its own.  A numpy build that exports no CBLAS dtrsv falls
-# back to LAPACK dgesv through numpy's gufunc (the call np.linalg.solve
-# makes, without its wrapper) on the masked triangle; the two paths differ
-# at rounding, and BLOCK_SOLVER names the one this build runs.  Neither
-# needs a singular-matrix guard: the diagonal holds squared norms of drawn
-# rows, and NormSampler never draws a zero weight.  When M (A or A.T) is
-# tabled (at most twice as many rows as columns), the Gram matrix is
-# gathered from M M^T, built on the first block that needs it and
-# memoized per M, as the samplers are; the table is then no larger than A
-# and A.T together.  einsum builds it, as a threaded gemm's bits would
-# depend on the BLAS thread count.  A longer side computes rows @ rows.T
-# of the gathered rows, whose cost grows with B, so a target with such a
-# side runs GEMM_BLOCK-step windows and one with none MAX_BLOCK-step
-# windows (``block_length``).  The state is one trial's (dim,) arrays;
-# draw entry s is step s's index.  A block returns its step coefficients,
-# from which ``rewind`` recovers the iterate at any step inside it.
+# that numpy links to, called through ctypes on a contiguous B x B view of
+# one persistent flat buffer (lda = B), with its arguments bound once per
+# B.  ctypes releases the GIL during the call, so each thread has a buffer
+# of its own.  A numpy build that exports no CBLAS dtrsv falls back to
+# LAPACK dgesv through numpy's gufunc (the call np.linalg.solve makes,
+# without its wrapper) on the masked triangle; the two paths differ at
+# rounding, and BLOCK_SOLVER names the one this build runs.  Neither needs
+# a singular-matrix guard: the diagonal holds squared norms of drawn rows,
+# and NormSampler never draws a zero weight.  When M (A or A.T) is tabled
+# (at most twice as many rows as columns), the Gram matrix is gathered
+# from M M^T, built on the first block that needs it and memoized per M,
+# as the samplers are; the table is then no larger than A and A.T
+# together.  einsum builds it, as a threaded gemm's bits would depend on
+# the BLAS thread count.  A longer side computes rows @ rows.T of the
+# gathered rows, whose cost grows with B, so a target with such a side
+# runs GEMM_BLOCK-step windows and one with none MAX_BLOCK-step windows
+# (``block_length``).  The state is one trial's (dim,) arrays; draw entry s
+# is step s's index.  A block returns its step coefficients, from which
+# ``rewind`` recovers the iterate at any step inside it.
 
 # Longest block, and the block length of a target with an untabled side.
 MAX_BLOCK = 64
 GEMM_BLOCK = 32
-# The triangular masks, whose leading b x b parts are the b x b ones.  The upper one is C-ordered, as a
-# (b, b) product with _LOWER.T's F-ordered view takes about twice as long.
-_LOWER = np.tril(np.ones((MAX_BLOCK, MAX_BLOCK)))
-_UPPER = np.triu(np.ones((MAX_BLOCK, MAX_BLOCK)))
+
+
+@functools.cache
+def _mask(b: int, triangle) -> np.ndarray:
+    """The contiguous (b, b) mask of ones that ``triangle`` (np.tril or np.triu) keeps, built on first use.  A
+    strided slice of a larger mask multiplies about 2.5 times slower."""
+    mask = triangle(np.ones((b, b)))
+    mask.setflags(write=False)
+    return mask
+
 
 # Memoized Gram tables M M^T; the weak keys keep a table from outliving M.
 _grams: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -224,19 +233,33 @@ def block_length(method: str, A: DenseMatrix) -> int:
     return MAX_BLOCK if all(map(_tabled, sides)) else GEMM_BLOCK
 
 
-def cross_sum(M: DenseMatrix, at: np.ndarray, by: np.ndarray, coef: np.ndarray) -> np.ndarray:
+def gather(method: str, A: DenseMatrix, draws) -> tuple:
+    """The rows a block of ``method`` on A acts on, one (B, len) array per draw (``DRAWS``): A.data[draws[d]]
+    for a row draw, A.T.data[draws[d]] for a column draw."""
+    if method == "rk":
+        return (A.data.take(draws[0], 0),)
+    if method == "rgs":
+        return (A.T.data.take(draws[0], 0),)
+    return A.data.take(draws[0], 0), A.T.data.take(draws[1], 0)  # rek and regs: a row, then a column
+
+
+def cross_sum(M: DenseMatrix, at: np.ndarray, by: np.ndarray, coef: np.ndarray, at_rows=None, by_rows=None):
     """Entry s: sum over r <= s of M.data[at[s], by[r]] * coef[r], for (B,) at, by, coef.
 
-    Gathers B rows of whichever of M and M.T has the shorter rows, and
-    then B^2 entries of them.
+    Reads B^2 entries of B rows of whichever of M and M.T has the
+    shorter rows: at_rows = M.data[at] or by_rows = M.T.data[by] when
+    the caller has gathered them, else rows it gathers.
     """
     b = at.size
     if M.cols <= M.rows:
-        cross = M.data.take(at, 0).take(by, 1)  # cross[s, r]
-        cross *= _LOWER[:b, :b]
+        rows = M.data.take(at, 0) if at_rows is None else at_rows
+        cross = rows.take(by, 1)  # cross[s, r]
+        cross *= _mask(b, np.tril)
         return cross @ coef
-    cross = M.T.data.take(by, 0).take(at, 1)  # cross[r, s]
-    cross *= _UPPER[:b, :b]
+    rows = M.T.data.take(by, 0) if by_rows is None else by_rows
+    # C-ordered, so an upper mask: a product with the lower mask's F-ordered transpose takes about twice as long.
+    cross = rows.take(at, 1)  # cross[r, s]
+    cross *= _mask(b, np.triu)
     return coef @ cross
 
 
@@ -278,16 +301,20 @@ _DTRSV_FLAGS = tuple(ctypes.c_int(v) for v in (101, 122, 111, 131))
 
 
 class _DtrsvBuffers(threading.local):
-    """Per thread: one (MAX_BLOCK, MAX_BLOCK) matrix and one (MAX_BLOCK,) vector, and for each B the views of
-    their leading parts (the B x B matrix, its diagonal, the B-vector) and dtrsv bound to them with lda = MAX_BLOCK."""
+    """Per thread: one flat MAX_BLOCK^2 matrix buffer and one (MAX_BLOCK,) vector, and for each B the contiguous
+    B x B matrix on the buffer's head, its diagonal, the B-vector, and dtrsv bound to them with lda = B."""
 
     def __init__(self):
         fn, blasint = _DTRSV
-        mat, vec = np.zeros((MAX_BLOCK, MAX_BLOCK)), np.zeros(MAX_BLOCK)
-        pointers = ctypes.c_void_p(mat.ctypes.data), blasint(MAX_BLOCK), ctypes.c_void_p(vec.ctypes.data), blasint(1)
-        diag = mat.reshape(-1)[:: MAX_BLOCK + 1]
+        flat, vec = np.zeros(MAX_BLOCK * MAX_BLOCK), np.zeros(MAX_BLOCK)
+        mat, x = ctypes.c_void_p(flat.ctypes.data), ctypes.c_void_p(vec.ctypes.data)
         self.by_size = [None] + [
-            (mat[:b, :b], diag[:b], vec[:b], functools.partial(fn, *_DTRSV_FLAGS, blasint(b), *pointers))
+            (
+                flat[: b * b].reshape(b, b),
+                flat[: b * b : b + 1],
+                vec[:b],
+                functools.partial(fn, *_DTRSV_FLAGS, blasint(b), mat, blasint(b), x, blasint(1)),
+            )
             for b in range(1, MAX_BLOCK + 1)
         ]
 
@@ -305,7 +332,7 @@ def _solve_lower_dtrsv(gram: np.ndarray, rhs: np.ndarray, diag: np.ndarray) -> n
 def _solve_lower_dgesv(gram: np.ndarray, rhs: np.ndarray, diag: np.ndarray) -> np.ndarray:
     """Solve tril(gram) c = rhs, with the cached squared norms on the diagonal, by LAPACK dgesv.  Overwrites gram."""
     b = gram.shape[0]
-    gram *= _LOWER[:b, :b]
+    gram *= _mask(b, np.tril)
     gram.flat[:: b + 1] = diag
     return _solve1(gram, rhs, signature="dd->d")
 
@@ -317,40 +344,47 @@ else:
     _solve_lower = _solve_lower_dtrsv
 
 
-def _project_block(M: DenseMatrix, v: np.ndarray, idx: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+def _project_block(M: DenseMatrix, v: np.ndarray, idx: np.ndarray, rhs: np.ndarray | None = None, rows=None):
     """Projections of v onto rows idx[0], idx[1], ... of M against rhs[s] (0 when None): B ``project`` calls.
 
-    Returns the (B,) step coefficients c.
+    rows is M.data[idx] as the block gathered it (gathered here when
+    None).  Returns the (B,) step coefficients c.
     """
-    rows = M.data.take(idx, 0)
+    if rows is None:
+        rows = M.data.take(idx, 0)
     dots = rows @ v
     c = _solve_lower(_gram(M, rows, idx), dots if rhs is None else dots - rhs, M.row_sqnorms.take(idx))
     v -= c @ rows
     return c
 
 
-def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual, draws, drift=None):
+def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual, draws, drift=None, rows=None):
     """B ``method`` steps on (A, rhs) for one trial: the block-exact form of B ``step_kernel`` calls.
 
     rhs is (m,) and beta, z and residual are the trial's (dim,) state
     (None where the method keeps none); draws are (B,) index arrays in
-    draw order.  drift[s] is how far step s's right-hand side has dropped
-    since the block began (None for a fixed one): rk and rek subtract it
-    from rhs at the row draw; for rgs and regs, whose residual's inner
-    product with the drawn column has grown by it, -drift[s] is the rhs
-    of the residual's projection.  Returns the (B,) step coefficients:
-    the row projections' c for rk and rek, the coordinate moves of rgs
-    and regs, and for regs also the (B,) c of z's row projections.
+    draw order, and rows their ``gather`` (made here when None).
+    drift[s] is how far step s's right-hand side has dropped since the
+    block began (None for a fixed one): rk and rek subtract it from rhs
+    at the row draw; for rgs and regs, whose residual's inner product
+    with the drawn column has grown by it, -drift[s] is the rhs of the
+    residual's projection.  Returns what ``rewind`` undoes the steps
+    with: (c, A.data[i]), the row projections' (B,) coefficients and
+    rows, for rk and rek; the (B,) coordinate moves of rgs; and for regs
+    the coordinate moves and (c, A.data[i]) of z's row projections.
     """
+    if rows is None:
+        rows = gather(method, A, draws)
     if method in ("rgs", "regs"):
         j = draws[-1]
-        gamma = _project_block(A.T, residual, j, None if drift is None else -drift)
+        gamma = _project_block(A.T, residual, j, None if drift is None else -drift, rows[-1])
         np.add.at(beta, j, gamma)
         if method == "regs":
             # Row step s projects z + sum_{r<=s} gamma_r e_{j_r}: the patches enter its rhs.
-            c = _project_block(A, z, draws[0], -cross_sum(A, draws[0], j, gamma))
+            i = draws[0]
+            c = _project_block(A, z, i, -cross_sum(A, i, j, gamma, *rows), rows[0])
             np.add.at(z, j, gamma)
-            return gamma, c
+            return gamma, (c, rows[0])
         return gamma
     i = draws[0]
     target = rhs.take(i)
@@ -359,16 +393,17 @@ def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual
     if method == "rek":
         # Row step s reads z[i_s] after the column projections r <= s.
         z_rows = z.take(i)
-        z_rows -= cross_sum(A, i, draws[1], _project_block(A.T, z, draws[1]))
+        z_rows -= cross_sum(A, i, draws[1], _project_block(A.T, z, draws[1], None, rows[1]), *rows)
         target -= z_rows
-    return _project_block(A, beta, i, target)
+    return _project_block(A, beta, i, target, rows[0]), rows[0]
 
 
-def rewind(method: str, A: DenseMatrix, v: np.ndarray, draws, coef: np.ndarray, s: int) -> np.ndarray:
-    """(1, dim) v s steps into a block of ``method`` on A that ended at v and returned coef: steps s.. undone."""
+def rewind(method: str, v: np.ndarray, draws, coef, s: int) -> np.ndarray:
+    """(1, dim) v s steps into a block of ``method`` that ended at v and returned coef: steps s.. undone."""
     if method in ("rgs", "regs"):  # coordinate step r added coef[r] at j_r
         return v - np.bincount(draws[-1][s:], coef[s:], v.shape[1])
-    return v + coef[s:] @ A.data.take(draws[0][s:], 0)  # row step r took coef[r] A[i_r] off v
+    c, rows = coef  # row step r took c[r] rows[r] off v
+    return v + c[s:] @ rows[s:]
 
 
 # --- state ------------------------------------------------------------------
@@ -447,10 +482,14 @@ class SingleSystem:
     def snapshot(self, method: str, state: SolverState, draws, coef, s: int) -> SolverState:
         """The beta (and regs z) s steps into a T = 1 block that ended at ``state`` and returned coef."""
         if method != "regs":
-            return SolverState(rewind(method, self.A, state.beta, draws, coef, s))
+            return SolverState(rewind(method, state.beta, draws, coef, s))
         gamma, c = coef
-        z = rewind("rk", self.A, rewind("rgs", self.A, state.z, draws, gamma, s), draws, c, s)
-        return SolverState(rewind("rgs", self.A, state.beta, draws, gamma, s), z)
+        z = rewind("rk", rewind("rgs", state.z, draws, gamma, s), draws, c, s)
+        return SolverState(rewind("rgs", state.beta, draws, gamma, s), z)
+
+    def estimate_at(self, method: str, state: SolverState, draws, coef, s: int) -> np.ndarray:
+        """The estimate s steps into a T = 1 block: that of the snapshot, which holds only what estimate reads."""
+        return estimate(method, self.snapshot(method, state, draws, coef, s))
 
     def residuals(self, method: str, state: SolverState) -> tuple:
         """A estimate - y, one row per trial of (T, dim) state."""

@@ -368,6 +368,37 @@ def test_records_and_checks_cut_no_block(method, counted_calls):
     assert_records_match(traj, records, star)
 
 
+@pytest.mark.parametrize("method", PAIRINGS)
+def test_records_rewind_only_the_estimate(method, counted_calls, monkeypatch):
+    """A T = 1 pairing's record inside a window rewinds b alone: with no tolerance no rewind acts on x, and
+    with one x is rewound once at each check step inside a window and nowhere else.  b is rewound once at
+    each record or check step inside a window.  x has k = 4 entries and b n = 6, which tells the rewinds
+    apart; records fall every 7 steps and checks every m = 9."""
+    target = make_target(method, 9, 4, 6, seed=8, consistent=False)
+    star = oracle_solution(target)
+    window = target.kernels(method)[2]
+    steps, _ = counted_calls
+
+    def counting(*args):
+        # (..., v, draws, coef, s): the end state v rewound to step s of the block that just ran.
+        v, draws, s = args[-4], args[-3], args[-1]
+        rewound[v.shape[1]].append(steps[0] - draws[0].size + s)
+        return solvers.rewind(*args)
+
+    monkeypatch.setattr(interlaced, "rewind", counting)
+    inside = lambda every: [e for e in range(every, 2049, every) if e % window]
+    for tolerance in (None, 1e-300):
+        rewound = {4: [], 6: []}  # length of the rewound vector -> steps rewound to
+        steps[0] = 0
+        config = RunConfig(method=method, seed=4, trials=1, budget=2048, stride=7, tolerance=tolerance)
+        traj = run_experiment(config, target, beta_star=star)
+        checks = [] if tolerance is None else inside(9)
+        assert rewound[4] == checks
+        assert rewound[6] == sorted(set(inside(7)) | set(checks))
+        records, _ = sequential(method, target, 2048, 4, 0, 7, None, star)
+        assert_records_match(traj, records, star)
+
+
 # (method, dims, window): (m, k, n) for a pairing, (m, n) for a baseline.  A drawn side with more than
 # twice as many rows as columns computes its Gram matrix, and one such side sets the target's window.
 WINDOW_CASES = [
