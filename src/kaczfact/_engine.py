@@ -12,8 +12,8 @@ draw) order, and a step's (T,) indices for one draw are one contiguous
 row, as is a T = 1 window's run of steps.
 
 Each sampling block is advanced in windows of L(T) steps, cut short only
-at the sampling block's end (both T = 1 window lengths, 64 and 32,
-divide 1024, so at T = 1 only the budget does that).  Errors are
+at the sampling block's end (the T = 1 window, 64 steps, divides 1024,
+so at T = 1 only the budget does that).  Errors are
 recorded at every multiple of the stride and at the budget, and with a
 tolerance set the residuals are checked at every multiple of m.  The
 engine keeps the next record and check step, so a window with neither
@@ -26,25 +26,24 @@ the estimate reads (``estimate_at``: b of a pairing, not x).  A passing
 check stops the run at its own step.
 
 A target (``solvers.SingleSystem``, ``interlaced.FactoredSystem``) gives
-the samplers, flops, state, kernels and T = 1 window, snapshots and
-rewound estimates, estimate and residuals.  A window of B > 1 steps runs its block kernel,
+the samplers, flops, state, kernels, snapshots and rewound estimates,
+estimate and residuals.  A window of B > 1 steps runs its block kernel,
 and a 1-step window its per-step kernel, the one the sequential
 reference steps with.  This module holds no algebra and no branch on the
 target's type: it schedules draws, windows, records and tolerance
 checks.
 
-L(T) is the target's window at T = 1 and 1 at T >= 2, so the block
-kernels take one trial.  At T = 1 nearly all of a step's time is
-interpreter overhead, which a window pays once.  The window is
-``solvers.MAX_BLOCK`` (64) when every side the method draws gathers its
-Gram matrix from a table, and ``solvers.GEMM_BLOCK`` (32) when one
-computes it as rows @ rows.T, whose cost grows with the window
-(``solvers.block_length``); 128-step windows measured no faster than
-64-step ones on the full presets.  The triangles go to the BLAS forward
-substitution dtrsv (``solvers.BLOCK_SOLVER`` names the path a numpy
-build runs), with no singular-matrix guard, as their diagonals are drawn
-squared norms, all > 0.  At T >= 2 the per-step loop spreads the
-overhead over the trials, and block stepping is closed: on S3b
+L(T) is ``solvers.MAX_BLOCK`` (64) at T = 1 and 1 at T >= 2, so the
+block kernels take one trial.  At T = 1 nearly all of a step's time is
+interpreter overhead, which a window pays once.  Every target takes the
+same window, whether its sides gather their Gram matrices from tables or
+compute them as rows @ rows.T; 128-step windows measured no faster than
+64-step ones on the full presets, and 32-step ones faster only on dense
+baselines with rows of about 500 entries or more.  The triangles go to
+the BLAS forward substitution dtrsv (``solvers.BLOCK_SOLVER`` names the
+path a numpy build runs), with no singular-matrix guard, as their
+diagonals are drawn squared norms, all > 0.  At T >= 2 the per-step
+loop spreads the overhead over the trials, and block stepping is closed: on S3b
 120x75x50 the per-step kernels took 0.74-1.46 us per trial-step at
 T = 40 and 0.44-0.97 at T = 200, against 0.82-1.80 and 0.68-1.52 at the
 best block length.  Each trial of a multi-trial run thus performs the
@@ -63,15 +62,16 @@ import math
 import numpy as np
 
 from .sampling import trial_rng
+from .solvers import MAX_BLOCK
 
 __all__ = ["run_trials"]
 
 _BLOCK = 1024
 
 
-def _round_steps(trials: int, window: int) -> int:
-    """L(T): the window length at ``trials`` lock-step trials (1: per-step path), given the target's T = 1 window."""
-    return window if trials == 1 else 1
+def _round_steps(trials: int) -> int:
+    """L(T): the window length at ``trials`` lock-step trials (1: per-step path)."""
+    return MAX_BLOCK if trials == 1 else 1
 
 
 class _Batch:
@@ -80,8 +80,7 @@ class _Batch:
     kernel(draws) takes one step, with one (T,) index array per draw;
     advance(draws) takes B steps of a T = 1 batch on its (dim,) row
     views, with one (B,) index array per draw, and returns the step
-    coefficients the target's snapshot rewinds with.  window is the
-    target's longest T = 1 block.
+    coefficients the target's snapshot rewinds with.
     """
 
     def __init__(self, method: str, target, trials: int):
@@ -91,7 +90,7 @@ class _Batch:
         vectors = tuple(None if v is None else np.tile(v, (trials, 1)) for v in vars(s).values())
         self.state = type(s)(*vectors)
         self.samplers = target.samplers(method)
-        kernel, block, self.window = target.kernels(method)
+        kernel, block = target.kernels(method)
         self.kernel = functools.partial(kernel, *vectors, np.arange(trials))
         self.advance = functools.partial(block, *(None if v is None else v[0] for v in vectors))
 
@@ -127,7 +126,7 @@ def run_trials(
     check_every = target.m if tolerance is not None else budget + 1  # without a tolerance no check is due
     rngs = [trial_rng(seed, tr) for tr in range(trials)]
 
-    round_steps = _round_steps(trials, batch.window)
+    round_steps = _round_steps(trials)
     iters: list[int] = []
     errors: list[np.ndarray] = []
     t = 0

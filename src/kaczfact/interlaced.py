@@ -63,8 +63,7 @@ import numpy as np
 
 from . import oracle
 from .dense import DenseMatrix, _as_float_vector, _require_matrix
-from .solvers import DRAWS, block_kernel, block_length, cross_sum, gather, init_state, rewind, samplers, step_cost
-from .solvers import step_kernel
+from .solvers import DRAWS, block_kernel, cross_sum, gather, init_state, rewind, samplers, step_cost, step_kernel
 
 __all__ = [
     "PAIRINGS",
@@ -136,11 +135,8 @@ class FactoredSystem:
         return init_interlaced(method, self)
 
     def kernels(self, method: str) -> tuple:
-        """``pairing_kernel`` and ``pairing_block`` with the pairing and the system bound, and the T = 1 window:
-        the shorter of the outer method's on U and the inner one's on V."""
-        outer, inner, _ = _split(method)
-        window = min(block_length(outer, self.U), block_length(inner, self.V))
-        return functools.partial(pairing_kernel, method, self), functools.partial(pairing_block, method, self), window
+        """``pairing_kernel`` and ``pairing_block`` with the pairing and the system bound."""
+        return functools.partial(pairing_kernel, method, self), functools.partial(pairing_block, method, self)
 
     def estimate(self, method: str, state: InterlacedState) -> np.ndarray:
         return state.b

@@ -194,15 +194,14 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
 # as the samplers are; the table is then no larger than A and A.T
 # together.  einsum builds it, as a threaded gemm's bits would depend on
 # the BLAS thread count.  A longer side computes rows @ rows.T of the
-# gathered rows, whose cost grows with B, so a target with such a side
-# runs GEMM_BLOCK-step windows and one with none MAX_BLOCK-step windows
-# (``block_length``).  The state is one trial's (dim,) arrays; draw entry s
-# is step s's index.  A block returns its step coefficients, from which
-# ``rewind`` recovers the iterate at any step inside it.
+# gathered rows.  Every T = 1 window is MAX_BLOCK steps, whichever way
+# its sides get their Gram matrices.  The state is one trial's (dim,)
+# arrays; draw entry s is step s's index.  A block returns its step
+# coefficients, from which ``rewind`` recovers the iterate at any step
+# inside it.
 
-# Longest block, and the block length of a target with an untabled side.
+# The T = 1 window, and the longest block.
 MAX_BLOCK = 64
-GEMM_BLOCK = 32
 
 
 @functools.cache
@@ -218,29 +217,10 @@ def _mask(b: int, triangle) -> np.ndarray:
 _grams: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _tabled(M: DenseMatrix) -> bool:
-    """Whether blocks on M's rows gather their Gram matrix from the table M M^T.
-
-    True when M has at most twice as many rows as columns, so that the
-    table is no larger than M and M.T together.
-    """
-    return M.rows <= 2 * M.cols
-
-
-def block_length(method: str, A: DenseMatrix) -> int:
-    """The T = 1 window of ``method`` on A: MAX_BLOCK when every side it draws is tabled, else GEMM_BLOCK."""
-    sides = (A if d == "row" else A.T for d in DRAWS[method])
-    return MAX_BLOCK if all(map(_tabled, sides)) else GEMM_BLOCK
-
-
 def gather(method: str, A: DenseMatrix, draws) -> tuple:
     """The rows a block of ``method`` on A acts on, one (B, len) array per draw (``DRAWS``): A.data[draws[d]]
     for a row draw, A.T.data[draws[d]] for a column draw."""
-    if method == "rk":
-        return (A.data.take(draws[0], 0),)
-    if method == "rgs":
-        return (A.T.data.take(draws[0], 0),)
-    return A.data.take(draws[0], 0), A.T.data.take(draws[1], 0)  # rek and regs: a row, then a column
+    return tuple((A if d == "row" else A.T).data.take(ix, 0) for d, ix in zip(DRAWS[method], draws))
 
 
 def cross_sum(M: DenseMatrix, at: np.ndarray, by: np.ndarray, coef: np.ndarray, at_rows=None, by_rows=None):
@@ -264,8 +244,9 @@ def cross_sum(M: DenseMatrix, at: np.ndarray, by: np.ndarray, coef: np.ndarray, 
 
 
 def _gram(M: DenseMatrix, rows: np.ndarray, idx) -> np.ndarray:
-    """The (B, B) Gram matrix of rows = M.data[idx]: gathered from M's memoized M M^T if M is tabled, else from rows."""
-    if not _tabled(M):
+    """The (B, B) Gram matrix of rows = M.data[idx]: gathered from M's memoized M M^T when M has at most twice
+    as many rows as columns, so that the table is no larger than M and M.T together, else computed from rows."""
+    if M.rows > 2 * M.cols:
         return rows @ rows.T
     table = _grams.get(M)
     if table is None:
@@ -344,14 +325,12 @@ else:
     _solve_lower = _solve_lower_dtrsv
 
 
-def _project_block(M: DenseMatrix, v: np.ndarray, idx: np.ndarray, rhs: np.ndarray | None = None, rows=None):
+def _project_block(M: DenseMatrix, v: np.ndarray, idx: np.ndarray, rhs: np.ndarray | None, rows: np.ndarray):
     """Projections of v onto rows idx[0], idx[1], ... of M against rhs[s] (0 when None): B ``project`` calls.
 
-    rows is M.data[idx] as the block gathered it (gathered here when
-    None).  Returns the (B,) step coefficients c.
+    rows is M.data[idx] as the block gathered it.  Returns the (B,) step
+    coefficients c.
     """
-    if rows is None:
-        rows = M.data.take(idx, 0)
     dots = rows @ v
     c = _solve_lower(_gram(M, rows, idx), dots if rhs is None else dots - rhs, M.row_sqnorms.take(idx))
     v -= c @ rows
@@ -472,10 +451,9 @@ class SingleSystem:
         return init_state(method, self.A, self.y)
 
     def kernels(self, method: str) -> tuple:
-        """``step_kernel`` and ``block_kernel`` with the method and the data bound, and the T = 1 window."""
+        """``step_kernel`` and ``block_kernel`` with the method and the data bound."""
         bound = (method, self.A, self.y)
-        window = block_length(method, self.A)
-        return functools.partial(step_kernel, *bound), functools.partial(block_kernel, *bound), window
+        return functools.partial(step_kernel, *bound), functools.partial(block_kernel, *bound)
 
     estimate = staticmethod(estimate)
 

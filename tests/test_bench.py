@@ -98,10 +98,9 @@ class TestRecordSchedule:
 
     @pytest.mark.parametrize("method", ["rek-rk", "rgs-rgs", "rek", "regs"])
     def test_single_trial_records_inside_windows_match_reference(self, method):
-        """At stride 4 and budget 77, rek-rk runs the windows (0, 32], (32, 64] and (64, 77], as U's rows
-        (12 > 2 x 5) compute their Gram matrix, and rgs-rgs, rek and regs run (0, 64] and (64, 77]: the
-        records at a window's end read the live state, the rest a rewound estimate.  Each equals the
-        sequential reference's error at its step to rounding."""
+        """At stride 4 and budget 77, each method runs the windows (0, 64] and (64, 77], rek-rk with U's rows
+        (12 > 2 x 5) computing their Gram matrix: the records at a window's end read the live state, the
+        rest a rewound estimate.  Each equals the sequential reference's error at its step to rounding."""
         u, v = random_dense(12, 5, seed=3), random_dense(5, 7, seed=4)
         target = target_kinds(method, u, v)[0](np.linspace(-1.0, 1.0, 12))
         star = oracle_solution(target)

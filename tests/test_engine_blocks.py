@@ -1,8 +1,7 @@
 """The lock-step engine against the per-step reference, block path included.
 
-At T=1 the engine advances in windows of the target's block length, 64
-steps when every side it draws gathers its Gram matrix from a table and 32
-otherwise (block-exact stepping), and takes the records and checks that
+At T=1 the engine advances in windows of MAX_BLOCK (64) steps on every
+target (block-exact stepping), and takes the records and checks that
 fall inside one from a snapshot rewound from its end; these tests hold it
 to the sequential reference
 (``reference.run``) on recorded iterations, stop steps and errors.  At
@@ -128,7 +127,7 @@ def test_engine_matches_sequential_path(method, dims, seed, consistent, trials, 
     y = target.y if isinstance(target, FactoredSystem) else target[1]
     tol = 1e-6 * (1.0 + float(np.linalg.norm(y))) if tolerance else None
     config = RunConfig(method=method, seed=seed, trials=trials, budget=budget, stride=stride, tolerance=tol)
-    forced = mock.patch.object(_engine, "_round_steps", lambda t, w: round_steps) if round_steps and trials == 1 else nullcontext()
+    forced = mock.patch.object(_engine, "_round_steps", lambda t: round_steps) if round_steps and trials == 1 else nullcontext()
     with forced:
         traj = run_experiment(config, target, beta_star=star)
     last, records = expected_run(method, target, budget, seed, trials, stride, tol, star)
@@ -314,11 +313,9 @@ def test_one_trial_tolerance_checks_every_m_steps(method, counted_calls, monkeyp
     """
     if method == "rk-rk":
         target, _ = small_factored(20, 5, 10, seed=94)
-        window = target.kernels(method)[2]
     else:
         a, y, _ = consistent_system(20, 6, seed=95)
         target = (a, y)
-        window = SingleSystem(a, y).kernels(method)[2]
     star = oracle_solution(target)
     steps, calls = counted_calls
     checks = []
@@ -349,21 +346,20 @@ def test_one_trial_tolerance_checks_every_m_steps(method, counted_calls, monkeyp
     records, _ = sequential(method, target, budget, 9, 0, stride, tol, star)
     assert stop < budget and max(records) == stop
     assert checks == list(range(20, stop + 1, 20))
-    assert calls == {"kernel": 0, "block": -(-stop // window)}
+    assert calls == {"kernel": 0, "block": -(-stop // solvers.MAX_BLOCK)}
     assert_records_match(traj, records, star)
 
 
 @pytest.mark.parametrize("method", METHODS + PAIRINGS)
 def test_records_and_checks_cut_no_block(method, counted_calls):
-    """2048 T = 1 steps with records every 7 and a tolerance that never fires run as 2048 / L blocks of the
-    target's window L: 32 blocks of 64, or 64 of 32 where a side computes its Gram matrix (U's rows, 9 > 2 x 4)."""
+    """2048 T = 1 steps with records every 7 and a tolerance that never fires run as 32 blocks of MAX_BLOCK
+    (64) steps, on pairings, whose U rows (9 > 2 x 4) compute their Gram matrix, as on baselines."""
     target = make_target(method, 9, 4, 6, seed=8, consistent=False)
     star = oracle_solution(target)
-    window = (target if method in PAIRINGS else SingleSystem(*target)).kernels(method)[2]
     steps, calls = counted_calls
     config = RunConfig(method=method, seed=4, trials=1, budget=2048, stride=7, tolerance=1e-300)
     traj = run_experiment(config, target, beta_star=star)
-    assert calls == {"kernel": 0, "block": 2048 // window} and steps[0] == 2048
+    assert calls == {"kernel": 0, "block": 2048 // solvers.MAX_BLOCK} and steps[0] == 2048
     records, _ = sequential(method, target, 2048, 4, 0, 7, None, star)
     assert_records_match(traj, records, star)
 
@@ -376,7 +372,6 @@ def test_records_rewind_only_the_estimate(method, counted_calls, monkeypatch):
     apart; records fall every 7 steps and checks every m = 9."""
     target = make_target(method, 9, 4, 6, seed=8, consistent=False)
     star = oracle_solution(target)
-    window = target.kernels(method)[2]
     steps, _ = counted_calls
 
     def counting(*args):
@@ -386,7 +381,7 @@ def test_records_rewind_only_the_estimate(method, counted_calls, monkeypatch):
         return solvers.rewind(*args)
 
     monkeypatch.setattr(interlaced, "rewind", counting)
-    inside = lambda every: [e for e in range(every, 2049, every) if e % window]
+    inside = lambda every: [e for e in range(every, 2049, every) if e % solvers.MAX_BLOCK]
     for tolerance in (None, 1e-300):
         rewound = {4: [], 6: []}  # length of the rewound vector -> steps rewound to
         steps[0] = 0
@@ -399,46 +394,42 @@ def test_records_rewind_only_the_estimate(method, counted_calls, monkeypatch):
         assert_records_match(traj, records, star)
 
 
-# (method, dims, window): (m, k, n) for a pairing, (m, n) for a baseline.  A drawn side with more than
-# twice as many rows as columns computes its Gram matrix, and one such side sets the target's window.
+# (method, dims): (m, k, n) for a pairing, (m, n) for a baseline.  The comments name the drawn side with
+# more than twice as many rows as columns, which computes its Gram matrix instead of reading a table.
 WINDOW_CASES = [
-    ("rk-rk", (10, 8, 6), solvers.MAX_BLOCK),
-    ("rk-rk", (20, 8, 6), solvers.GEMM_BLOCK),  # U's rows
-    ("rk-rk", (10, 8, 3), solvers.GEMM_BLOCK),  # V's rows
-    ("rek-rk", (10, 8, 6), solvers.MAX_BLOCK),
-    ("rek-rk", (4, 10, 12), solvers.GEMM_BLOCK),  # U's columns
-    ("rgs-rgs", (20, 5, 8), solvers.MAX_BLOCK),  # tall U, but only its columns are drawn
-    ("rgs-rgs", (10, 5, 12), solvers.GEMM_BLOCK),  # V's columns
-    ("rk", (10, 8), solvers.MAX_BLOCK),
-    ("rk", (20, 8), solvers.GEMM_BLOCK),
-    ("rgs", (20, 8), solvers.MAX_BLOCK),
-    ("rgs", (8, 20), solvers.GEMM_BLOCK),
-    ("rek", (10, 8), solvers.MAX_BLOCK),
-    ("regs", (8, 20), solvers.GEMM_BLOCK),
+    ("rk-rk", (10, 8, 6)),
+    ("rk-rk", (20, 8, 6)),  # U's rows
+    ("rk-rk", (10, 8, 3)),  # V's rows
+    ("rek-rk", (10, 8, 6)),
+    ("rek-rk", (4, 10, 12)),  # U's columns
+    ("rgs-rgs", (20, 5, 8)),  # none: tall U, but only its columns are drawn
+    ("rgs-rgs", (10, 5, 12)),  # V's columns
+    ("rk", (10, 8)),
+    ("rk", (20, 8)),  # A's rows
+    ("rgs", (20, 8)),
+    ("rgs", (8, 20)),  # A's columns
+    ("rek", (10, 8)),
+    ("regs", (8, 20)),  # A's columns
 ]
 
 
-@pytest.mark.parametrize(
-    "method, dims, window", WINDOW_CASES, ids=[f"{m}-{'x'.join(map(str, d))}" for m, d, _ in WINDOW_CASES]
-)
-def test_window_follows_the_gram_rule(method, dims, window, counted_calls):
-    """A T = 1 target whose drawn sides all gather their Gram matrices from tables runs MAX_BLOCK-step
-    windows, and one with a side that computes rows @ rows.T GEMM_BLOCK-step ones: 1024 steps take
-    1024 / window block calls and no per-step call."""
+@pytest.mark.parametrize("method, dims", WINDOW_CASES, ids=[f"{m}-{'x'.join(map(str, d))}" for m, d in WINDOW_CASES])
+def test_window_follows_the_gram_rule(method, dims, counted_calls):
+    """Whichever side of the Gram rule a T = 1 target's drawn sides fall on, gathering their Gram matrices
+    from tables or computing them as rows @ rows.T, it runs MAX_BLOCK-step windows: 1024 steps take
+    1024 / MAX_BLOCK block calls and no per-step call."""
     if method in PAIRINGS:
         target = make_target(method, *dims, seed=13, consistent=False)
     else:
         target = SingleSystem(*make_target(method, dims[0], 1, dims[1], seed=13, consistent=False))
     steps, calls = counted_calls
     run_experiment(RunConfig(method=method, seed=2, trials=1, budget=1024, stride=1024), target)
-    assert target.kernels(method)[2] == window
-    assert calls == {"kernel": 0, "block": 1024 // window} and steps[0] == 1024
+    assert calls == {"kernel": 0, "block": 1024 // solvers.MAX_BLOCK} and steps[0] == 1024
 
 
 def test_window_lengths_divide_the_sampling_block():
-    """Both window lengths divide the 1024-step sampling block, so only the budget cuts a T = 1 window short."""
-    assert solvers.GEMM_BLOCK < solvers.MAX_BLOCK
-    assert _engine._BLOCK % solvers.MAX_BLOCK == 0 and _engine._BLOCK % solvers.GEMM_BLOCK == 0
+    """The window length divides the 1024-step sampling block, so only the budget cuts a T = 1 window short."""
+    assert _engine._BLOCK % solvers.MAX_BLOCK == 0
 
 
 @pytest.mark.parametrize("b", [1, 7, 64])
@@ -463,10 +454,10 @@ def test_cross_sum_equals_its_definition(shape, b):
 @pytest.mark.parametrize("method", ["rk-rk", "rek-rk"])
 def test_tall_factors_match_reference(method):
     """A T = 1 run on a tall 600 x 200 x 20 system records what the sequential reference records, to
-    rounding.  U's and V's rows compute their Gram matrices, so the windows are GEMM_BLOCK long, and the
-    drift gathers rows of U (length 200), not of U.T (length 600)."""
+    rounding.  U's and V's rows compute their Gram matrices in MAX_BLOCK-step windows, and the drift
+    gathers rows of U (length 200), not of U.T (length 600)."""
     target = make_target(method, 600, 200, 20, seed=23, consistent=False)
-    assert target.kernels(method)[2] == solvers.GEMM_BLOCK
+    assert _engine._round_steps(1) == solvers.MAX_BLOCK
     star = oracle_solution(target)
     traj = run_experiment(RunConfig(method=method, seed=7, trials=1, budget=300, stride=10), target, beta_star=star)
     records, _ = sequential(method, target, 300, 7, 0, 10, None, star)
@@ -544,9 +535,9 @@ def test_projections_equal_per_side_formulas(shape, count, seed, with_rhs, repea
     beta, z = rng.standard_normal(n), rng.standard_normal(m)
     ours = [beta.copy(), z.copy()]
     row_rhs = np.zeros(count) if rhs is None else rhs
-    assert same(-solvers._project_block(a, ours[0], i, rhs), rows_block(a, beta, i, row_rhs))
+    assert same(-solvers._project_block(a, ours[0], i, rhs, a.data.take(i, 0)), rows_block(a, beta, i, row_rhs))
     drift = None if rhs is None else -rhs
-    assert same(solvers._project_block(a.T, ours[1], j, rhs), cols_block(a, z, j, drift))
+    assert same(solvers._project_block(a.T, ours[1], j, rhs, a.T.data.take(j, 0)), cols_block(a, z, j, drift))
     assert same(ours[0], beta) and same(ours[1], z)
 
 

@@ -334,13 +334,12 @@ def test_tolerance_stopped_solve_golden_bytes(method, tmp_path):
 
 # SHA-256 of the trajectory CSV of a one-trial solve on the generated S1 (60x40x20) and S2 (40x60x50)
 # desk instances, seed 0: 1500 steps recorded every 50, so records fall inside the T = 1 path's windows
-# and read snapshots rewound from their ends.  The Gram entries come from tables on every side but S1's
-# U rows (60 > 2 x 20), where they are computed, so S1's rk-rk, rek-rk and rek-rek run 32-step windows
-# and the other 13 runs 64-step ones.
+# and read snapshots rewound from their ends.  Every run takes 64-step windows; the Gram entries come
+# from tables on every side but S1's U rows (60 > 2 x 20), where they are computed.
 SINGLE_TRIAL_GOLDEN = {
-    ("S1", "rk-rk"): "15cff02a5fdcdf7bbb7c32ca2fd96df3041d4c30ed49efcd54e7ab88d94cea43",
-    ("S1", "rek-rk"): "48564b54d06c5168b6efb433fda5c4ed1e8e96db928cd31baeafdc91fd280315",
-    ("S1", "rek-rek"): "95e06fdd94f976fdaffc1cdc5da957212b4c5d63a99b54301559c6235eae60cb",
+    ("S1", "rk-rk"): "05647029ec923bf56d82d2b06f9c0444d2115eb2f6e47499dee18d92860f4643",
+    ("S1", "rek-rk"): "973bf33552cbf30e137676b2df27945db4e0433a8b4040fa0fb7410a806be8a6",
+    ("S1", "rek-rek"): "9361308dc6ffda2992e6976b658c7d19afe8e3e2f2db26a034676d29c3894942",
     ("S1", "rgs-rgs"): "206df9ea2b0cd823e92c470f5a4e8a2292623a1f7c99a96d10f9f5fa897fc597",
     ("S1", "rk"): "def42e57e92ab7ee701568c6f482483dedf55862c0fd80da655f70036564c9f6",
     ("S1", "rek"): "05b8ebae0521220359c1c7576c962231ca0b51587644ff74e8c69aa227a6894d",
