@@ -11,7 +11,7 @@ single run).
 """
 from .dense import DenseMatrix, load_matrix, load_vector, save_matrix, save_vector
 from .sampling import NormSampler, master_rng, trial_rng
-from .oracle import RateConstants, SvdFactors, factored_full_solution, pinv_solve, svd
+from .oracle import RateConstants, SvdFactors, pinv_solve, svd
 from .solvers import METHODS, SingleSystem, SolverState, estimate, init_state
 from .interlaced import (
     PAIRINGS,
@@ -50,7 +50,6 @@ __all__ = [
     "RateConstants",
     "svd",
     "pinv_solve",
-    "factored_full_solution",
     "METHODS",
     "SingleSystem",
     "SolverState",

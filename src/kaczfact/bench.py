@@ -4,8 +4,8 @@ A run is specified by a RunConfig (method, trials, budget, seed, record
 stride) and a target: a FactoredSystem for the pairings, a SingleSystem
 for the single-system methods (an ``(A, y)`` pair is made one at entry).
 Errors are the squared distance to the oracle solution of the *full*
-system; for factored targets the product U @ V is materialized once on
-the oracle side to compute it, never inside the solver loop.
+system.  For a factored target it is pinv(R V) Qᵀ y from the thin QR
+U = Q R (``oracle.qr_reduce``), so U @ V is never formed.
 
 Trial j draws from the stream ``trial_rng(config.seed, j)``, so a
 (config, seed) pair pins every number in the output.  CSV values are
@@ -32,13 +32,14 @@ from pathlib import Path
 
 import json
 import math
+import numbers
 
 import numpy as np
 
 from . import _engine
 from .dense import _as_float_vector
 from .interlaced import PAIRINGS, BoundInputs, FactoredSystem, bound_inputs, expected_error_bound
-from .oracle import factored_full_solution, pinv_solve
+from .oracle import pinv_solve, qr_reduce
 from .solvers import BLOCK_SOLVER, METHODS, SingleSystem, default_stride
 
 __all__ = [
@@ -60,6 +61,7 @@ DEFAULT_BUDGET = 70_000
 class RunConfig:
     """What to run and how to record it.
 
+    trials, budget, seed and stride are ints (numpy integers are taken);
     stride defaults to budget / 500 samples (at least every step);
     tolerance, when set, stops the run early once every trial's
     residual passes it (checked every m iterations).
@@ -75,14 +77,13 @@ class RunConfig:
     def __post_init__(self):
         if self.method not in METHODS + PAIRINGS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS + PAIRINGS}")
-        if self.trials < 1:
-            raise ValueError("trials must be positive")
-        if self.budget < 1:
-            raise ValueError("budget must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.stride is not None and self.stride < 1:
-            raise ValueError("stride must be at least 1")
+        for name, least in (("trials", 1), ("budget", 1), ("seed", 0), ("stride", 1)):
+            value = getattr(self, name)
+            if value is None and name == "stride":
+                continue
+            if not isinstance(value, numbers.Integral) or value < least:
+                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.tolerance is not None and not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be finite and non-negative, got {self.tolerance!r}")
 
@@ -125,10 +126,11 @@ def _as_target(target):
 
 
 def oracle_solution(target) -> np.ndarray:
-    """Optimal solution of the full system (product formed oracle-side)."""
+    """Optimal solution pinv(X) y of the full system X b = y; for X = U V, pinv(R V) Qᵀ y with U = Q R."""
     target = _as_target(target)
     if isinstance(target, FactoredSystem):
-        return factored_full_solution(target.U, target.V, target.y)
+        q, rv = qr_reduce(target.U, target.V)
+        return pinv_solve(rv, np.einsum("ij,i->j", q, target.y))
     return pinv_solve(target.A, target.y)
 
 

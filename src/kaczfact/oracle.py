@@ -6,12 +6,11 @@ singular values, per-step contraction factors).  It is deliberately
 dense-SVD based and intended for desk-scale instances; the solvers
 themselves never call into this module.
 
-The full product U @ V of a factored system is formed in three places,
-all outside the solvers, which only ever touch the factors:
-``factored_full_solution`` here, for the error reference;
-``systems.make_inconsistent_rhs``, to plant a residual orthogonal to
-range(U V); and ``cli._cmd_solve``, which wraps the product in the
-``solvers.SingleSystem`` that the baseline methods run on.
+Nothing here forms the product U V of a factored system: ``qr_reduce``
+takes a thin QR U = Q R and returns Q and R V, whose SVD stands for the
+product's (``bench.oracle_solution`` solves with it, and
+``systems.make_inconsistent_rhs`` reads range(U V) = Q range(R V)).  Only
+``cli._cmd_solve`` forms U V, as the baseline methods' ``SingleSystem``.
 
 Each SVD-derived quantity is written once, as a function of an
 ``SvdFactors``: ``pinv_apply`` and ``rate_constants_of``.
@@ -19,9 +18,9 @@ Each SVD-derived quantity is written once, as a function of an
 constants are ``rate_constants_of(svd(A), A.frob_sq)``, and
 ``interlaced.bound_inputs`` gets both factors' constants and
 both of its solves from one SVD of U and one of V.  So ``kaczfact
-solve`` takes three SVDs on a pairing (U V for the error reference, then
+solve`` takes three SVDs on a pairing (R V for the error reference, then
 U and V) and one on a baseline (the assembled matrix), ``kaczfact
-bound`` two (U and V), and ``kaczfact gen`` one of U V for the
+bound`` two (U and V), and ``kaczfact gen`` one of R V for the
 inconsistent scenarios (``systems.make_inconsistent_rhs``).  Every SVD
 of ``solve`` and ``bound`` looks ``svd`` up on this module at call time
 (``interlaced`` calls ``oracle.svd``), so a wrapper installed on
@@ -42,7 +41,7 @@ __all__ = [
     "pinv_apply",
     "rate_constants_of",
     "pinv_solve",
-    "factored_full_solution",
+    "qr_reduce",
 ]
 
 # Singular values at or below DEFAULT_RANK_TOL * sigma_max are treated as zero.
@@ -135,14 +134,14 @@ def pinv_solve(A: DenseMatrix, y: np.ndarray) -> np.ndarray:
     return pinv_apply(svd(A), y)
 
 
-def factored_full_solution(U: DenseMatrix, V: DenseMatrix, y: np.ndarray) -> np.ndarray:
-    """pinv(U @ V) @ y, materializing the product.
+def qr_reduce(U: DenseMatrix, V: DenseMatrix) -> tuple[np.ndarray, DenseMatrix]:
+    """Q and R V of a thin QR U = Q R, so that U V = Q (R V) and Q has orthonormal columns.
 
-    Desk-scale only: forming U @ V defeats the entire point of the
-    factored solvers, so this lives here for error measurement and
-    never inside a solver loop.
+    R V is min(m, k) x n and has U V's singular values: pinv(U V) y =
+    pinv(R V) Qᵀ y.  R V, like each product with Q, is an einsum: a
+    threaded gemm's bits would depend on the BLAS thread count.
     """
     if U.cols != V.rows:
         raise ValueError(f"factor dimension mismatch: U is {U.rows}x{U.cols}, V is {V.rows}x{V.cols}")
-    X = DenseMatrix(U.data @ V.data)
-    return pinv_solve(X, y)
+    q, r = np.linalg.qr(U.data)
+    return q, DenseMatrix(np.einsum("ik,kj->ij", r, V.data))

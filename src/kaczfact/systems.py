@@ -22,8 +22,8 @@ coefficient vector beta, consistent right-hand side y = U (V beta)
 computed factor-by-factor, and for inconsistent scenarios an added
 residual r drawn Gaussian, projected onto the orthogonal complement of
 range(U V), and scaled to half the norm of U V beta.  The projection
-step materializes the product; that is deliberate desk-scale oracle
-work and the only place generation touches U V.
+reads range(U V) = Q range(R V) from the thin QR U = Q R
+(``oracle.qr_reduce``), so generation never forms U V.
 """
 from __future__ import annotations
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from .dense import DenseMatrix, load_matrix, load_vector, save_json, save_matrix, save_vector
 from .interlaced import FactoredSystem
-from .oracle import svd
+from .oracle import qr_reduce, svd
 from .sampling import master_rng
 
 __all__ = [
@@ -114,10 +114,10 @@ class GeneratedInstance:
 def make_inconsistent_rhs(U: DenseMatrix, V: DenseMatrix, beta: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """y = U V beta + r with r orthogonal to range(U V), ||r|| = 0.5 ||U V beta||.
 
-    Draws a Gaussian direction, removes its range(U V) component using
-    the left singular vectors of the materialized product (desk scale),
-    and rescales.  Fails if the product has no left null space (full
-    row rank) or the projected direction vanishes.
+    Draws a Gaussian direction, removes its range(U V) component, spanned
+    by Q times the left singular vectors of R V (U = Q R), and rescales.
+    Fails if the product has no left null space (full row rank) or the
+    projected direction vanishes.
     """
     if beta.shape != (V.cols,):
         raise ValueError(f"beta shape {beta.shape} does not match V with {V.cols} columns")
@@ -125,13 +125,13 @@ def make_inconsistent_rhs(U: DenseMatrix, V: DenseMatrix, beta: np.ndarray, rng:
     signal_norm = float(np.linalg.norm(signal))
     if signal_norm == 0.0:
         raise ValueError("U V beta is zero; cannot scale a residual against it")
-    X = DenseMatrix(U.data @ V.data)
-    f = svd(X)
+    q, rv = qr_reduce(U, V)
+    f = svd(rv)
     if f.rank >= U.rows:
         raise ValueError("product has full row rank; no left null space to place a residual in")
     w = rng.standard_normal(U.rows)
-    basis = f.left[:, : f.rank]
-    r = w - basis @ (basis.T @ w)
+    left = f.left[:, : f.rank]
+    r = w - np.einsum("ij,j->i", q, left @ (left.T @ np.einsum("ij,i->j", q, w)))
     r_norm = float(np.linalg.norm(r))
     if r_norm < 1e-12 * float(np.linalg.norm(w)):
         raise ValueError("random direction had no component outside range(U V)")
@@ -144,8 +144,7 @@ def gen_gaussian_factored(spec: ScenarioSpec) -> GeneratedInstance:
 
     Draw order is fixed (U entries, V entries, beta, then the residual
     direction if any) so a seed pins the instance bit-for-bit.  The
-    consistent right-hand side is assembled as U @ (V @ beta); the
-    product U V is never formed on the consistent path.
+    consistent right-hand side is assembled as U @ (V @ beta).
     """
     rng = master_rng(spec.seed)
     U = DenseMatrix(rng.standard_normal((spec.m, spec.k)))

@@ -17,6 +17,10 @@ side: the row step, which adds ``(rhs - row @ beta) / ||row||^2`` times
 the row, the column projection and the coordinate step, and the row and
 column block forms.  ``solvers.project`` and the block projection, one
 for both sides, are held to them bit for bit.
+
+``product_solution`` is the error reference with the product U @ V
+formed, the route that ``bench.oracle_solution``'s QR reduction is held
+to.
 """
 
 from __future__ import annotations
@@ -27,7 +31,9 @@ import functools
 import numpy as np
 
 from kaczfact import solvers
+from kaczfact.dense import DenseMatrix
 from kaczfact.interlaced import FactoredSystem, init_interlaced, pairing_kernel
+from kaczfact.oracle import pinv_solve
 from kaczfact.solvers import SingleSystem, default_stride, estimate, init_state, step_kernel
 
 
@@ -106,6 +112,11 @@ def run(method: str, target, budget: int, rng: np.random.Generator, *, recorder=
         if stopped:
             break
     return state, t
+
+
+def product_solution(U: DenseMatrix, V: DenseMatrix, y: np.ndarray) -> np.ndarray:
+    """pinv(U @ V) @ y, from an SVD of the formed product."""
+    return pinv_solve(DenseMatrix(U.data @ V.data), y)
 
 
 # --- per-side projection formulas ---------------------------------------------

@@ -10,10 +10,10 @@ import time
 import numpy as np
 import pytest
 
-from kaczfact.bench import RunConfig, emit_csv, run_experiment
+from kaczfact.bench import RunConfig, emit_csv, oracle_solution, run_experiment
 from kaczfact.dense import DenseMatrix
 from kaczfact.interlaced import FactoredSystem, bound_inputs, expected_error_bound, init_interlaced
-from kaczfact.oracle import factored_full_solution, pinv_solve, rate_constants_of, svd
+from kaczfact.oracle import pinv_solve, rate_constants_of, svd
 from kaczfact.sampling import master_rng
 from kaczfact.solvers import init_state
 from kaczfact.systems import ScenarioSpec, gen_gaussian_factored
@@ -35,14 +35,14 @@ def rel_sq(err_sq: float, star: np.ndarray) -> float:
 @pytest.fixture(scope="module")
 def s1_instance():
     sys_ = gen_gaussian_factored(ScenarioSpec("S1", 60, 40, 20, seed=220)).system
-    star = factored_full_solution(sys_.U, sys_.V, sys_.y)
+    star = oracle_solution(sys_)
     return sys_, star
 
 
 @pytest.fixture(scope="module")
 def s3b_instance():
     sys_ = gen_gaussian_factored(ScenarioSpec("S3b", 120, 75, 50, seed=5)).system
-    star = factored_full_solution(sys_.U, sys_.V, sys_.y)
+    star = oracle_solution(sys_)
     return sys_, star
 
 
@@ -107,14 +107,14 @@ def test_criterion_3_scenario_convergence_classification(s1_instance, s3b_instan
     white_s3b = rel_sq(rekrk_s3b_run[0].mean_errors()[-1], star2)
 
     s2 = gen_gaussian_factored(ScenarioSpec("S2", 40, 60, 50, seed=0)).system
-    star_s2 = factored_full_solution(s2.U, s2.V, s2.y)
+    star_s2 = oracle_solution(s2)
     gray_s2 = rel_sq(
         run_experiment(RunConfig(method="rk-rk", seed=0, trials=40, budget=20_000), s2, beta_star=star_s2)
         .mean_errors()[-1],
         star_s2,
     )
     s3a = gen_gaussian_factored(ScenarioSpec("S3a", 120, 75, 90, seed=0)).system
-    star_s3a = factored_full_solution(s3a.U, s3a.V, s3a.y)
+    star_s3a = oracle_solution(s3a)
     gray_s3a = rel_sq(
         run_experiment(RunConfig(method="rek-rk", seed=0, trials=40, budget=50_000), s3a, beta_star=star_s3a)
         .mean_errors()[-1],
@@ -202,7 +202,7 @@ def test_criterion_5_flop_ordering(s3b_instance):
     x_ill = DenseMatrix(u_ill.data @ v_ill.data)
     kappa_u = rate_constants_of(svd(u_ill), u_ill.frob_sq).kappa_sq
     kappa_x = rate_constants_of(svd(x_ill), x_ill.frob_sq).kappa_sq
-    star_ill = factored_full_solution(u_ill, v_ill, y_ill)
+    star_ill = oracle_solution(ill)
     thr_ill = 1e-4 * float(star_ill @ star_ill)
     e_rekrk = run_experiment(
         RunConfig(method="rek-rk", seed=42, trials=40, budget=60_000, stride=200), ill, beta_star=star_ill

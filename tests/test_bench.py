@@ -19,13 +19,13 @@ from kaczfact.bench import (
 )
 from kaczfact.dense import DenseMatrix
 from kaczfact.interlaced import PAIRINGS, FactoredSystem, bound_inputs, expected_error_bound
-from kaczfact.oracle import factored_full_solution, pinv_solve, svd
+from kaczfact.oracle import pinv_solve, svd
 from kaczfact.sampling import trial_rng
 from kaczfact.solvers import BLOCK_SOLVER, METHODS, SingleSystem
 from kaczfact.systems import ScenarioSpec, gen_gaussian_factored
 
 from conftest import inconsistent_system, random_dense, small_factored
-from reference import run
+from reference import product_solution, run
 
 
 def target_kinds(method: str, u: DenseMatrix, v: DenseMatrix) -> tuple:
@@ -69,6 +69,23 @@ class TestRunConfig:
 
     def test_zero_tolerance_accepted(self):
         assert RunConfig(method="rk", seed=1, tolerance=0.0).tolerance == 0.0
+
+    @pytest.mark.parametrize("field, value", [("trials", 2.0), ("budget", 100.0), ("seed", 1.5), ("stride", 5.0),
+                                              ("budget", "100"), ("trials", np.float64(2))])
+    def test_counts_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            RunConfig(**{"method": "rk", "seed": 1, field: value})
+
+    def test_numpy_integers_run_and_are_written_as_ints(self, tmp_path):
+        a, y, _ = inconsistent_system(6, 3, seed=103)
+        counts = {name: np.int64(v) for name, v in (("trials", 2), ("budget", 20), ("seed", 4), ("stride", 5))}
+        config = RunConfig(method="rk", **counts)
+        assert all(type(getattr(config, name)) is int for name in counts)
+        traj = run_experiment(config, (a, y))
+        assert traj.iters.tolist() == [5, 10, 15, 20] and traj.trials == 2
+        write_run_manifest(tmp_path / "m.jsonl", config, (a, y))
+        entry = json.loads((tmp_path / "m.jsonl").read_text())
+        assert [entry[name] for name in counts] == [2, 20, 4, 5]
 
 
 class TestRecordSchedule:
@@ -129,7 +146,7 @@ class TestRunExperiment:
         sys_, _ = small_factored(10, 4, 6, seed=91)
         config = RunConfig(method="rk-rk", seed=8, trials=2, budget=400, stride=400)
         traj = run_experiment(config, sys_)
-        star = factored_full_solution(sys_.U, sys_.V, sys_.y)
+        star = product_solution(sys_.U, sys_.V, sys_.y)
         state, _ = run("rk-rk", sys_, 400, trial_rng(8, 0))
         assert traj.errors[0, -1] == pytest.approx(float(np.sum((state.b - star) ** 2)), rel=1e-9)
 
@@ -336,7 +353,7 @@ class TestEngineMatchesSequentialPath:
     def check_interlaced(self, method, trials):
         inst = gen_gaussian_factored(ScenarioSpec("S3b", m=24, n=15, k=8, seed=97))
         sys_ = inst.system
-        star = factored_full_solution(sys_.U, sys_.V, sys_.y)
+        star = oracle_solution(sys_)
         config = RunConfig(method=method, seed=12, trials=trials, budget=300, stride=25)
         traj = run_experiment(config, sys_, beta_star=star)
         reference = self.sequential_errors(method, sys_, star, seed=12, trials=trials)
@@ -378,7 +395,7 @@ class TestOracleSolution:
     def test_factored_target(self):
         sys_, _ = small_factored(10, 4, 6, seed=101)
         assert np.allclose(
-            oracle_solution(sys_), factored_full_solution(sys_.U, sys_.V, sys_.y), rtol=1e-14
+            oracle_solution(sys_), product_solution(sys_.U, sys_.V, sys_.y), rtol=1e-14
         )
 
     def test_plain_target(self):

@@ -200,8 +200,8 @@ class TestOracleSvdCount:
     """SVDs per command, counted at ``kaczfact.oracle.svd``, the name the benchmark tracer wraps.
 
     ``bound_inputs`` takes one SVD of U and one of V; a pairing's solve adds
-    one of U V for the error reference, and a baseline's solve takes one of
-    the assembled matrix.  The count rises if an SVD comes back and drops if
+    one of R V (U = Q R, min(m, k) x n) for the error reference, and a
+    baseline's solve takes one of the assembled matrix.  The count rises if an SVD comes back and drops if
     a call stops going through ``oracle.svd``.
     """
 
@@ -231,7 +231,7 @@ class TestOracleSvdCount:
 
     @pytest.mark.parametrize(
         "method, shapes",
-        [(m, [(24, 15), (24, 8), (8, 15)]) for m in ("rk-rk", "rek-rk")] + [(m, [(24, 15)]) for m in ("rk", "rek")],
+        [(m, [(8, 15), (24, 8), (8, 15)]) for m in ("rk-rk", "rek-rk")] + [(m, [(24, 15)]) for m in ("rk", "rek")],
     )
     def test_solve_command(self, tmp_path, capsys, svd_shapes, method, shapes):
         args, out_dir = gen_args(tmp_path)

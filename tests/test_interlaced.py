@@ -12,7 +12,8 @@ from kaczfact.interlaced import (
     expected_error_bound,
     init_interlaced,
 )
-from kaczfact.oracle import factored_full_solution, pinv_solve, rate_constants_of, svd
+from kaczfact.bench import oracle_solution
+from kaczfact.oracle import pinv_solve, rate_constants_of, svd
 from kaczfact.sampling import master_rng
 from kaczfact.solvers import init_state
 from kaczfact.systems import SCENARIO_PRESETS, SCENARIOS, ScenarioSpec, gen_gaussian_factored
@@ -158,19 +159,19 @@ class TestLimits:
 
     def test_rkrk_converges_on_consistent_data(self):
         sys_, _ = small_factored(30, 10, 20, seed=61)
-        star = factored_full_solution(sys_.U, sys_.V, sys_.y)
+        star = oracle_solution(sys_)
         state, _ = run("rk-rk", sys_, 4000, master_rng(62))
         assert self.rel_sq_error(state.b, star) < 1e-8
 
     def test_rekrk_converges_on_inconsistent_data(self):
         inst = gen_gaussian_factored(ScenarioSpec("S3b", 40, 25, 10, seed=63))
-        star = factored_full_solution(inst.system.U, inst.system.V, inst.system.y)
+        star = oracle_solution(inst.system)
         state, _ = run("rek-rk", inst.system, 8000, master_rng(64))
         assert self.rel_sq_error(state.b, star) < 1e-8
 
     def test_rkrk_stalls_on_inconsistent_data(self):
         inst = gen_gaussian_factored(ScenarioSpec("S3b", 40, 25, 10, seed=63))
-        star = factored_full_solution(inst.system.U, inst.system.V, inst.system.y)
+        star = oracle_solution(inst.system)
         state, _ = run("rk-rk", inst.system, 8000, master_rng(64))
         assert self.rel_sq_error(state.b, star) > 1e-2
 
@@ -291,5 +292,5 @@ class TestExpectedErrorBound:
         sys_ = inst.system
         x_star = pinv_solve(sys_.U, sys_.y)
         b_star = pinv_solve(sys_.V, x_star)
-        star = factored_full_solution(sys_.U, sys_.V, sys_.y)
+        star = oracle_solution(sys_)
         assert np.allclose(b_star, star, atol=1e-9 * (1.0 + np.linalg.norm(star)))

@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 
 from kaczfact.dense import DenseMatrix
-from kaczfact.oracle import DEFAULT_RANK_TOL, factored_full_solution, pinv_solve, rate_constants_of, svd
+from kaczfact.bench import oracle_solution
+from kaczfact.interlaced import FactoredSystem
+from kaczfact.oracle import DEFAULT_RANK_TOL, pinv_solve, qr_reduce, rate_constants_of, svd
 from kaczfact.sampling import master_rng
+from kaczfact.systems import RESIDUAL_RATIO, make_inconsistent_rhs
 
 from conftest import jacobi_eigvalsh, projector_rowspace, random_dense
+from reference import product_solution
 
 
 def rank_deficient(rows: int, cols: int, rank: int, seed: int) -> DenseMatrix:
@@ -152,11 +156,57 @@ class TestProjectorAndResiduals:
         complement = v - project(v)
         assert np.linalg.norm(project(complement)) < 1e-10
 
-    def test_factored_full_solution_matches_product_pinv(self, rng):
-        u = random_dense(9, 4, seed=52)
-        v = random_dense(4, 6, seed=53)
-        y = rng.standard_normal(9)
-        product = DenseMatrix(u.data @ v.data)
-        assert np.allclose(
-            factored_full_solution(u, v, y), pinv_solve(product, y), atol=1e-10
-        )
+
+# (U, V) pairs on which the QR route is held to the formed product U @ V.
+QR_CASES = {
+    "k-lt-min-m-n": lambda: (random_dense(9, 4, seed=52), random_dense(4, 6, seed=53)),
+    "rank-deficient": lambda: (rank_deficient(12, 6, rank=3, seed=54), rank_deficient(6, 9, rank=4, seed=55)),
+    "k-gt-m": lambda: (random_dense(7, 9, seed=56), random_dense(9, 4, seed=57)),
+    "n-lt-k-lt-m": lambda: (random_dense(14, 9, seed=58), random_dense(9, 5, seed=59)),
+    "one-wide": lambda: (random_dense(10, 1, seed=60), random_dense(1, 6, seed=61)),
+}
+
+
+def product_inconsistent_rhs(U, V, beta, rng):
+    """``systems.make_inconsistent_rhs`` with range(U V) read from an SVD of the formed product."""
+    signal = U.data @ (V.data @ beta)
+    f = svd(DenseMatrix(U.data @ V.data))
+    w = rng.standard_normal(U.rows)
+    basis = f.left[:, : f.rank]
+    r = w - basis @ (basis.T @ w)
+    return signal + r * (RESIDUAL_RATIO * np.linalg.norm(signal) / np.linalg.norm(r))
+
+
+@pytest.mark.parametrize("case", sorted(QR_CASES))
+class TestQrReduce:
+    """U = Q R stands for U V through Q and R V: same spectrum, same solution, same planted residual."""
+
+    def test_r_v_has_the_product_spectrum(self, case):
+        u, v = QR_CASES[case]()
+        q, rv = qr_reduce(u, v)
+        assert np.allclose(q.T @ q, np.eye(q.shape[1]), atol=1e-14)
+        assert np.allclose(q @ rv.data, u.data @ v.data, rtol=0, atol=1e-13 * np.abs(u.data @ v.data).max())
+        ours, product = svd(rv), svd(DenseMatrix(u.data @ v.data))
+        assert ours.rank == product.rank
+        r = min(ours.singular_values.size, product.singular_values.size)
+        scale = product.singular_values[0]
+        assert np.abs(ours.singular_values[:r] - product.singular_values[:r]).max() <= 1e-12 * scale
+
+    def test_solution_matches_product_pinv(self, case, rng):
+        u, v = QR_CASES[case]()
+        y = rng.standard_normal(u.rows)
+        expected = product_solution(u, v, y)
+        got = oracle_solution(FactoredSystem(U=u, V=v, y=y))
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_planted_residual_matches_product_route(self, case, rng):
+        u, v = QR_CASES[case]()
+        beta = rng.standard_normal(v.cols)
+        expected = product_inconsistent_rhs(u, v, beta, master_rng(62))
+        got = make_inconsistent_rhs(u, v, beta, master_rng(62))
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_qr_reduce_rejects_mismatched_factors():
+    with pytest.raises(ValueError, match="factor dimension mismatch"):
+        qr_reduce(random_dense(5, 3, seed=63), random_dense(4, 2, seed=64))

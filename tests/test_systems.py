@@ -1,12 +1,15 @@
 """Scenario taxonomy, Gaussian instance generation, disk round-trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from kaczfact.bench import RunConfig, oracle_solution, run_experiment
 from kaczfact.dense import DenseMatrix
-from kaczfact.oracle import factored_full_solution, pinv_solve, svd
+from kaczfact.interlaced import bound_inputs
+from kaczfact.oracle import pinv_solve, svd
 from kaczfact.sampling import master_rng
 from kaczfact.systems import (
     RESIDUAL_RATIO,
@@ -127,7 +130,7 @@ class TestGeneration:
         # ...so solving the two stages in sequence hits the full optimum.
         assert np.allclose(
             pinv_solve(sys_.V, x_star),
-            factored_full_solution(sys_.U, sys_.V, sys_.y),
+            oracle_solution(sys_),
             atol=1e-9,
         )
 
@@ -139,7 +142,7 @@ class TestGeneration:
         # component outside range(V), so the stage-wise optimum differs
         # from the full-system optimum.
         b_star = pinv_solve(sys_.V, x_star)
-        full = factored_full_solution(sys_.U, sys_.V, sys_.y)
+        full = oracle_solution(sys_)
         assert np.linalg.norm(b_star - full) > 1e-3 * np.linalg.norm(full)
 
     def test_make_inconsistent_rhs_rejects_full_row_rank(self):
@@ -159,6 +162,21 @@ class TestGeneration:
         v = DenseMatrix(master_rng(8).standard_normal((2, 3)))
         with pytest.raises(ValueError):
             make_inconsistent_rhs(u, v, np.ones(2), master_rng(9))
+
+    def test_s3b_pipeline_at_scale_never_forms_the_product(self):
+        """Generation, the error reference of a 2000-step T = 1 rek-rk run and bound_inputs on an S3b
+        4000x20x3000 instance peak under tracemalloc below a quarter of the 96 MB that U V would take."""
+        m, n, k = 4000, 3000, 20
+        tracemalloc.start()
+        try:
+            sys_ = gen_gaussian_factored(ScenarioSpec("S3b", m, n, k, seed=0)).system
+            traj = run_experiment(RunConfig(method="rek-rk", seed=0, trials=1, budget=2000), sys_)
+            bound_inputs(sys_)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert traj.iters[-1] == 2000 and np.all(np.isfinite(traj.errors))
+        assert peak < m * n * 8 / 4
 
 
 class TestDiskRoundTrip:

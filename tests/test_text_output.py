@@ -31,6 +31,7 @@ from kaczfact.bench import Trajectory, bound_variant_for, emit_csv, emit_summary
 from kaczfact.cli import main
 from kaczfact.dense import DenseMatrix, save_matrix, save_vector
 from kaczfact.interlaced import BoundInputs, FactoredSystem, expected_error_bound
+from kaczfact.systems import SCENARIOS
 
 EDGE = [0.0, -0.0, 5e-324, 1e-5, 9.999999999999998e15, 1e16, 0.1]
 INPUTS = BoundInputs(alpha_u=0.9, alpha_v=0.75, theta_v=2.0, kappa_sq_u=3.5, b_star_sq=1.25, x_star_sq=0.1)
@@ -233,10 +234,10 @@ def write_gaussian_instance(out_dir) -> None:
 
 # SHA-256 of the trajectory CSV: 4 trials x 300 steps, every step recorded.
 SOLVE_GOLDEN = {
-    "rk-rk": "837aeecc0366a92d20fb11c36e40ba775cbec1ad9a31fa2b641fd3a6caa49b16",
-    "rek-rk": "d21919d150c7d7436c12cfb5e83ea699e63aa156423e85a0a27cca1ee0154621",
-    "rek-rek": "74a794532fadf226f4c2050049beffe0444fd0a8e0aa73ff5f63f7aa8f42f8d7",
-    "rgs-rgs": "57d5e8627a6a2b062bfe5ff3f138abd0e99f0516159cd7f5995d8468d7efcc6f",
+    "rk-rk": "b5036062bf7143d5f130f7000d1e10cfe953c6a148277e7e4026365da3188090",
+    "rek-rk": "a30ec879fa77aefd896a30192c2d3c24987b59524cdb601933d1a2d0fd17e346",
+    "rek-rek": "9d14b84138e27f22a7ccc8ce32b25bc43744d8d525ef30036b7701e8bd8618ee",
+    "rgs-rgs": "1169a84399936bdbd91634299d7930e4b94cb8f0b49f2dbc9790c7e7e89e8de5",
     "rk": "480e4086e9c214d7c27a6b3bb183f6e570b3237bbef9f2f7431fe70fe3d7a5df",
     "rek": "4dcf4193f2a305eebe804105d8cbd569e29dc2ac3b05100f479af3f855226533",
     "rgs": "7ad5b1cb7490e45c489fb9c4318ce9da2d8104f51981bf88948fa2341daeff8c",
@@ -263,19 +264,19 @@ def solve_outputs(method: str, instance, out, *options: str) -> list[bytes]:
 # SHA-256 of the summary CSV and of the manifest line that the solves above write.
 SOLVE_GOLDEN_SIDE = {
     "rk-rk": (
-        "9be76ce50f49e37163f03b652ba195e56c0471012a26eb5ab9d17106a39359b2",
+        "637a3a866fd77fb470cde3c9a2e1132ae49047246864bb7da6ba8348f42aa3eb",
         "feb991eb604a21e15f70eaacadef4ef803ac05b260b496cd1c89fcd64c3a1956",
     ),
     "rek-rk": (
-        "4ee2392e01d3099c3c84cb1a2c90f0354ba00d51beae0acf4226fafbf1bdd716",
+        "30bd0af9cfd70083687d2e8988dafd72d3137782b39e094344f9638690a371ab",
         "be2c2f420c60e46d76947223f3164cd83ac433f5a19176a6c1a6c3f33f5cfcfe",
     ),
     "rek-rek": (
-        "efb5f5505227df45ab30fda8c50a8c439a7829a589b6755667ca5e317993b263",
+        "37a1037aff6ae28701c4eeffc5864bee14520d26f6f9bace6eea4d300bdd6553",
         "cb07cb19aa2d0a8963839d59867266d4897891c3c1a4aa5a8fdca3964e89ca0b",
     ),
     "rgs-rgs": (
-        "a923c681c98460b52d50a609f14a7f210cacb02f284d978bc34716ef196297af",
+        "48f3c58999f2069f2598b2d3fe4ed514bbf85b7ed6c63709399bb798230ac562",
         "f309b1cc508af3cdcd165a2eb17ad92083a798175ec0aef3211d6d787e436392",
     ),
     "rk": (
@@ -309,8 +310,8 @@ def test_solve_golden_summary_and_manifest(method, tmp_path):
 # summary carries the bound column.
 TOLERANCE_GOLDEN = {
     "rk-rk": ("1e-3", 1800, (
-        "cad6ef8f05fa3b95bd6ce7f86b52c7bb4dfe4c1af9cb0530b5a7457f2d507919",
-        "1bd04ee57f311b43a1319012f4b4ce89185fdd3fe8a16751ceb2d30e3f5207ea",
+        "67bd6b99cf69d2961b6e1da5c60670da9abf1f4b7f1195ac9bfde4f9876e0a70",
+        "867bb11dce0219a5a28d88dd2f584b556a14cbffa2b1b3e6dfa5cf18ff2c6769",
         "deda4c5892ad9f2a86d192ad57b8248cc954d4c8c049dc2880ee2dcb04187513",
     )),
     "rk": ("1e-2", 2580, (
@@ -337,18 +338,18 @@ def test_tolerance_stopped_solve_golden_bytes(method, tmp_path):
 # and read snapshots rewound from their ends.  Every run takes 64-step windows; the Gram entries come
 # from tables on every side but S1's U rows (60 > 2 x 20), where they are computed.
 SINGLE_TRIAL_GOLDEN = {
-    ("S1", "rk-rk"): "05647029ec923bf56d82d2b06f9c0444d2115eb2f6e47499dee18d92860f4643",
-    ("S1", "rek-rk"): "973bf33552cbf30e137676b2df27945db4e0433a8b4040fa0fb7410a806be8a6",
-    ("S1", "rek-rek"): "9361308dc6ffda2992e6976b658c7d19afe8e3e2f2db26a034676d29c3894942",
-    ("S1", "rgs-rgs"): "206df9ea2b0cd823e92c470f5a4e8a2292623a1f7c99a96d10f9f5fa897fc597",
+    ("S1", "rk-rk"): "9d9c19bd5534ca2d4a6e48aabe6cd602ce1a37ec50a10d7bdc1d8654573c1215",
+    ("S1", "rek-rk"): "79191810502d8519b9c541f8b0f8d74b15c439f78ab08857060fdeff10001832",
+    ("S1", "rek-rek"): "c8d3d08eb8160675e4f73f3a21f12d239bca7b929183bc2f4526094e9b4ca5d4",
+    ("S1", "rgs-rgs"): "adfec5f011860b84ffef71560d5c91bb9012516b37068a1455cf2919ba45485f",
     ("S1", "rk"): "def42e57e92ab7ee701568c6f482483dedf55862c0fd80da655f70036564c9f6",
     ("S1", "rek"): "05b8ebae0521220359c1c7576c962231ca0b51587644ff74e8c69aa227a6894d",
     ("S1", "rgs"): "161558a0d14fe7be9b45cabc91f3ab2f78e0427e20b89c849b6f2754cae7bddf",
     ("S1", "regs"): "1de17d91fd0705548ae07f0e0c4dc2df0f7f1cc256151598ac0fcd3d4e5c4692",
-    ("S2", "rk-rk"): "6fa22697b1f89a03cac887ceddd5bf0f7a085ec36c7b6d3ab728b3248ae4bfa3",
-    ("S2", "rek-rk"): "23b2efa496836a31b0895c764ad8a56bcc4f8895213f5965e07bd09e1b1bb9a0",
-    ("S2", "rek-rek"): "5e757cb7bd7de5e276548bac18a0b2a8d35aee0a67f705c1ac85ac6494e6f0d8",
-    ("S2", "rgs-rgs"): "d2227bedfb34c59882fc9eb93af1f47dd821ce2452d669b5f22b69ab392fa7f4",
+    ("S2", "rk-rk"): "d4dda1b0861154d0dad8ac7b627b4c2842a636c5422a66fc5b3f00b6ae478590",
+    ("S2", "rek-rk"): "51ab71bd9094713d00b704f28887ebfd5f0acfdf0e8f10eae1e4a89682551d90",
+    ("S2", "rek-rek"): "c81f0bc7c787b598a2675ab18096e39071441764da4d3cb0d6625dd5b58401dc",
+    ("S2", "rgs-rgs"): "afdbb48356754ff39cdbf8ed658c9c6517b62166784bafd6d2b499e9b70a3fb9",
     ("S2", "rk"): "f5b0a4048d08d26f526c4055f252380b6daba8e09e5012b9a1e4248461c03a2f",
     ("S2", "rek"): "c745694db24a6b1f6ea92ce516f5a5116f8a021e813b11e0cfc8b57aa043d827",
     ("S2", "rgs"): "9e5a5481db9131ee6973c74cf6336fc8800d624a74bdd3eb24130eb603a8756a",
@@ -383,7 +384,8 @@ SOLVES_IN_ONE_PROCESS = "import json, sys\nfrom kaczfact.cli import main\nsys.ex
 @pytest.mark.skipif((os.cpu_count() or 1) < 2, reason="two BLAS threads need two cores")
 def test_single_trial_bytes_do_not_depend_on_blas_threads(tmp_path):
     """``kaczfact solve --trials 1 --budget 4000`` on the full S1 and S3b instances writes the same
-    trajectory and summary bytes at OPENBLAS_NUM_THREADS=1 and =2."""
+    trajectory and summary bytes at OPENBLAS_NUM_THREADS=1 and =2, and ``kaczfact gen`` of each
+    scenario at its full preset the same ``y.vec``."""
     solves = {}
     for scenario in ("S1", "S3b"):
         instance = tmp_path / scenario
@@ -396,10 +398,12 @@ def test_single_trial_bytes_do_not_depend_on_blas_threads(tmp_path):
     for threads in ("1", "2"):
         out = tmp_path / f"threads-{threads}"
         out.mkdir()
-        calls = [args + ["--out", str(out / f"{case}.csv")] for case, args in solves.items()]
+        gens = [["gen", "--scenario", scenario, "--seed", "0", "--out-dir", str(out / scenario)] for scenario in SCENARIOS]
+        calls = gens + [args + ["--out", str(out / f"{case}.csv")] for case, args in solves.items()]
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
         proc = subprocess.run([sys.executable, "-c", SOLVES_IN_ONE_PROCESS, json.dumps(calls)], env=env, timeout=600)
         assert proc.returncode == 0
         outputs.append({case: [(out / f"{case}{tail}").read_bytes() for tail in (".csv", "_summary.csv")] for case in solves})
-    assert [case for case in solves if outputs[0][case] != outputs[1][case]] == []
+        outputs[-1].update({scenario: [(out / scenario / "y.vec").read_bytes()] for scenario in SCENARIOS})
+    assert [case for case in outputs[0] if outputs[0][case] != outputs[1][case]] == []
