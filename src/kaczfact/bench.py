@@ -32,12 +32,11 @@ from pathlib import Path
 
 import json
 import math
-import numbers
 
 import numpy as np
 
 from . import _engine
-from .dense import _as_float_vector
+from .dense import _as_count, _as_float_vector
 from .interlaced import PAIRINGS, BoundInputs, FactoredSystem, bound_inputs, expected_error_bound
 from .oracle import pinv_solve, qr_reduce
 from .solvers import BLOCK_SOLVER, METHODS, SingleSystem, default_stride
@@ -79,11 +78,8 @@ class RunConfig:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS + PAIRINGS}")
         for name, least in (("trials", 1), ("budget", 1), ("seed", 0), ("stride", 1)):
             value = getattr(self, name)
-            if value is None and name == "stride":
-                continue
-            if not isinstance(value, numbers.Integral) or value < least:
-                raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
-            object.__setattr__(self, name, int(value))
+            if value is not None or name != "stride":
+                object.__setattr__(self, name, _as_count(value, name, least))
         if self.tolerance is not None and not (math.isfinite(self.tolerance) and self.tolerance >= 0):
             raise ValueError(f"tolerance must be finite and non-negative, got {self.tolerance!r}")
 

@@ -13,6 +13,7 @@ adjoint of a real matrix is its transpose.
 from __future__ import annotations
 
 import json
+import numbers
 import weakref
 from pathlib import Path
 
@@ -41,8 +42,18 @@ def _as_float_vector(v, name: str = "vector") -> np.ndarray:
     return arr
 
 
+def _as_count(value, name: str, least: int) -> int:
+    """value as an int of at least ``least`` (numpy integers are taken), else a ValueError naming the field."""
+    if not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
+    return int(value)
+
+
 class DenseMatrix:
     """Immutable row-major dense matrix with cached squared row norms.
+
+    ``memo(key, build)`` holds what is derived from the matrix, such as its
+    row sampler and Gram table, and frees it with the matrix.
 
     Attributes
     ----------
@@ -70,6 +81,7 @@ class DenseMatrix:
             raise ValueError("matrix contains a non-finite entry")
         t = self._T = object.__new__(DenseMatrix)
         t._data, t._T = np.ascontiguousarray(arr.T), weakref.ref(self)
+        self._memo, t._memo = {}, {}
         with np.errstate(over="ignore"):
             sq = arr * arr
             self._data, self._row_sqnorms, t._row_sqnorms = arr, sq.sum(axis=1), sq.sum(axis=0)
@@ -91,6 +103,14 @@ class DenseMatrix:
             t = self._T = DenseMatrix(self._data.T)
             t._T = weakref.ref(self)
         return t
+
+    def memo(self, key: str, build):
+        """build()'s value, computed on the first call with key and held by the matrix (immutable) from then on.
+        Threads that race on a first call may each build; the values are equal and one is kept."""
+        value = self._memo.get(key)
+        if value is None:
+            value = self._memo[key] = build()
+        return value
 
     @property
     def rows(self) -> int:
@@ -128,6 +148,17 @@ def _require_matrix(value, name: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _read_sized(path, count: int, what: str) -> tuple:
+    """(the ``count`` integers on a text file's first line, its other lines), else a ValueError naming the file."""
+    header, *lines = Path(path).read_text().strip().split("\n")
+    sizes = header.split()
+    if not sizes:
+        raise ValueError(f"empty {what} file: {path}")
+    if len(sizes) != count or not all(v.isdecimal() for v in sizes):
+        raise ValueError(f"malformed {what} header {header!r} in {path}")
+    return [int(v) for v in sizes], lines
+
+
 def save_matrix(A: DenseMatrix, path) -> None:
     row = " ".join([_FLOAT_FMT] * A.cols)
     template = "\n".join([f"{A.rows} {A.cols}"] + [row] * A.rows)
@@ -135,17 +166,11 @@ def save_matrix(A: DenseMatrix, path) -> None:
 
 
 def load_matrix(path) -> DenseMatrix:
-    text = Path(path).read_text().strip().split("\n")
-    if not text or not text[0].strip():
-        raise ValueError(f"empty matrix file: {path}")
-    header = text[0].split()
-    if len(header) != 2:
-        raise ValueError(f"malformed matrix header {text[0]!r} in {path}")
-    rows, cols = int(header[0]), int(header[1])
-    if len(text) - 1 != rows:
-        raise ValueError(f"expected {rows} data lines in {path}, got {len(text) - 1}")
+    (rows, cols), lines = _read_sized(path, 2, "matrix")
+    if len(lines) != rows:
+        raise ValueError(f"expected {rows} data lines in {path}, got {len(lines)}")
     data = np.empty((rows, cols), dtype=np.float64)
-    for i, line in enumerate(text[1:]):
+    for i, line in enumerate(lines):
         vals = line.split()
         if len(vals) != cols:
             raise ValueError(f"row {i} of {path} has {len(vals)} values, expected {cols}")
@@ -160,13 +185,10 @@ def save_vector(v: np.ndarray, path) -> None:
 
 
 def load_vector(path) -> np.ndarray:
-    text = Path(path).read_text().strip().split("\n")
-    if not text or not text[0].strip():
-        raise ValueError(f"empty vector file: {path}")
-    size = int(text[0])
-    if len(text) - 1 != size:
-        raise ValueError(f"expected {size} values in {path}, got {len(text) - 1}")
-    return _as_float_vector([float(line) for line in text[1:]], name=str(path))
+    (size,), lines = _read_sized(path, 1, "vector")
+    if len(lines) != size:
+        raise ValueError(f"expected {size} values in {path}, got {len(lines)}")
+    return _as_float_vector([float(line) for line in lines], name=str(path))
 
 
 def save_json(obj: dict, path) -> None:

@@ -3,9 +3,10 @@
 The solvers draw row index i with probability ||A^i||^2 / ||A||_F^2.
 A column draw is a row draw on ``A.T``, whose row norms are A's column
 norms and whose Frobenius norm is A's, so ``row_sampler`` serves both
-sides, keyed by A or A.T.  Sampling uses
-inverse-CDF lookup over a prefix-sum table of the squared norms: index
-``searchsorted(cum, u * total, side="right")`` for a uniform u.
+sides, and A and A.T each hold their own sampler (``DenseMatrix.memo``).
+Sampling uses inverse-CDF lookup over a prefix-sum table of the squared
+norms: index ``searchsorted(cum, u * total, side="right")`` for a
+uniform u.
 
 ``draw`` runs that binary search on one uniform.  ``draw_many`` finds
 the same index through a guide table (Chen & Asau, 1974) of K + 1
@@ -28,8 +29,6 @@ independent streams derived from ``(master_seed, trial_index)`` via
 is deterministic across platforms and runs.
 """
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
@@ -100,18 +99,9 @@ class NormSampler:
         return idx.reshape(u.shape)
 
 
-# Matrices are immutable, so samplers can be memoized per matrix.  The
-# weak keys keep cached samplers from outliving their matrix.
-_cache: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 def row_sampler(A: DenseMatrix) -> NormSampler:
-    """Sampler over A's rows, weighted by their squared norms; memoized per matrix."""
-    s = _cache.get(A)
-    if s is None:
-        s = NormSampler(A.row_sqnorms)
-        _cache[A] = s
-    return s
+    """Sampler over A's rows, weighted by their squared norms; built once and held in A's memo."""
+    return A.memo("sampler", lambda: NormSampler(A.row_sqnorms))
 
 
 def master_rng(seed: int) -> np.random.Generator:

@@ -64,7 +64,6 @@ from __future__ import annotations
 import ctypes
 import functools
 import threading
-import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,10 +189,10 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
 # a singular-matrix guard: the diagonal holds squared norms of drawn rows,
 # and NormSampler never draws a zero weight.  When M (A or A.T) is tabled
 # (at most twice as many rows as columns), the Gram matrix is gathered
-# from M M^T, built on the first block that needs it and memoized per M,
-# as the samplers are; the table is then no larger than A and A.T
-# together.  einsum builds it, as a threaded gemm's bits would depend on
-# the BLAS thread count.  A longer side computes rows @ rows.T of the
+# from M M^T, built on the first block that needs it and held, read-only,
+# in M's memo beside its sampler; the table is then no larger than A and
+# A.T together.  einsum builds it, as a threaded gemm's bits would depend
+# on the BLAS thread count.  A longer side computes rows @ rows.T of the
 # gathered rows.  Every T = 1 window is MAX_BLOCK steps, whichever way
 # its sides get their Gram matrices.  The state is one trial's (dim,)
 # arrays; draw entry s is step s's index.  A block returns its step
@@ -204,17 +203,16 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
 MAX_BLOCK = 64
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.setflags(write=False)
+    return a
+
+
 @functools.cache
 def _mask(b: int, triangle) -> np.ndarray:
     """The contiguous (b, b) mask of ones that ``triangle`` (np.tril or np.triu) keeps, built on first use.  A
     strided slice of a larger mask multiplies about 2.5 times slower."""
-    mask = triangle(np.ones((b, b)))
-    mask.setflags(write=False)
-    return mask
-
-
-# Memoized Gram tables M M^T; the weak keys keep a table from outliving M.
-_grams: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+    return _read_only(triangle(np.ones((b, b))))
 
 
 def gather(method: str, A: DenseMatrix, draws) -> tuple:
@@ -248,12 +246,7 @@ def _gram(M: DenseMatrix, rows: np.ndarray, idx) -> np.ndarray:
     as many rows as columns, so that the table is no larger than M and M.T together, else computed from rows."""
     if M.rows > 2 * M.cols:
         return rows @ rows.T
-    table = _grams.get(M)
-    if table is None:
-        data = M.data
-        table = np.einsum("ik,jk->ij", data, data)
-        table.setflags(write=False)
-        _grams[M] = table
+    table = M.memo("gram", lambda: _read_only(np.einsum("ik,jk->ij", M.data, M.data)))
     return table.take(idx, 0).take(idx, 1)
 
 

@@ -34,7 +34,7 @@ import json
 
 import numpy as np
 
-from .dense import DenseMatrix, load_matrix, load_vector, save_json, save_matrix, save_vector
+from .dense import DenseMatrix, _as_count, load_matrix, load_vector, save_json, save_matrix, save_vector
 from .interlaced import FactoredSystem
 from .oracle import qr_reduce, svd
 from .sampling import master_rng
@@ -68,7 +68,7 @@ RESIDUAL_RATIO = 0.5
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    """Validated description of one benchmark instance."""
+    """Validated description of one benchmark instance; m, n, k and seed are ints (numpy integers are taken)."""
 
     scenario: str
     m: int
@@ -79,10 +79,8 @@ class ScenarioSpec:
     def __post_init__(self):
         if self.scenario not in SCENARIOS:
             raise ValueError(f"unknown scenario {self.scenario!r}; expected one of {SCENARIOS}")
-        if min(self.m, self.n, self.k) < 1:
-            raise ValueError("dimensions must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        for name, least in (("m", 1), ("n", 1), ("k", 1), ("seed", 0)):
+            object.__setattr__(self, name, _as_count(getattr(self, name), name, least))
         m, n, k = self.m, self.n, self.k
         if self.scenario == "S1":
             if not (k < min(m, n) or n < k < m):

@@ -1,5 +1,7 @@
 """Dense matrix container and text serialization."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -162,8 +164,18 @@ class TestSerialization:
         with pytest.raises(ValueError):
             load_matrix(not_numbers)
 
+        header_not_integers = tmp_path / "U.mat"
+        header_not_integers.write_text("2 x\n1 2\n3 4\n")
+        with pytest.raises(ValueError, match=f"malformed matrix header .* in {re.escape(str(header_not_integers))}$"):
+            load_matrix(header_not_integers)
+
     def test_load_vector_rejects_malformed_input(self, tmp_path):
         bad_len = tmp_path / "bad.vec"
         bad_len.write_text("3\n1.0\n2.0\n")
         with pytest.raises(ValueError):
             load_vector(bad_len)
+
+        header_not_integer = tmp_path / "y.vec"
+        header_not_integer.write_text("two\n1.0\n2.0\n")
+        with pytest.raises(ValueError, match=f"malformed vector header .* in {re.escape(str(header_not_integer))}$"):
+            load_vector(header_not_integer)

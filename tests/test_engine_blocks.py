@@ -27,7 +27,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kaczfact import _engine, interlaced, sampling, solvers
+from kaczfact import _engine, interlaced, solvers
 from kaczfact.bench import RunConfig, oracle_solution, run_experiment
 from kaczfact.dense import DenseMatrix
 from kaczfact.interlaced import (
@@ -176,8 +176,8 @@ def test_block_kernel_equals_per_step_kernel_wide_u(method, block):
 
 
 def gram_tables(matrix):
-    """(row table, column table) memoized for matrix, keyed by it and its transpose; None where none is built."""
-    return solvers._grams.get(matrix), solvers._grams.get(matrix.T)
+    """(row table, column table) memoized for matrix, held by it and its transpose; None where none is built."""
+    return matrix._memo.get("gram"), matrix.T._memo.get("gram")
 
 
 def sides(method, target):
@@ -221,6 +221,11 @@ def test_gram_tables_built_once_on_short_sides(method, dims):
         assert all(again is first for again, first in zip(gram_tables(matrix), tables))
 
 
+def held(matrix) -> list:
+    """Weak references to matrix, its transpose and every sampler and Gram table the two memoize."""
+    return [weakref.ref(x) for key in (matrix, matrix.T) for x in (key, *key._memo.values())]
+
+
 def test_matrix_is_freed_by_refcounting():
     """A matrix, its transpose and the samplers and Gram tables memoized for both go with the last
     reference to the matrix, with no garbage-collection pass: nothing in them refers back to the matrix."""
@@ -229,15 +234,30 @@ def test_matrix_is_freed_by_refcounting():
     gc.collect()
     gc.disable()
     try:
-        before = len(sampling._cache), len(solvers._grams)
         # rek draws rows and columns, and on a square matrix both sides get a Gram table.
         run_experiment(RunConfig(method="rek", seed=2, trials=1, budget=100, stride=50), target)
         for key in (a, a.T):
-            assert key in sampling._cache and key in solvers._grams
-        alive = weakref.ref(a), weakref.ref(a.T)
+            assert set(key._memo) == {"sampler", "gram"}
+        alive = held(a)
         del a, target, key
         assert all(ref() is None for ref in alive)
-        assert (len(sampling._cache), len(solvers._grams)) == before
+    finally:
+        gc.enable()
+
+
+def test_factors_are_freed_by_refcounting():
+    """As above for a pairing: after a T = 1 rek-rk run, U, V, their transposes and what they memoize go
+    with the last reference to the system, with no garbage-collection pass."""
+    target = make_target("rek-rk", 6, 5, 6, seed=6, consistent=False)
+    gc.collect()
+    gc.disable()
+    try:
+        # rek on U draws its rows and columns, rk on V its rows; on these near-square factors each gets a table.
+        run_experiment(RunConfig(method="rek-rk", seed=2, trials=1, budget=100, stride=50), target)
+        assert [set(key._memo) for key in (target.U, target.U.T, target.V)] == [{"sampler", "gram"}] * 3
+        alive = held(target.U) + held(target.V)
+        del target
+        assert all(ref() is None for ref in alive)
     finally:
         gc.enable()
 

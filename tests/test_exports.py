@@ -1,5 +1,6 @@
 """Every exported name resolves, every top-level export is one the package itself reads,
-every callable the benchmark tracer wraps exists, and the engine holds no branch on its target's type."""
+every callable the benchmark tracer wraps exists, the engine holds no branch on its target's type,
+and no module keeps a registry of matrices."""
 
 import ast
 import importlib
@@ -74,3 +75,14 @@ def test_engine_holds_no_type_branch():
     modules = [getattr(node, "module", None) or "" for node in imports] + [a.name for node in imports for a in node.names]
     assert "interlaced" not in {part for name in modules for part in name.split(".")}
     assert "isinstance" not in {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+def test_no_module_level_weak_key_registry():
+    """What is derived from a matrix lives in the matrix's own memo (``DenseMatrix.memo``), so no module
+    binds a ``WeakKeyDictionary`` at its top level."""
+    bound = []
+    for path in sorted((REPO / "src" / "kaczfact").glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Assign, ast.AnnAssign)) and "WeakKeyDictionary" in ast.dump(node):
+                bound.append(f"{path.name}:{node.lineno}")
+    assert bound == []

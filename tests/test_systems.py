@@ -72,6 +72,21 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec("S1", m=10, n=5, k=3, seed=-1)
 
+    @pytest.mark.parametrize("field, value", [("m", 60.0), ("n", np.float64(40)), ("k", "20"), ("seed", 1.5)])
+    def test_sizes_and_seed_must_be_integers(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            ScenarioSpec(**{"scenario": "S1", "m": 60, "n": 40, "k": 20, "seed": 0, field: value})
+
+    def test_numpy_integers_are_generated_saved_and_loaded_as_ints(self, tmp_path):
+        spec = ScenarioSpec("S1", np.int64(60), np.int32(40), np.int64(20), seed=np.uint8(0))
+        assert all(type(getattr(spec, name)) is int for name in ("m", "n", "k", "seed"))
+        inst = gen_gaussian_factored(spec)
+        save_instance(inst, spec, tmp_path)
+        assert [json.loads((tmp_path / "manifest.json").read_text())[name] for name in "mnk"] == [60, 40, 20]
+        back = load_instance(tmp_path)
+        assert (back.U.rows, back.U.cols, back.V.cols) == (60, 20, 40)
+        assert np.array_equal(back.y, inst.system.y)
+
     def test_consistency_flag(self):
         assert ScenarioSpec("S1", m=10, n=8, k=4, seed=0).consistent
         assert ScenarioSpec("S2", m=4, n=8, k=6, seed=0).consistent
