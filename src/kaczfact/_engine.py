@@ -39,10 +39,17 @@ interpreter overhead, which a window pays once.  Every target takes the
 same window, whether its sides gather their Gram matrices from tables or
 compute them as rows @ rows.T; 128-step windows measured no faster than
 64-step ones on the full presets, and 32-step ones faster only on dense
-baselines with rows of about 500 entries or more.  The triangles go to
-the BLAS forward substitution dtrsv (``solvers.BLOCK_SOLVER`` names the
-path a numpy build runs), with no singular-matrix guard, as their
-diagonals are drawn squared norms, all > 0.  At T >= 2 the per-step
+baselines with rows of about 500 entries or more.  Each side's Gram
+block, its diagonal of drawn squared norms and its right-hand side are
+gathered straight into the calling thread's triangle buffer, and the
+cross sums reuse it.  Those gathers skip numpy's bounds check, which is
+safe as each reads only indices that a checked take in the same block
+has read (a row gather, or the first take from a Gram table); gathering
+the B^2 entries in one flat take stays slower at the presets.  The
+triangles go to the BLAS forward substitution dtrsv
+(``solvers.BLOCK_SOLVER`` names the path a numpy build runs), with no
+singular-matrix guard, as their diagonals are drawn squared norms, all
+> 0.  At T >= 2 the per-step
 loop spreads the overhead over the trials, and block stepping is closed: on S3b
 120x75x50 the per-step kernels took 0.74-1.46 us per trial-step at
 T = 40 and 0.44-0.97 at T = 200, against 0.82-1.80 and 0.68-1.52 at the

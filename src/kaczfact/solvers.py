@@ -177,27 +177,38 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
 # and A.T[J] has the shorter rows, and ``rewind``, which undoes row steps
 # with the rows the block returned beside their coefficients.  A side
 # costs one gather, one (B, B) Gram matrix and one (B, B) solve instead of
-# B rounds of per-step numpy calls, and agrees with them to rounding.  The
-# (B, B) triangle goes to CBLAS dtrsv, a forward substitution, in the BLAS
-# that numpy links to, called through ctypes on a contiguous B x B view of
-# one persistent flat buffer (lda = B), with its arguments bound once per
-# B.  ctypes releases the GIL during the call, so each thread has a buffer
-# of its own.  A numpy build that exports no CBLAS dtrsv falls back to
-# LAPACK dgesv through numpy's gufunc (the call np.linalg.solve makes,
-# without its wrapper) on the masked triangle; the two paths differ at
-# rounding, and BLOCK_SOLVER names the one this build runs.  Neither needs
-# a singular-matrix guard: the diagonal holds squared norms of drawn rows,
-# and NormSampler never draws a zero weight.  When M (A or A.T) is tabled
-# (at most twice as many rows as columns), the Gram matrix is gathered
-# from M M^T, built on the first block that needs it and held, read-only,
-# in M's memo beside its sampler; the table is then no larger than A and
-# A.T together.  einsum builds it, as a threaded gemm's bits would depend
-# on the BLAS thread count.  A longer side computes rows @ rows.T of the
-# gathered rows.  Every T = 1 window is MAX_BLOCK steps, whichever way
-# its sides get their Gram matrices.  The state is one trial's (dim,)
-# arrays; draw entry s is step s's index.  A block returns its step
-# coefficients, from which ``rewind`` recovers the iterate at any step
-# inside it.
+# B rounds of per-step numpy calls, and agrees with them to rounding.
+# Each thread owns the window's workspace: one flat MAX_BLOCK^2 buffer and
+# one MAX_BLOCK vector.  A projection gathers its Gram matrix straight into
+# a contiguous B x B view of the buffer's head (lda = B), the drawn squared
+# norms onto its diagonal and rows @ v - rhs into the vector, and solves
+# there in place; a cross sum gathers its B x B cross matrix into the same
+# view.  Nothing a block returns is a view of the workspace.  These gathers
+# are unchecked (mode="clip"; a checked take into out= buffers its output
+# and measured about twice as slow), which is safe because each reads only
+# indices that a checked take in the same block has read: the block's row
+# gathers, or the first take from a table (and draws are never negative,
+# where the two modes would disagree).  Gathering the B^2 entries flat,
+# in one take, stays slower than two row takes at the presets' table sizes.
+# The triangle goes to CBLAS dtrsv, a forward substitution, in the BLAS
+# that numpy links to, called through ctypes on the B x B view, with its
+# arguments bound once per B.  ctypes releases the GIL during the call,
+# hence a workspace per thread.  A numpy build that exports no CBLAS dtrsv
+# falls back to LAPACK dgesv through numpy's gufunc (the call
+# np.linalg.solve makes, without its wrapper) on the masked triangle; the
+# two paths differ at rounding, and BLOCK_SOLVER names the one this build
+# runs.  Neither needs a singular-matrix guard: the diagonal holds squared
+# norms of drawn rows, and NormSampler never draws a zero weight.  When M
+# (A or A.T) is tabled (at most twice as many rows as columns), the Gram
+# matrix is gathered from M M^T, built on the first block that needs it
+# and held, read-only, in M's memo beside its sampler; the table is then
+# no larger than A and A.T together.  einsum builds it, as a threaded
+# gemm's bits would depend on the BLAS thread count.  A longer side
+# computes rows @ rows.T of the gathered rows.  Every T = 1 window is
+# MAX_BLOCK steps, whichever way its sides get their Gram matrices.  The
+# state is one trial's (dim,) arrays; draw entry s is step s's index.  A
+# block returns its step coefficients, from which ``rewind`` recovers the
+# iterate at any step inside it.
 
 # The T = 1 window, and the longest block.
 MAX_BLOCK = 64
@@ -226,28 +237,22 @@ def cross_sum(M: DenseMatrix, at: np.ndarray, by: np.ndarray, coef: np.ndarray, 
 
     Reads B^2 entries of B rows of whichever of M and M.T has the
     shorter rows: at_rows = M.data[at] or by_rows = M.T.data[by] when
-    the caller has gathered them, else rows it gathers.
+    the caller has gathered them, else rows it gathers.  The entries go
+    to this thread's triangle buffer, unchecked: the caller's block has
+    already gathered rows by the indices they are read by.
     """
     b = at.size
+    mat = _buffers.by_size[b][0]
     if M.cols <= M.rows:
         rows = M.data.take(at, 0) if at_rows is None else at_rows
-        cross = rows.take(by, 1)  # cross[s, r]
+        cross = rows.take(by, 1, out=mat, mode="clip")  # cross[s, r]
         cross *= _mask(b, np.tril)
         return cross @ coef
     rows = M.T.data.take(by, 0) if by_rows is None else by_rows
     # C-ordered, so an upper mask: a product with the lower mask's F-ordered transpose takes about twice as long.
-    cross = rows.take(at, 1)  # cross[r, s]
+    cross = rows.take(at, 1, out=mat, mode="clip")  # cross[r, s]
     cross *= _mask(b, np.triu)
     return coef @ cross
-
-
-def _gram(M: DenseMatrix, rows: np.ndarray, idx) -> np.ndarray:
-    """The (B, B) Gram matrix of rows = M.data[idx]: gathered from M's memoized M M^T when M has at most twice
-    as many rows as columns, so that the table is no larger than M and M.T together, else computed from rows."""
-    if M.rows > 2 * M.cols:
-        return rows @ rows.T
-    table = M.memo("gram", lambda: _read_only(np.einsum("ik,jk->ij", M.data, M.data)))
-    return table.take(idx, 0).take(idx, 1)
 
 
 def _find_dtrsv():
@@ -274,58 +279,66 @@ BLOCK_SOLVER = "dgesv" if _DTRSV is None else "cblas_dtrsv"
 _DTRSV_FLAGS = tuple(ctypes.c_int(v) for v in (101, 122, 111, 131))
 
 
-class _DtrsvBuffers(threading.local):
-    """Per thread: one flat MAX_BLOCK^2 matrix buffer and one (MAX_BLOCK,) vector, and for each B the contiguous
-    B x B matrix on the buffer's head, its diagonal, the B-vector, and dtrsv bound to them with lda = B."""
+class _Buffers(threading.local):
+    """Per thread, the T = 1 window's workspace: one flat MAX_BLOCK^2 matrix buffer and one (MAX_BLOCK,) vector,
+    and for each B the contiguous B x B matrix on the buffer's head, its diagonal, the B-vector, and dtrsv bound
+    to them with lda = B (None where this numpy build exports no dtrsv)."""
 
     def __init__(self):
-        fn, blasint = _DTRSV
         flat, vec = np.zeros(MAX_BLOCK * MAX_BLOCK), np.zeros(MAX_BLOCK)
-        mat, x = ctypes.c_void_p(flat.ctypes.data), ctypes.c_void_p(vec.ctypes.data)
+        if _DTRSV is not None:
+            fn, blasint = _DTRSV
+            mat, x = ctypes.c_void_p(flat.ctypes.data), ctypes.c_void_p(vec.ctypes.data)
         self.by_size = [None] + [
             (
                 flat[: b * b].reshape(b, b),
                 flat[: b * b : b + 1],
                 vec[:b],
-                functools.partial(fn, *_DTRSV_FLAGS, blasint(b), mat, blasint(b), x, blasint(1)),
+                None if _DTRSV is None else functools.partial(fn, *_DTRSV_FLAGS, blasint(b), mat, blasint(b), x, blasint(1)),
             )
             for b in range(1, MAX_BLOCK + 1)
         ]
 
 
-def _solve_lower_dtrsv(gram: np.ndarray, rhs: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Solve tril(gram) c = rhs, with the cached squared norms on the diagonal, by CBLAS dtrsv."""
-    mat, mat_diag, vec, call = _buffers.by_size[gram.shape[0]]
-    np.copyto(mat, gram)
-    np.copyto(mat_diag, diag)
-    np.copyto(vec, rhs)
+_buffers = _Buffers()
+
+
+def _solve_lower_dtrsv(b: int) -> np.ndarray:
+    """Solve tril(mat) c = vec on this thread's B x B buffers by CBLAS dtrsv, in place; returns a copy of c."""
+    _, _, vec, call = _buffers.by_size[b]
     call()
     return vec.copy()
 
 
-def _solve_lower_dgesv(gram: np.ndarray, rhs: np.ndarray, diag: np.ndarray) -> np.ndarray:
-    """Solve tril(gram) c = rhs, with the cached squared norms on the diagonal, by LAPACK dgesv.  Overwrites gram."""
-    b = gram.shape[0]
-    gram *= _mask(b, np.tril)
-    gram.flat[:: b + 1] = diag
-    return _solve1(gram, rhs, signature="dd->d")
+def _solve_lower_dgesv(b: int) -> np.ndarray:
+    """Solve tril(mat) c = vec on this thread's B x B buffers by LAPACK dgesv.  Overwrites mat's upper triangle."""
+    mat, _, vec, _ = _buffers.by_size[b]
+    mat *= _mask(b, np.tril)
+    return _solve1(mat, vec, signature="dd->d")
 
 
-if _DTRSV is None:
-    _solve_lower = _solve_lower_dgesv
-else:
-    _buffers = _DtrsvBuffers()
-    _solve_lower = _solve_lower_dtrsv
+_solve_lower = _solve_lower_dgesv if _DTRSV is None else _solve_lower_dtrsv
 
 
 def _project_block(M: DenseMatrix, v: np.ndarray, idx: np.ndarray, rhs: np.ndarray | None, rows: np.ndarray):
     """Projections of v onto rows idx[0], idx[1], ... of M against rhs[s] (0 when None): B ``project`` calls.
 
-    rows is M.data[idx] as the block gathered it.  Returns the (B,) step
-    coefficients c.
+    rows is M.data[idx] as the block gathered it.  The Gram matrix, the
+    squared norms on its diagonal and rows @ v - rhs go straight to this
+    thread's triangle buffers.  Returns the (B,) step coefficients c.
     """
-    dots = rows @ v
-    c = _solve_lower(_gram(M, rows, idx), dots if rhs is None else dots - rhs, M.row_sqnorms.take(idx))
+    b = idx.size
+    mat, diag, vec, _ = _buffers.by_size[b]
+    if M.rows > 2 * M.cols:
+        np.matmul(rows, rows.T, out=mat)
+    else:
+        table = M.memo("gram", lambda: _read_only(np.einsum("ik,jk->ij", M.data, M.data)))
+        table.take(idx, 0).take(idx, 1, out=mat, mode="clip")
+    M.row_sqnorms.take(idx, out=diag, mode="clip")
+    np.matmul(rows, v, out=vec)
+    if rhs is not None:
+        vec -= rhs
+    c = _solve_lower(b)
     v -= c @ rows
     return c
 

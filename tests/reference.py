@@ -149,6 +149,16 @@ def coord_step(beta, residual, cols, at, sqnorms):
     return gamma
 
 
+def solve_in_buffers(solve, gram, rhs, diag):
+    """solve(b) on this thread's triangle buffers, filled as the block projection fills them: gram (only
+    its lower triangle is read), then diag on its diagonal, and rhs."""
+    mat, mat_diag, vec, _ = solvers._buffers.by_size[rhs.size]
+    mat[...] = gram
+    mat_diag[...] = diag
+    vec[...] = rhs
+    return solve(rhs.size)
+
+
 def _block_solve(side, vecs, idx, rhs, diag):
     """tril(G) c = rhs for the Gram matrix G of vecs = side[idx], read from the table of side's row inner
     products when side has at most twice as many rows as columns.  The masked triangle goes to the
@@ -161,7 +171,7 @@ def _block_solve(side, vecs, idx, rhs, diag):
         gram = np.einsum("ik,jk->ij", side, side).take(idx, 0).take(idx, 1)
     gram = gram * np.tril(np.ones((b, b)))
     gram[np.diag_indices(b)] = diag
-    return solvers._solve_lower(gram, rhs, diag)
+    return solve_in_buffers(solvers._solve_lower, gram, rhs, diag)
 
 
 def rows_block(A, beta, idx, rhs):

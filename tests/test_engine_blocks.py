@@ -53,7 +53,7 @@ from kaczfact.solvers import (
 from kaczfact.systems import ScenarioSpec, gen_gaussian_factored
 
 from conftest import consistent_system, inconsistent_system, small_factored
-from reference import col_project, cols_block, coord_step, row_step, rows_block, run
+from reference import col_project, cols_block, coord_step, row_step, rows_block, run, solve_in_buffers
 
 
 def sequential(method, target, budget, seed, trial, stride, tolerance, star, err=None):
@@ -625,7 +625,7 @@ def test_solve_lower_equals_linalg_solve(b):
         want = substitution(masked, rhs)
         skeel = np.abs(np.linalg.inv(masked)) @ (np.abs(masked) @ np.abs(want))
         for path in paths:
-            got = SOLVE_PATHS[path](gram.copy(), rhs, diag)
+            got = solve_in_buffers(SOLVE_PATHS[path], gram, rhs, diag)
             if path == "dgesv":
                 assert np.array_equal(got, np.linalg.solve(masked, rhs)), name
             else:
@@ -645,18 +645,71 @@ def test_block_path_calls_no_linalg_solve(method, monkeypatch):
 
 
 @pytest.mark.parametrize("method", METHODS + PAIRINGS)
-def test_one_trial_engine_matches_reference_on_each_solve_path(method, solve_path):
+def test_one_trial_engine_matches_reference_on_each_solve_path(method, solve_path, monkeypatch):
     """On either triangle path, a tolerance-checked T = 1 run records and stops as the sequential
-    reference does, its errors within the engine test's rounding bound."""
+    reference does, its errors within the engine test's rounding bound; the forced path is the one
+    the run's blocks called."""
+    forced, calls = solvers._solve_lower, []
+    monkeypatch.setattr(solvers, "_solve_lower", lambda b: calls.append(b) or forced(b))
     target = make_target(method, 9, 4, 6, seed=12, consistent=True)
     star = oracle_solution(target)
     y = target.y if isinstance(target, FactoredSystem) else target[1]
     tol = 1e-6 * (1.0 + float(np.linalg.norm(y)))
     config = RunConfig(method=method, seed=6, trials=1, budget=1100, stride=9, tolerance=tol)
     traj = run_experiment(config, target, beta_star=star)
+    assert calls
     last, records = expected_run(method, target, 1100, 6, 1, 9, tol, star)
     assert traj.iters[-1] == last
     assert_records_match(traj, records[0], star)
+
+
+# (m, k, n) of make_target, a baseline's A being m x n.  The first reads every Gram matrix from a table; in the
+# second U's, V's and A's rows compute theirs, and in the third U.T's, V.T's and A.T's.  A row-outer pairing's
+# cross sum reads rows of U in the first two and of U.T in the third; rgs-rgs's reads rows of V.T in the first
+# and third and of V in the second.
+RANGE_DIMS = [(12, 8, 10), (30, 14, 6), (5, 12, 30)]
+
+
+@pytest.mark.parametrize("dims", RANGE_DIMS, ids=["tabled", "long-rows", "long-columns"])
+@pytest.mark.parametrize("method", METHODS + PAIRINGS)
+def test_out_of_range_draws_raise_in_a_block(method, dims):
+    """A block whose draw d holds one index equal to the row count of the side it draws from raises
+    IndexError, for every d: the Gram, norm and cross-sum gathers into the triangle buffers read, unchecked,
+    only indices that a checked take in the same block has read."""
+    target = make_target(method, *dims, seed=14, consistent=False)
+    if method not in PAIRINGS:
+        target = SingleSystem(*target)
+    block = target.kernels(method)[1]
+    rng = master_rng(500)
+    sides = target.samplers(method)
+    draws = tuple(sampler.draw_many(rng.random(16)) for sampler in sides)
+    for d, sampler in enumerate(sides):
+        bad = [ix.copy() for ix in draws]
+        bad[d][5] = sampler.size
+        state = [None if v is None else v.copy() for v in vars(target.init(method)).values()]
+        with pytest.raises(IndexError):
+            block(*state, tuple(bad))
+
+
+@pytest.mark.parametrize("shape", [(12, 5), (9, 5), (5, 9)], ids=["long", "tall", "wide"])
+def test_block_results_are_not_views_of_the_buffers(shape, solve_path):
+    """A block projection's coefficients and a cross sum keep their values through block projections and
+    cross sums of every length after them on the same thread, on either triangle path: neither is a view
+    of the buffers it was computed in."""
+    rng = master_rng(600)
+    M = DenseMatrix(rng.standard_normal(shape))
+
+    def block(b):
+        idx, by = rng.integers(0, shape[0], b), rng.integers(0, shape[1], b)
+        v, rhs = rng.standard_normal(shape[1]), rng.standard_normal(b)
+        c = solvers._project_block(M, v, idx, rhs, M.data.take(idx, 0))
+        return c, solvers.cross_sum(M, idx, by, c)
+
+    kept = block(solvers.MAX_BLOCK)
+    want = [a.copy() for a in kept]
+    for b in range(1, solvers.MAX_BLOCK + 1):
+        block(b)
+    assert all(np.array_equal(got, w) for got, w in zip(kept, want))
 
 
 def solve_buffer_bytes() -> int:
