@@ -27,11 +27,11 @@ check stops the run at its own step.
 
 A target (``solvers.SingleSystem``, ``interlaced.FactoredSystem``) gives
 the samplers, flops, state, kernels, snapshots and rewound estimates,
-estimate and residuals.  A window of B > 1 steps runs its block kernel,
-and a 1-step window its per-step kernel, the one the sequential
-reference steps with.  This module holds no algebra and no branch on the
-target's type: it schedules draws, windows, records and tolerance
-checks.
+estimate and residuals.  The trial count alone picks the kernel: every
+T = 1 window runs the block kernel, however short, and every T >= 2
+step the per-step kernel, the one the sequential reference steps with.
+This module holds no algebra and no branch on the target's type: it
+schedules draws, windows, records and tolerance checks.
 
 L(T) is ``solvers.MAX_BLOCK`` (64) at T = 1 and 1 at T >= 2, so the
 block kernels take one trial.  At T = 1 nearly all of a step's time is
@@ -39,21 +39,13 @@ interpreter overhead, which a window pays once.  Every target takes the
 same window, whether its sides gather their Gram matrices from tables or
 compute them as rows @ rows.T; 128-step windows measured no faster than
 64-step ones on the full presets, and 32-step ones faster only on dense
-baselines with rows of about 500 entries or more.  Each side's Gram
-block, its diagonal of drawn squared norms and its right-hand side are
-gathered straight into the calling thread's triangle buffer, and the
-cross sums reuse it.  Those gathers skip numpy's bounds check, which is
-safe as each reads only indices that a checked take in the same block
-has read (a row gather, or the first take from a Gram table); gathering
-the B^2 entries in one flat take stays slower at the presets.  The
-triangles go to the BLAS forward substitution dtrsv
-(``solvers.BLOCK_SOLVER`` names the path a numpy build runs), with no
-singular-matrix guard, as their diagonals are drawn squared norms, all
-> 0.  At T >= 2 the per-step
-loop spreads the overhead over the trials, and block stepping is closed: on S3b
-120x75x50 the per-step kernels took 0.74-1.46 us per trial-step at
-T = 40 and 0.44-0.97 at T = 200, against 0.82-1.80 and 0.68-1.52 at the
-best block length.  Each trial of a multi-trial run thus performs the
+baselines with rows of about 500 entries or more.  How a block solves
+its window, from the rows it gathered and the Gram tables, in the
+calling thread's triangle buffer, is ``solvers``' block section.  At
+T >= 2 the per-step loop spreads the overhead over the trials, and block
+stepping is closed: on S3b 120x75x50 the per-step kernels took 0.74-1.46
+us per trial-step at T = 40 and 0.44-0.97 at T = 200, against 0.82-1.80
+and 0.68-1.52 at the best block length.  Each trial of a multi-trial run thus performs the
 same floating-point operations as a sequential run, and its iterates,
 and errors computed by the same formula, equal the reference's bit for
 bit.
@@ -82,12 +74,13 @@ def _round_steps(trials: int) -> int:
 
 
 class _Batch:
-    """T trials' state as (T, dim) arrays, one row per trial, with the method's two kernels bound to it.
+    """T trials' state as (T, dim) arrays, one row per trial, with the kernel its run steps with bound to it.
 
-    kernel(draws) takes one step, with one (T,) index array per draw;
-    advance(draws) takes B steps of a T = 1 batch on its (dim,) row
-    views, with one (B,) index array per draw, and returns the step
-    coefficients the target's snapshot rewinds with.
+    At T >= 2, advance(draws) takes one step with the per-step kernel,
+    with one (T,) index array per draw.  At T = 1 it takes a window of B
+    steps with the block kernel on the (dim,) row views, with one (B,)
+    index array per draw, and returns the step coefficients the target's
+    snapshot rewinds with.
     """
 
     def __init__(self, method: str, target, trials: int):
@@ -98,8 +91,10 @@ class _Batch:
         self.state = type(s)(*vectors)
         self.samplers = target.samplers(method)
         kernel, block = target.kernels(method)
-        self.kernel = functools.partial(kernel, *vectors, np.arange(trials))
-        self.advance = functools.partial(block, *(None if v is None else v[0] for v in vectors))
+        if trials == 1:
+            self.advance = functools.partial(block, *(None if v is None else v[0] for v in vectors))
+        else:
+            self.advance = functools.partial(kernel, *vectors, np.arange(trials))
 
     def max_residual(self, state) -> float:
         """Largest residual norm across the trials of ``state`` (joint over a pairing's two subsystems)."""
@@ -153,11 +148,8 @@ def run_trials(
         while t < start + block and not stopped:
             # A window (t, end] ends only at L(T) steps or at the sampling block's end.
             end = min(t + round_steps, start + block)
-            if end - t == 1:
-                batch.kernel(tuple([ix[t - start] for ix in idx]))
-            else:
-                window = tuple([r[t - start : end - start] for r in runs])
-                coef = batch.advance(window)
+            window = tuple([r[t - start : end - start] for r in runs] if trials == 1 else [ix[t - start] for ix in idx])
+            coef = batch.advance(window)
             # Records and checks due in the window, in step order.  Inside it a check reads the snapshot
             # rewound from its end, and a record that is not also a check only the rewound estimate.
             while due <= end and not stopped:

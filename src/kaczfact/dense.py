@@ -149,13 +149,13 @@ def _require_matrix(value, name: str) -> None:
 
 
 def _read_sized(path, count: int, what: str) -> tuple:
-    """(the ``count`` integers on a text file's first line, its other lines), else a ValueError naming the file."""
+    """(the ``count`` integers on a text file's first line, its other lines); the caller names the file."""
     header, *lines = Path(path).read_text().strip().split("\n")
     sizes = header.split()
     if not sizes:
-        raise ValueError(f"empty {what} file: {path}")
+        raise ValueError(f"empty {what} file")
     if len(sizes) != count or not all(v.isdecimal() for v in sizes):
-        raise ValueError(f"malformed {what} header {header!r} in {path}")
+        raise ValueError(f"malformed {what} header {header!r}")
     return [int(v) for v in sizes], lines
 
 
@@ -166,16 +166,19 @@ def save_matrix(A: DenseMatrix, path) -> None:
 
 
 def load_matrix(path) -> DenseMatrix:
-    (rows, cols), lines = _read_sized(path, 2, "matrix")
-    if len(lines) != rows:
-        raise ValueError(f"expected {rows} data lines in {path}, got {len(lines)}")
-    data = np.empty((rows, cols), dtype=np.float64)
-    for i, line in enumerate(lines):
-        vals = line.split()
-        if len(vals) != cols:
-            raise ValueError(f"row {i} of {path} has {len(vals)} values, expected {cols}")
-        data[i, :] = [float(v) for v in vals]
-    return DenseMatrix(data)
+    try:
+        (rows, cols), lines = _read_sized(path, 2, "matrix")
+        if len(lines) != rows:
+            raise ValueError(f"{len(lines)} data lines where the header gives {rows}")
+        data = np.empty((rows, cols), dtype=np.float64)
+        for i, line in enumerate(lines):
+            vals = line.split()
+            if len(vals) != cols:
+                raise ValueError(f"row {i} has {len(vals)} values where the header gives {cols}")
+            data[i, :] = [float(v) for v in vals]
+        return DenseMatrix(data)
+    except ValueError as exc:  # every one names the file
+        raise ValueError(f"{exc} in {path}") from exc
 
 
 def save_vector(v: np.ndarray, path) -> None:
@@ -185,10 +188,13 @@ def save_vector(v: np.ndarray, path) -> None:
 
 
 def load_vector(path) -> np.ndarray:
-    (size,), lines = _read_sized(path, 1, "vector")
-    if len(lines) != size:
-        raise ValueError(f"expected {size} values in {path}, got {len(lines)}")
-    return _as_float_vector([float(line) for line in lines], name=str(path))
+    try:
+        (size,), lines = _read_sized(path, 1, "vector")
+        if len(lines) != size:
+            raise ValueError(f"{len(lines)} values where the header gives {size}")
+        return _as_float_vector([float(line) for line in lines])
+    except ValueError as exc:  # every one names the file
+        raise ValueError(f"{exc} in {path}") from exc
 
 
 def save_json(obj: dict, path) -> None:

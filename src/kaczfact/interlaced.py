@@ -222,9 +222,9 @@ def pairing_block(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v, d
     # the inner rows V.T[q_s]).
     if res_v is None:
         c, rows = coef
-        drift = cross_sum(sys.U.T, inner_draws[0], draws[0], c, by_rows=rows)
+        drift = cross_sum(inner_draws[0], draws[0], c, by_rows=rows)
     else:
-        drift = cross_sum(sys.V.T, inner_draws[0], draws[split - 1], coef, at_rows=inner_rows[0])
+        drift = cross_sum(inner_draws[0], draws[split - 1], coef, at_rows=inner_rows[0])
     inner_coef = block_kernel(inner, sys.V, rhs, b, zv, res_v, inner_draws, drift, inner_rows)
     if res_v is not None:
         np.add.at(res_v, draws[split - 1], coef)

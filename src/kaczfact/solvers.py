@@ -172,12 +172,13 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
 # What step r changes and a later step s reads enters through an inclusive
 # lower-triangular cross matrix (cross_sum): rek's z[i_s] and the regs
 # correction's coordinate patches, both from A[I][:, J].  A block gathers
-# each draw's rows once (``gather``), and everything in it reads them: the
-# projections, the cross sums, which take B^2 entries from whichever of A[I]
-# and A.T[J] has the shorter rows, and ``rewind``, which undoes row steps
-# with the rows the block returned beside their coefficients.  A side
-# costs one gather, one (B, B) Gram matrix and one (B, B) solve instead of
-# B rounds of per-step numpy calls, and agrees with them to rounding.
+# each draw's rows once (``gather``), and everything in it reads only them
+# and the Gram tables: the projections, the cross sums, which take their
+# B^2 entries from rows the block gathered (A[I] here, U[I] or V.T[Q] for
+# a pairing's drift), and ``rewind``, which undoes row steps with the rows
+# the block returned beside their coefficients.  A side costs one gather,
+# one (B, B) Gram matrix and one (B, B) solve instead of B rounds of
+# per-step numpy calls, and agrees with them to rounding.
 # Each thread owns the window's workspace: one flat MAX_BLOCK^2 buffer and
 # one MAX_BLOCK vector.  A projection gathers its Gram matrix straight into
 # a contiguous B x B view of the buffer's head (lda = B), the drawn squared
@@ -185,11 +186,11 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
 # there in place; a cross sum gathers its B x B cross matrix into the same
 # view.  Nothing a block returns is a view of the workspace.  These gathers
 # are unchecked (mode="clip"; a checked take into out= buffers its output
-# and measured about twice as slow), which is safe because each reads only
-# indices that a checked take in the same block has read: the block's row
-# gathers, or the first take from a table (and draws are never negative,
-# where the two modes would disagree).  Gathering the B^2 entries flat,
-# in one take, stays slower than two row takes at the presets' table sizes.
+# and measured about twice as slow), which is safe because each takes only
+# at draws that a checked take in the same block has read: a row gather,
+# or a table's first take (draws are never negative, where the two modes
+# would disagree).  Gathering the B^2 entries flat, in one take, stays
+# slower than two row takes at the presets' table sizes.
 # The triangle goes to CBLAS dtrsv, a forward substitution, in the BLAS
 # that numpy links to, called through ctypes on the B x B view, with its
 # arguments bound once per B.  ctypes releases the GIL during the call,
@@ -204,11 +205,10 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
 # and held, read-only, in M's memo beside its sampler; the table is then
 # no larger than A and A.T together.  einsum builds it, as a threaded
 # gemm's bits would depend on the BLAS thread count.  A longer side
-# computes rows @ rows.T of the gathered rows.  Every T = 1 window is
-# MAX_BLOCK steps, whichever way its sides get their Gram matrices.  The
-# state is one trial's (dim,) arrays; draw entry s is step s's index.  A
-# block returns its step coefficients, from which ``rewind`` recovers the
-# iterate at any step inside it.
+# computes rows @ rows.T of the gathered rows.  The state is one trial's
+# (dim,) arrays; draw entry s is step s's index.  A block returns its step
+# coefficients, from which ``rewind`` recovers the iterate at any step
+# inside it.
 
 # The T = 1 window, and the longest block.
 MAX_BLOCK = 64
@@ -232,25 +232,22 @@ def gather(method: str, A: DenseMatrix, draws) -> tuple:
     return tuple((A if d == "row" else A.T).data.take(ix, 0) for d, ix in zip(DRAWS[method], draws))
 
 
-def cross_sum(M: DenseMatrix, at: np.ndarray, by: np.ndarray, coef: np.ndarray, at_rows=None, by_rows=None):
-    """Entry s: sum over r <= s of M.data[at[s], by[r]] * coef[r], for (B,) at, by, coef.
+def cross_sum(at: np.ndarray, by: np.ndarray, coef: np.ndarray, at_rows=None, by_rows=None):
+    """Entry s: sum over r <= s of M[at[s], by[r]] * coef[r], for (B,) at, by, coef and a matrix M.
 
-    Reads B^2 entries of B rows of whichever of M and M.T has the
-    shorter rows: at_rows = M.data[at] or by_rows = M.T.data[by] when
-    the caller has gathered them, else rows it gathers.  The entries go
-    to this thread's triangle buffer, unchecked: the caller's block has
-    already gathered rows by the indices they are read by.
+    Reads B^2 entries of the rows the caller's block gathered, given as
+    at_rows = M[at] or, when None, by_rows = M.T[by].  The entries go to
+    this thread's triangle buffer, unchecked: the block has already
+    gathered rows by the indices they are read by.
     """
     b = at.size
     mat = _buffers.by_size[b][0]
-    if M.cols <= M.rows:
-        rows = M.data.take(at, 0) if at_rows is None else at_rows
-        cross = rows.take(by, 1, out=mat, mode="clip")  # cross[s, r]
+    if at_rows is not None:
+        cross = at_rows.take(by, 1, out=mat, mode="clip")  # cross[s, r]
         cross *= _mask(b, np.tril)
         return cross @ coef
-    rows = M.T.data.take(by, 0) if by_rows is None else by_rows
     # C-ordered, so an upper mask: a product with the lower mask's F-ordered transpose takes about twice as long.
-    cross = rows.take(at, 1, out=mat, mode="clip")  # cross[r, s]
+    cross = by_rows.take(at, 1, out=mat, mode="clip")  # cross[r, s]
     cross *= _mask(b, np.triu)
     return coef @ cross
 
@@ -367,7 +364,7 @@ def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual
         if method == "regs":
             # Row step s projects z + sum_{r<=s} gamma_r e_{j_r}: the patches enter its rhs.
             i = draws[0]
-            c = _project_block(A, z, i, -cross_sum(A, i, j, gamma, *rows), rows[0])
+            c = _project_block(A, z, i, -cross_sum(i, j, gamma, at_rows=rows[0]), rows[0])
             np.add.at(z, j, gamma)
             return gamma, (c, rows[0])
         return gamma
@@ -378,7 +375,7 @@ def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual
     if method == "rek":
         # Row step s reads z[i_s] after the column projections r <= s.
         z_rows = z.take(i)
-        z_rows -= cross_sum(A, i, draws[1], _project_block(A.T, z, draws[1], None, rows[1]), *rows)
+        z_rows -= cross_sum(i, draws[1], _project_block(A.T, z, draws[1], None, rows[1]), at_rows=rows[0])
         target -= z_rows
     return _project_block(A, beta, i, target, rows[0]), rows[0]
 

@@ -161,8 +161,13 @@ class TestSerialization:
 
         not_numbers = tmp_path / "bad4.mat"
         not_numbers.write_text("1 2\nfoo bar\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"{re.escape(str(not_numbers))}$"):
             load_matrix(not_numbers)
+
+        not_finite = tmp_path / "bad5.mat"
+        not_finite.write_text("1 2\nnan 1\n")
+        with pytest.raises(ValueError, match=f"non-finite .* in {re.escape(str(not_finite))}$"):
+            load_matrix(not_finite)
 
         header_not_integers = tmp_path / "U.mat"
         header_not_integers.write_text("2 x\n1 2\n3 4\n")
@@ -179,3 +184,8 @@ class TestSerialization:
         header_not_integer.write_text("two\n1.0\n2.0\n")
         with pytest.raises(ValueError, match=f"malformed vector header .* in {re.escape(str(header_not_integer))}$"):
             load_vector(header_not_integer)
+
+        not_numbers = tmp_path / "bad2.vec"
+        not_numbers.write_text("2\n1.0\nfoo\n")
+        with pytest.raises(ValueError, match=f"{re.escape(str(not_numbers))}$"):
+            load_vector(not_numbers)

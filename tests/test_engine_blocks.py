@@ -447,6 +447,23 @@ def test_window_follows_the_gram_rule(method, dims, counted_calls):
     assert calls == {"kernel": 0, "block": 1024 // solvers.MAX_BLOCK} and steps[0] == 1024
 
 
+@pytest.mark.parametrize("tolerance", [None, 1e-300], ids=["no-tolerance", "tolerance"])
+@pytest.mark.parametrize("method", METHODS + PAIRINGS)
+def test_one_step_window_runs_the_block_kernel(method, tolerance, counted_calls):
+    """A T = 1 run of 1025 steps ends in a one-step window, the second sampling block's only step.  It runs
+    as 1024 / MAX_BLOCK blocks and a block of one step, with no per-step kernel call, and records what the
+    reference records.  With a tolerance that never passes, checks every m = 5 steps fall inside windows
+    and on the last step, which reads the state the one-step block left."""
+    target = make_target(method, 5, 4, 6, seed=15, consistent=False)
+    star = oracle_solution(target)
+    steps, calls = counted_calls
+    config = RunConfig(method=method, seed=4, trials=1, budget=1025, stride=7, tolerance=tolerance)
+    traj = run_experiment(config, target, beta_star=star)
+    assert calls == {"kernel": 0, "block": 1024 // solvers.MAX_BLOCK + 1} and steps[0] == 1025
+    records, _ = sequential(method, target, 1025, 4, 0, 7, None, star)
+    assert_records_match(traj, records, star)
+
+
 def test_window_lengths_divide_the_sampling_block():
     """The window length divides the 1024-step sampling block, so only the budget cuts a T = 1 window short."""
     assert _engine._BLOCK % solvers.MAX_BLOCK == 0
@@ -456,8 +473,8 @@ def test_window_lengths_divide_the_sampling_block():
 @pytest.mark.parametrize("shape", [(5, 9), (9, 5), (6, 6)], ids=["wide", "tall", "square"])
 def test_cross_sum_equals_its_definition(shape, b):
     """Entry s of cross_sum is the sum over r <= s of M[at[s], by[r]] coef[r], to within B eps of the sum
-    of the terms' magnitudes, whether it gathers rows of M (tall, square) or of M.T (wide); the
-    indices repeat."""
+    of the terms' magnitudes, with the rows it reads given as at_rows = M[at] and as by_rows = M.T[by];
+    the indices repeat."""
     rng = master_rng(400 + b)
     M = DenseMatrix(rng.standard_normal(shape))
     at, by, coef = rng.integers(0, shape[0], b), rng.integers(0, shape[1], b), rng.standard_normal(b)
@@ -466,16 +483,17 @@ def test_cross_sum_equals_its_definition(shape, b):
     terms = [[M.data[at[s], by[r]] * coef[r] for r in range(s + 1)] for s in range(b)]
     want = np.array([math.fsum(t) for t in terms])
     scale = np.array([math.fsum(abs(x) for x in t) for t in terms])
-    got = solvers.cross_sum(M, at, by, coef)
-    assert got.shape == (b,)
-    assert np.all(np.abs(got - want) <= b * np.finfo(np.float64).eps * scale)
+    for rows in ({"at_rows": M.data.take(at, 0)}, {"by_rows": M.T.data.take(by, 0)}):
+        got = solvers.cross_sum(at, by, coef, **rows)
+        assert got.shape == (b,)
+        assert np.all(np.abs(got - want) <= b * np.finfo(np.float64).eps * scale), list(rows)
 
 
 @pytest.mark.parametrize("method", ["rk-rk", "rek-rk"])
 def test_tall_factors_match_reference(method):
     """A T = 1 run on a tall 600 x 200 x 20 system records what the sequential reference records, to
     rounding.  U's and V's rows compute their Gram matrices in MAX_BLOCK-step windows, and the drift
-    gathers rows of U (length 200), not of U.T (length 600)."""
+    reads the rows of U (length 200) that the outer side gathered; no row of U.T (length 600) is read."""
     target = make_target(method, 600, 200, 20, seed=23, consistent=False)
     assert _engine._round_steps(1) == solvers.MAX_BLOCK
     star = oracle_solution(target)
@@ -664,9 +682,9 @@ def test_one_trial_engine_matches_reference_on_each_solve_path(method, solve_pat
 
 
 # (m, k, n) of make_target, a baseline's A being m x n.  The first reads every Gram matrix from a table; in the
-# second U's, V's and A's rows compute theirs, and in the third U.T's, V.T's and A.T's.  A row-outer pairing's
-# cross sum reads rows of U in the first two and of U.T in the third; rgs-rgs's reads rows of V.T in the first
-# and third and of V in the second.
+# second U's, V's and A's rows compute theirs, and in the third U.T's, V.T's and A.T's.  Every cross sum reads
+# rows its block gathered: a row-outer pairing's the outer rows of U, rgs-rgs's the inner rows of V.T, and rek's
+# and regs's the rows of A.
 RANGE_DIMS = [(12, 8, 10), (30, 14, 6), (5, 12, 30)]
 
 
@@ -674,8 +692,9 @@ RANGE_DIMS = [(12, 8, 10), (30, 14, 6), (5, 12, 30)]
 @pytest.mark.parametrize("method", METHODS + PAIRINGS)
 def test_out_of_range_draws_raise_in_a_block(method, dims):
     """A block whose draw d holds one index equal to the row count of the side it draws from raises
-    IndexError, for every d: the Gram, norm and cross-sum gathers into the triangle buffers read, unchecked,
-    only indices that a checked take in the same block has read."""
+    IndexError, for every d: the Gram, norm and cross-sum gathers into the triangle buffers take, unchecked,
+    only at draws that a checked take in the same block has read, and a cross sum reads only rows the block
+    gathered."""
     target = make_target(method, *dims, seed=14, consistent=False)
     if method not in PAIRINGS:
         target = SingleSystem(*target)
@@ -693,17 +712,17 @@ def test_out_of_range_draws_raise_in_a_block(method, dims):
 
 @pytest.mark.parametrize("shape", [(12, 5), (9, 5), (5, 9)], ids=["long", "tall", "wide"])
 def test_block_results_are_not_views_of_the_buffers(shape, solve_path):
-    """A block projection's coefficients and a cross sum keep their values through block projections and
-    cross sums of every length after them on the same thread, on either triangle path: neither is a view
-    of the buffers it was computed in."""
+    """A block projection's coefficients and cross sums, from rows given either way, keep their values
+    through block projections and cross sums of every length after them on the same thread, on either
+    triangle path: none is a view of the buffers it was computed in."""
     rng = master_rng(600)
     M = DenseMatrix(rng.standard_normal(shape))
 
     def block(b):
         idx, by = rng.integers(0, shape[0], b), rng.integers(0, shape[1], b)
-        v, rhs = rng.standard_normal(shape[1]), rng.standard_normal(b)
-        c = solvers._project_block(M, v, idx, rhs, M.data.take(idx, 0))
-        return c, solvers.cross_sum(M, idx, by, c)
+        v, rhs, rows = rng.standard_normal(shape[1]), rng.standard_normal(b), M.data.take(idx, 0)
+        c = solvers._project_block(M, v, idx, rhs, rows)
+        return c, solvers.cross_sum(idx, by, c, rows), solvers.cross_sum(idx, by, c, by_rows=M.T.data.take(by, 0))
 
     kept = block(solvers.MAX_BLOCK)
     want = [a.copy() for a in kept]

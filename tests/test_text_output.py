@@ -10,8 +10,10 @@ writes for every method at T >= 2, the trajectory of every method at
 T = 1 (the block path) on two generated instances, and one
 tolerance-stopped solve of each target kind, so a change to the engine,
 the kernels, the sampler or the oracle that moves one bit of one output
-shows here.  One more case checks that T = 1 bytes at the full presets
-do not depend on the BLAS thread count.
+shows here.  Each solver golden case has a sibling that holds the same
+solve to the sequential reference (``tests/reference.py``), so that moved
+bytes can be told right or wrong.  One more case checks that T = 1 bytes
+at the full presets do not depend on the BLAS thread count.
 """
 
 import hashlib
@@ -27,11 +29,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kaczfact
-from kaczfact.bench import Trajectory, bound_variant_for, emit_csv, emit_summary_csv
+import reference
+from kaczfact.bench import Trajectory, bound_variant_for, emit_csv, emit_summary_csv, oracle_solution
 from kaczfact.cli import main
 from kaczfact.dense import DenseMatrix, save_matrix, save_vector
-from kaczfact.interlaced import BoundInputs, FactoredSystem, expected_error_bound
-from kaczfact.systems import SCENARIOS
+from kaczfact.interlaced import PAIRINGS, BoundInputs, FactoredSystem, expected_error_bound
+from kaczfact.sampling import trial_rng
+from kaczfact.solvers import SingleSystem
+from kaczfact.systems import SCENARIOS, load_instance
 
 EDGE = [0.0, -0.0, 5e-324, 1e-5, 9.999999999999998e15, 1e16, 0.1]
 INPUTS = BoundInputs(alpha_u=0.9, alpha_v=0.75, theta_v=2.0, kappa_sq_u=3.5, b_star_sq=1.25, x_star_sq=0.1)
@@ -346,14 +351,14 @@ SINGLE_TRIAL_GOLDEN = {
     ("S1", "rek"): "05b8ebae0521220359c1c7576c962231ca0b51587644ff74e8c69aa227a6894d",
     ("S1", "rgs"): "161558a0d14fe7be9b45cabc91f3ab2f78e0427e20b89c849b6f2754cae7bddf",
     ("S1", "regs"): "1de17d91fd0705548ae07f0e0c4dc2df0f7f1cc256151598ac0fcd3d4e5c4692",
-    ("S2", "rk-rk"): "d4dda1b0861154d0dad8ac7b627b4c2842a636c5422a66fc5b3f00b6ae478590",
-    ("S2", "rek-rk"): "51ab71bd9094713d00b704f28887ebfd5f0acfdf0e8f10eae1e4a89682551d90",
-    ("S2", "rek-rek"): "c81f0bc7c787b598a2675ab18096e39071441764da4d3cb0d6625dd5b58401dc",
+    ("S2", "rk-rk"): "8481db7435a6d5f0ae8d6c11fd268d9bfad03aa1553b4130d66ab9a718f9d0f8",
+    ("S2", "rek-rk"): "75fdea555af0482bc0c4150ba5e4cabe2e6bdad2e950479d195a4203f75d5543",
+    ("S2", "rek-rek"): "ed36115456bb3d592bb69ad4349a774973bdbc9cc29a2b4d9c734cab7dad7d6a",
     ("S2", "rgs-rgs"): "afdbb48356754ff39cdbf8ed658c9c6517b62166784bafd6d2b499e9b70a3fb9",
     ("S2", "rk"): "f5b0a4048d08d26f526c4055f252380b6daba8e09e5012b9a1e4248461c03a2f",
-    ("S2", "rek"): "c745694db24a6b1f6ea92ce516f5a5116f8a021e813b11e0cfc8b57aa043d827",
+    ("S2", "rek"): "66195dbc5db33f2e5e61627cf25f1a94de9d9ef3b08072d81160efa83257de87",
     ("S2", "rgs"): "9e5a5481db9131ee6973c74cf6336fc8800d624a74bdd3eb24130eb603a8756a",
-    ("S2", "regs"): "45f7655cc45df8227abc028653aa9847fdddc25b8df96394e4a7e2c225c64740",
+    ("S2", "regs"): "b196e9d6efb859a3c1b54c27a7d28f75b345c909f4647c7fdd0eaab1eecf5f0a",
 }
 
 
@@ -374,6 +379,105 @@ def test_single_trial_solve_golden_bytes(scenario, method, desk_instances, tmp_p
     args = ["solve", "--method", method, "--dir", str(desk_instances[scenario]), "--trials", "1", "--seed", "5"]
     assert main(args + ["--budget", "1500", "--stride", "50", "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == SINGLE_TRIAL_GOLDEN[(scenario, method)]
+
+
+# ---------------------------------------------------------------------------
+# Golden siblings: each pinned solve held to the sequential reference.
+# ---------------------------------------------------------------------------
+
+# The most a T = 1 error may differ from the reference's, over 1 + ||beta*||^2: the worst deviation of a
+# re-pinned T = 1 case so far, 1.8e-15, with a margin of about 5.  At T >= 2 the errors are equal.
+SINGLE_TRIAL_BOUND = 1e-14
+
+
+def reference_records(method, target, budget, seed, trials, stride, star, tolerance=None):
+    """One {step: error_sq} per trial of the lock-step run, from ``reference.run`` of each trial on
+    trial_rng(seed, j), with the engine's error formula.  With a tolerance the run stops at the first check,
+    every m steps, at which every trial's residuals have norm at most the tolerance."""
+
+    def error(b):
+        diff = (b - star)[None]
+        return np.einsum("ij,ij->i", diff, diff)[0]
+
+    def passes(state):
+        if isinstance(target, FactoredSystem):
+            parts = (target.y - target.U.data @ state.x, state.x - target.V.data @ state.b)
+        else:
+            parts = (target.y - target.A.data @ target.estimate(method, state),)
+        return all(np.linalg.norm(r) <= tolerance for r in parts)
+
+    last = budget
+    if tolerance is not None:
+        last = max(reference.run(method, target, budget, trial_rng(seed, j), tolerance=tolerance)[1] for j in range(trials))
+    while True:
+        records, states = [{} for _ in range(trials)], []
+        for j, rec in enumerate(records):
+            recorder = lambda t, value, flops, rec=rec: rec.__setitem__(t, value)
+            states.append(reference.run(method, target, last, trial_rng(seed, j), recorder=recorder, stride=stride,
+                                        error_fn=error)[0])
+        if tolerance is None or last == budget or all(map(passes, states)):
+            return records
+        last = min(last + target.m, budget)
+
+
+def reference_deviation(method, instance, trajectory: bytes, trials, budget, stride, tolerance=None, seed=5) -> float:
+    """The worst |error_sq - reference's| / (1 + ||beta*||^2) of a ``kaczfact solve`` trajectory CSV written from
+    ``instance``, after asserting that it matches the reference run on the same target, seeds and stride.
+
+    Asserts the same recorded steps and stop in every trial, errors equal at T >= 2 and within
+    SINGLE_TRIAL_BOUND at T = 1, and, for a pairing, the error reference beta* within 1e-14 (relative, in
+    norm) of ``reference.product_solution``, which forms U V.
+    """
+    system = load_instance(instance)
+    target = system
+    if method not in PAIRINGS:
+        target = SingleSystem(DenseMatrix(system.U.data @ system.V.data), system.y, system.scenario)
+    star = oracle_solution(target)
+    if method in PAIRINGS:
+        product = reference.product_solution(system.U, system.V, system.y)
+        assert np.linalg.norm(star - product) <= 1e-14 * np.linalg.norm(product)
+    want = reference_records(method, target, budget, seed, trials, stride, star, tolerance)
+    got = [{} for _ in range(trials)]
+    for line in trajectory.decode().splitlines()[1:]:
+        trial, step, error, _ = line.split(",")
+        got[int(trial)][int(step)] = float(error)
+    assert [sorted(g) for g in got] == [sorted(w) for w in want]  # the same records, so the same stop
+    deviation = max(abs(g[t] - w[t]) for g, w in zip(got, want) for t in w) / (1.0 + float(star @ star))
+    if trials > 1:
+        assert got == want
+    assert deviation <= SINGLE_TRIAL_BOUND
+    return deviation
+
+
+@pytest.mark.parametrize("method", sorted(SOLVE_GOLDEN))
+def test_solve_golden_sibling(method, tmp_path):
+    """The SOLVE_GOLDEN solve of ``method``, whose summary and manifest SOLVE_GOLDEN_SIDE pins, records at T = 4
+    what the reference records, bit for bit."""
+    write_gaussian_instance(tmp_path / "instance")
+    outputs = solve_outputs(method, tmp_path / "instance", tmp_path / "traj.csv", "--budget", "300", "--stride", "1")
+    assert reference_deviation(method, tmp_path / "instance", outputs[0], trials=4, budget=300, stride=1) == 0.0
+
+
+@pytest.mark.parametrize("method", sorted(TOLERANCE_GOLDEN))
+def test_tolerance_golden_sibling(method, tmp_path):
+    """The TOLERANCE_GOLDEN solve of ``method`` stops where the reference stops and records what it records,
+    bit for bit."""
+    tolerance = TOLERANCE_GOLDEN[method][0]
+    gen = ["gen", "--scenario", "S1", "--m", "60", "--n", "40", "--k", "20", "--seed", "0"]
+    assert main(gen + ["--out-dir", str(tmp_path / "instance")]) == 0
+    options = ("--budget", "3000", "--stride", "7", "--tolerance", tolerance)
+    outputs = solve_outputs(method, tmp_path / "instance", tmp_path / "traj.csv", *options)
+    instance = tmp_path / "instance"
+    assert reference_deviation(method, instance, outputs[0], trials=4, budget=3000, stride=7, tolerance=float(tolerance)) == 0.0
+
+
+@pytest.mark.parametrize("scenario, method", sorted(SINGLE_TRIAL_GOLDEN))
+def test_single_trial_golden_sibling(scenario, method, desk_instances, tmp_path):
+    """The SINGLE_TRIAL_GOLDEN solve records what the reference records, within SINGLE_TRIAL_BOUND."""
+    out = tmp_path / "traj.csv"
+    args = ["solve", "--method", method, "--dir", str(desk_instances[scenario]), "--trials", "1", "--seed", "5"]
+    assert main(args + ["--budget", "1500", "--stride", "50", "--out", str(out)]) == 0
+    reference_deviation(method, desk_instances[scenario], out.read_bytes(), trials=1, budget=1500, stride=50)
 
 
 # One process per BLAS thread count runs these solves through ``kaczfact.cli.main``, as BLAS reads its
