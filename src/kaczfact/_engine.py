@@ -6,10 +6,11 @@ exactly the order a sequential run draws them (row draw before column
 draw, U-side before V-side; ``tests/reference.py`` is that sequential
 reference).  Uniforms are drawn and mapped to indices 1024 steps at a
 time (a sampling block), so index draws match the sequential path
-bit-for-bit.  A block's uniforms and indices are laid out as (draw,
-step, trial): each trial's stream fills its trial column in (step,
-draw) order, and a step's (T,) indices for one draw are one contiguous
-row, as is a T = 1 window's run of steps.
+bit-for-bit.  A run keeps one (trial, step, draw) uniform buffer, each
+trial's stream filling its own contiguous row in (step, draw) order;
+each draw's indices come out as (step, trial), so a step's (T,)
+indices for one draw are one contiguous row, as is a T = 1 window's
+run of steps.
 
 Each sampling block is advanced in windows of L(T) steps, cut short only
 at the sampling block's end (the T = 1 window, 64 steps, divides 1024,
@@ -21,13 +22,18 @@ due costs no walk.  Those in a window are taken after it, in step order:
 one at its end reads the live state, and one at step s inside it reads
 the end state rewound to step s by the step coefficients and rows the
 block kernel returned.  A check rewinds all that the residuals read (the
-target's snapshot); a record that is not also a check rewinds only what
+binding's snapshot); a record that is not also a check rewinds only what
 the estimate reads (``estimate_at``: b of a pairing, not x).  A passing
 check stops the run at its own step.
 
 A target (``solvers.SingleSystem``, ``interlaced.FactoredSystem``) gives
-the samplers, flops, state, kernels, snapshots and rewound estimates,
-estimate and residuals.  The trial count alone picks the kernel: every
+the samplers, the flops and, once per run, a binding
+(``target.bind(method, trials)``, a ``solvers.Binding``): the run's
+state, the kernel bound to it and to the method's branches, the data
+and, at T = 1, the Gram tables and this thread's triangle buffers, and
+the estimate, residuals, snapshot and rewound estimate, each bound the
+same way.  A window, a record and a check are then calls of these, with
+no lookup by method name.  The trial count alone picks the kernel: every
 T = 1 window runs the block kernel, however short, and every T >= 2
 step the per-step kernel, the one the sequential reference steps with.
 This module holds no algebra and no branch on the target's type: it
@@ -55,13 +61,12 @@ The flop count is the per-step model however the steps are grouped.
 """
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
 
 from .sampling import trial_rng
-from .solvers import MAX_BLOCK
+from .solvers import MAX_BLOCK, _einsum
 
 __all__ = ["run_trials"]
 
@@ -74,31 +79,14 @@ def _round_steps(trials: int) -> int:
 
 
 class _Batch:
-    """T trials' state as (T, dim) arrays, one row per trial, with the kernel its run steps with bound to it.
+    """One run's binding (``target.bind``) and its tolerance check."""
 
-    At T >= 2, advance(draws) takes one step with the per-step kernel,
-    with one (T,) index array per draw.  At T = 1 it takes a window of B
-    steps with the block kernel on the (dim,) row views, with one (B,)
-    index array per draw, and returns the step coefficients the target's
-    snapshot rewinds with.
-    """
-
-    def __init__(self, method: str, target, trials: int):
-        self.method = method
-        self.target = target
-        s = target.init(method)
-        vectors = tuple(None if v is None else np.tile(v, (trials, 1)) for v in vars(s).values())
-        self.state = type(s)(*vectors)
-        self.samplers = target.samplers(method)
-        kernel, block = target.kernels(method)
-        if trials == 1:
-            self.advance = functools.partial(block, *(None if v is None else v[0] for v in vectors))
-        else:
-            self.advance = functools.partial(kernel, *vectors, np.arange(trials))
+    def __init__(self, binding):
+        self.binding = binding
 
     def max_residual(self, state) -> float:
         """Largest residual norm across the trials of ``state`` (joint over a pairing's two subsystems)."""
-        parts = self.target.residuals(self.method, state)
+        parts = self.binding.residuals(state)
         # One sqrt of the largest square: sqrt is monotone and correctly rounded, so this is the largest norm.
         return math.sqrt(max(float((res * res).sum(axis=1).max()) for res in parts))
 
@@ -122,11 +110,14 @@ def run_trials(
     at or below it, recording that iteration and no later one.  budget,
     trials and stride are positive, as ``bench.RunConfig`` checks.
     """
-    batch = _Batch(method, target, trials)
-    draws = len(batch.samplers)
+    batch = _Batch(target.bind(method, trials))
+    live, advance, estimate, _, snapshot, estimate_at = batch.binding
+    samplers = target.samplers(method)
     per_step = target.step_flops(method)
     check_every = target.m if tolerance is not None else budget + 1  # without a tolerance no check is due
     rngs = [trial_rng(seed, tr) for tr in range(trials)]
+    # The run's uniforms, (trial, step, draw): each trial's stream fills its own row in (step, draw) order.
+    uniforms = np.empty((trials, min(_BLOCK, budget), len(samplers)))
 
     round_steps = _round_steps(trials)
     iters: list[int] = []
@@ -138,38 +129,42 @@ def run_trials(
     due = min(next_rec, next_check)
     while t < budget and not stopped:
         block = min(_BLOCK, budget - t)
-        # (draw, step, trial): each trial's uniforms in its stream's (step, draw) order.
-        u = np.empty((draws, block, trials))
         for tr, rng in enumerate(rngs):
-            u[:, :, tr] = rng.random((block, draws)).T
-        idx = [s.draw_many(u[d]) for d, s in enumerate(batch.samplers)]
-        runs = [ix[:, 0] for ix in idx]  # the first trial's indices, which a T = 1 window slices
-        start = t
-        while t < start + block and not stopped:
-            # A window (t, end] ends only at L(T) steps or at the sampling block's end.
-            end = min(t + round_steps, start + block)
-            window = tuple([r[t - start : end - start] for r in runs] if trials == 1 else [ix[t - start] for ix in idx])
-            coef = batch.advance(window)
+            rng.random(out=uniforms[tr, :block])
+        # (step, trial) indices per draw: a step's (T,) indices for one draw are one contiguous row.
+        idx = [s.draw_many(uniforms[:, :block, d].T) for d, s in enumerate(samplers)]
+        # The windows (t, end], of L(T) steps, cut short only at the sampling block's end, with their draws:
+        # (B,) runs of the one trial's indices at T = 1, and at T >= 2 one (T,) row per draw.
+        ends = [t + min(s + round_steps, block) for s in range(0, block, round_steps)]
+        if trials == 1:
+            runs = [ix[:, 0] for ix in idx]
+            windows = [tuple([r[s : s + round_steps] for r in runs]) for s in range(0, block, round_steps)]
+        else:
+            windows = zip(*idx)
+        for end, window in zip(ends, windows):
+            coef = advance(window)
             # Records and checks due in the window, in step order.  Inside it a check reads the snapshot
             # rewound from its end, and a record that is not also a check only the rewound estimate.
             while due <= end and not stopped:
                 e = due
                 if e == next_check:
-                    state = batch.state if e == end else target.snapshot(method, batch.state, window, coef, e - t)
+                    state = live if e == end else snapshot(window, coef, e - t)
                     stopped = batch.max_residual(state) <= tolerance
                     next_check += check_every
-                    est = target.estimate(method, state) if stopped or e == next_rec else None
+                    est = estimate(state) if stopped or e == next_rec else None
                 elif e == end:
-                    est = target.estimate(method, batch.state)
+                    est = estimate(live)
                 else:
-                    est = target.estimate_at(method, batch.state, window, coef, e - t)
+                    est = estimate_at(window, coef, e - t)
                 if est is not None:
                     diff = est - beta_star
                     iters.append(e)
-                    errors.append(np.einsum("ij,ij->i", diff, diff))
+                    errors.append(_einsum("ij,ij->i", diff, diff))
                     next_rec = min(e + stride, budget) if e < budget else budget + 1
                 due = min(next_rec, next_check)
             t = end
+            if stopped:
+                break
 
     it = np.asarray(iters, dtype=np.int64)
     return it, it * per_step, (np.vstack(errors).T if errors else np.empty((trials, 0)))

@@ -60,8 +60,9 @@ DEFAULT_BUDGET = 70_000
 class RunConfig:
     """What to run and how to record it.
 
-    trials, budget, seed and stride are ints (numpy integers are taken);
-    stride defaults to budget / 500 samples (at least every step);
+    trials, budget, seed and stride are ints (numpy integers are taken,
+    bools are not); stride defaults to budget / 500 samples (at least
+    every step);
     tolerance, when set, stops the run early once every trial's
     residual passes it (checked every m iterations).
     """
@@ -80,7 +81,9 @@ class RunConfig:
             value = getattr(self, name)
             if value is not None or name != "stride":
                 object.__setattr__(self, name, _as_count(value, name, least))
-        if self.tolerance is not None and not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+        if self.tolerance is not None and (
+            isinstance(self.tolerance, (bool, np.bool_)) or not (math.isfinite(self.tolerance) and self.tolerance >= 0)
+        ):
             raise ValueError(f"tolerance must be finite and non-negative, got {self.tolerance!r}")
 
     @property

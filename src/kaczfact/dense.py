@@ -43,8 +43,9 @@ def _as_float_vector(v, name: str = "vector") -> np.ndarray:
 
 
 def _as_count(value, name: str, least: int) -> int:
-    """value as an int of at least ``least`` (numpy integers are taken), else a ValueError naming the field."""
-    if not isinstance(value, numbers.Integral) or value < least:
+    """value as an int of at least ``least`` (numpy integers are taken, bools are not), else a ValueError naming
+    the field."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
         raise ValueError(f"{name} must be an integer of at least {least}, got {value!r}")
     return int(value)
 

@@ -15,8 +15,10 @@ then the inner one's on (V, x, b) (``pairing_block``).  Each side starts
 from its method's initial state (on (V, x_0 = 0) for the inner one),
 and a pairing's draws, samplers and flops (``FactoredSystem.samplers``,
 ``.step_flops``) are the outer method's followed by the inner one's.
-The engine gets both kernels from ``FactoredSystem.kernels``;
-``tests/reference.py`` steps ``pairing_kernel`` as the reference.
+Both kernels are bound to a trial state, both sides' kernels and the
+pairing's split once, when a run starts; the engine gets the one its
+run steps with from ``FactoredSystem.bind``, and ``tests/reference.py``
+binds ``pairing_kernel`` as the reference.
 
 Two rules carry the outer side's moves of x to the inner side:
 
@@ -56,14 +58,25 @@ a row draw on V 4n + 2 and a column draw on V 4k + 2.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import oracle
 from .dense import DenseMatrix, _as_float_vector, _require_matrix
-from .solvers import DRAWS, block_kernel, cross_sum, gather, init_state, rewind, samplers, step_cost, step_kernel
+from .solvers import (
+    DRAWS,
+    Binding,
+    block_kernel,
+    cross_summer,
+    gatherer,
+    init_state,
+    rewinder,
+    samplers,
+    step_cost,
+    step_kernel,
+    tiled,
+)
 
 __all__ = [
     "PAIRINGS",
@@ -131,30 +144,33 @@ class FactoredSystem:
         outer, inner, _ = _split(method)
         return samplers(outer, self.U) + samplers(inner, self.V)
 
-    def init(self, method: str) -> InterlacedState:
-        return init_interlaced(method, self)
+    def bind(self, method: str, trials: int) -> Binding:
+        """A run of ``trials`` lock-step trials of the pairing from its initial state, bound (``Binding``).
 
-    def kernels(self, method: str) -> tuple:
-        """``pairing_kernel`` and ``pairing_block`` with the pairing and the system bound."""
-        return functools.partial(pairing_kernel, method, self), functools.partial(pairing_block, method, self)
+        The estimate is b, and the residuals are U x - y and V b - x.  A
+        T = 1 snapshot holds x and b rewound; estimate_at rewinds b alone.
+        """
+        outer, inner, split = _split(method)
+        state = tiled(init_interlaced(method, self), trials)
+        vectors = (state.x, state.b, state.z, state.zv, state.res_u, state.res_v)
+        ut, vt, y = self.U.data.T, self.V.data.T, self.y
+        read = lambda s: s.b
+        residuals = lambda s: (s.x @ ut - y, s.b @ vt - s.x)
+        if trials > 1:
+            step = pairing_kernel(method, self, *vectors, np.arange(trials))
+            return Binding(state, step, read, residuals, None, None)
+        x, b = state.x, state.b
+        rewind_outer, rewind_inner = rewinder(outer), rewinder(inner)
 
-    def estimate(self, method: str, state: InterlacedState) -> np.ndarray:
-        return state.b
+        def estimate_at(draws, coef, s):
+            return rewind_inner(b, draws[-1], coef[1], s)
 
-    def residuals(self, method: str, state: InterlacedState) -> tuple:
-        """U x - y and V b - x, one row per trial of (T, dim) state."""
-        return (state.x @ self.U.data.T - self.y, state.b @ self.V.data.T - state.x)
+        def snapshot(draws, coef, s):
+            x_s = rewind_outer(x, draws[split - 1], coef[0], s)
+            return InterlacedState(x_s, estimate_at(draws, coef, s))
 
-    def snapshot(self, method: str, state: InterlacedState, draws, coef, s: int) -> InterlacedState:
-        """The x and b s steps into a T = 1 block that ended at ``state`` and returned coef."""
-        outer, _, split = _split(method)
-        x = rewind(outer, state.x, draws[:split], coef[0], s)
-        return InterlacedState(x, self.estimate_at(method, state, draws, coef, s))
-
-    def estimate_at(self, method: str, state: InterlacedState, draws, coef, s: int) -> np.ndarray:
-        """b s steps into a T = 1 block that ended at ``state`` and returned coef; x is not rewound."""
-        _, inner, split = _split(method)
-        return rewind(inner, state.b, draws[split:], coef[1], s)
+        advance = pairing_block(method, self, *(None if v is None else v[0] for v in vectors))
+        return Binding(state, advance, read, residuals, snapshot, estimate_at)
 
 
 @dataclass
@@ -190,45 +206,60 @@ def init_interlaced(method: str, sys: FactoredSystem) -> InterlacedState:
     return InterlacedState(x=u.beta, b=v.beta, z=u.z, zv=v.z, res_u=u.residual, res_v=v.residual)
 
 
-def pairing_kernel(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v, ar, draws) -> None:
-    """One interlaced step for every trial: the outer method on (U, y, x), then the inner one on (V, x, b).
+def pairing_kernel(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v, ar):
+    """An interlaced step for every trial, bound to their state: returns step(draws), the outer method on
+    (U, y, x), then the inner one on (V, x, b).
 
-    State arrays, ar and draws are as in ``step_kernel``; draws are the
+    State arrays and ar are as in ``step_kernel``; draws are the
     pairing's, in draw order.
     """
     outer, inner, split = _split(method)
-    gamma = step_kernel(outer, sys.U, sys.y, x, z, res_u, ar, draws[:split])
-    if res_v is not None:
-        # The outer rgs step moved x along its column draw: patch x - V b there.
-        res_v[ar, draws[split - 1]] += gamma
-    step_kernel(inner, sys.V, x, b, zv, res_v, ar, draws[split:])
+    outer_step = step_kernel(outer, sys.U, sys.y, x, z, res_u, ar)
+    inner_step = step_kernel(inner, sys.V, x, b, zv, res_v, ar)
+
+    def step(draws):
+        gamma = outer_step(draws[:split])
+        if res_v is not None:
+            # The outer rgs step moved x along its column draw: patch x - V b there.
+            res_v[ar, draws[split - 1]] += gamma
+        inner_step(draws[split:])
+
+    return step
 
 
-def pairing_block(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v, draws) -> tuple:
-    """B interlaced steps for one trial: the block-exact form of B ``pairing_kernel`` calls.
+def pairing_block(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v):
+    """B interlaced steps for one trial, bound to its state: returns block(draws), the block-exact form of B
+    ``pairing_kernel`` steps.
 
     State arrays are the trial's (dim,) vectors and draws the pairing's
-    (B,) index arrays, in draw order, as in ``block_kernel``.  Returns
-    the outer and the inner side's step coefficients.
+    (B,) index arrays, in draw order, as in ``block_kernel``.  block
+    returns the outer and the inner side's step coefficients.
     """
-    outer, inner, split = _split(method)
-    inner_draws = draws[split:]
-    inner_rows = gather(inner, sys.V, inner_draws)
-    # An inner row side reads x as the block began; an inner rgs side reads res_v instead.
-    rhs = x.copy() if res_v is None else None
-    coef = block_kernel(outer, sys.U, sys.y, x, z, res_u, draws[:split])
-    # Inner step s's rhs dropped with the outer steps r <= s: x[p_s] by U[i_r, p_s] c_r (row side, from
-    # the outer rows U[i_r]), or, as the rgs residual's inner product grew, by V[j_r, q_s] gamma_r (from
-    # the inner rows V.T[q_s]).
-    if res_v is None:
-        c, rows = coef
-        drift = cross_sum(inner_draws[0], draws[0], c, by_rows=rows)
-    else:
-        drift = cross_sum(inner_draws[0], draws[split - 1], coef, at_rows=inner_rows[0])
-    inner_coef = block_kernel(inner, sys.V, rhs, b, zv, res_v, inner_draws, drift, inner_rows)
-    if res_v is not None:
-        np.add.at(res_v, draws[split - 1], coef)
-    return coef, inner_coef
+    outer_method, inner_method, split = _split(method)
+    outer = block_kernel(outer_method, sys.U, sys.y, x, z, res_u)
+    inner = block_kernel(inner_method, sys.V, None, b, zv, res_v)
+    gather_inner, cross_sum = gatherer(inner_method, sys.V), cross_summer()
+
+    def block(draws):
+        inner_draws = draws[split:]
+        inner_rows = gather_inner(inner_draws)
+        # An inner row side reads x as the block began; an inner rgs side reads res_v instead.
+        rhs = x.copy() if res_v is None else None
+        coef = outer(draws[:split])
+        # Inner step s's rhs dropped with the outer steps r <= s: x[p_s] by U[i_r, p_s] c_r (row side, from
+        # the outer rows U[i_r]), or, as the rgs residual's inner product grew, by V[j_r, q_s] gamma_r (from
+        # the inner rows V.T[q_s]).
+        if res_v is None:
+            c, rows = coef
+            drift = cross_sum(inner_draws[0], draws[0], c, by_rows=rows)
+        else:
+            drift = cross_sum(inner_draws[0], draws[split - 1], coef, at_rows=inner_rows[0])
+        inner_coef = inner(inner_draws, inner_rows, drift, rhs)
+        if res_v is not None:
+            np.add.at(res_v, draws[split - 1], coef)
+        return coef, inner_coef
+
+    return block
 
 
 # --- expected-error bounds ---------------------------------------------------

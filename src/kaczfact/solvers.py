@@ -53,6 +53,10 @@ of its state, so the two perform the same floating-point operations.
 ``block_kernel`` takes B consecutive steps of the same method on one
 trial at once, block-exact; see the block section below.
 
+Both kernels are bound to a run's state when it starts, with the
+method's branches and A's data resolved, and then take draws alone; a
+target's ``bind`` binds the rest of a run the same way (``Binding``).
+
 Step costs follow a fixed flop model so trajectories-vs-flops are
 bit-reproducible.  Each draw is one action: a row draw acts on a
 length-n row and costs 4n + 2 (one dot, one scalar divide and subtract,
@@ -65,6 +69,7 @@ import ctypes
 import functools
 import threading
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -73,7 +78,12 @@ from numpy.linalg._umath_linalg import solve1 as _solve1  # np.linalg.solve's dg
 from .dense import DenseMatrix, _as_float_vector, _require_matrix
 from .sampling import row_sampler
 
-__all__ = ["METHODS", "SingleSystem", "SolverState", "init_state", "estimate"]
+try:  # the kernel np.einsum calls when optimize is off, called without its __array_function__ dispatch (about 1 us)
+    from numpy._core._multiarray_umath import c_einsum as _einsum
+except ImportError:  # numpy 1.x
+    _einsum = np.einsum
+
+__all__ = ["METHODS", "SingleSystem", "SolverState", "Binding", "init_state", "estimate"]
 
 METHODS = ("rk", "rek", "rgs", "regs")
 
@@ -109,13 +119,14 @@ def samplers(method: str, A: DenseMatrix) -> tuple:
 # --- the per-step kernel ----------------------------------------------------
 # One update per method, for T trials at once: state arrays are (T, dim),
 # one row per trial.  ar selects the trials' rows and each draw holds one
-# index per trial.  The lock-step engine passes arange(T) and (T,) index
-# arrays; a sequential caller passes (1, dim) views of its state, ar = 0
-# and one-element index arrays.  Either way each trial performs the same
-# floating-point operations.  The kernel gathers the drawn rows of A or
-# A.T with ``take``, so ``project`` gets a copy and scales it in place:
-# ``rows *= c[:, None]; v -= rows`` forms the same products and
-# differences as ``v -= c[:, None] * rows`` without a temporary.
+# index per trial.  The lock-step engine binds arange(T) and steps with
+# (T,) index arrays; a sequential caller binds (1, dim) views of its
+# state and ar = 0 and steps with one-element index arrays.  Either way
+# each trial performs the same floating-point operations.  The kernel
+# gathers the drawn rows of A or A.T with ``take``, so ``project`` gets a
+# copy and scales it in place: ``rows *= c[:, None]; v -= rows`` forms the
+# same products and differences as ``v -= c[:, None] * rows`` without a
+# temporary.
 
 
 def project(v: np.ndarray, rows: np.ndarray, sqnorms: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
@@ -124,40 +135,51 @@ def project(v: np.ndarray, rows: np.ndarray, sqnorms: np.ndarray, rhs: np.ndarra
     Returns c[t] = (rows[t] @ v[t] - rhs[t]) / sqnorms[t], the multiple
     of rows[t] taken off v[t].  Overwrites rows.
     """
-    dots = np.einsum("ij,ij->i", rows, v)
+    dots = _einsum("ij,ij->i", rows, v)
     c = (dots if rhs is None else dots - rhs) / sqnorms
     rows *= c[:, None]
     v -= rows
     return c
 
 
-def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual, ar, draws):
-    """One ``method`` step on (A, rhs) for every trial.
+def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual, ar):
+    """``method``'s step on (A, rhs) for every trial, bound to its state: returns step(draws).
 
     rhs is shared (m,) data or per-trial (T, m) rows; beta, z and
     residual are the method's (T, dim) state (None where it keeps
-    none); ar and draws (in draw order) are as described above.
-    Returns the coordinate move of rgs and regs, which is along their
-    column draw, and None for rk and rek.
+    none); ar and the draws (in draw order) are as described above.
+    step returns the coordinate move of rgs and regs, which is along
+    their column draw, and None for rk and rek.
     """
+    data, sqnorms, t = A.data, A.row_sqnorms, A.T
+    cols, col_sqnorms = t.data, t.row_sqnorms
     if method in ("rgs", "regs"):
-        j, t = draws[-1], A.T
-        gamma = project(residual, t.data.take(j, axis=0), t.row_sqnorms.take(j))
-        beta[ar, j] += gamma
-        if method == "regs":
-            # w = z + (beta_t - beta_{t-1}) differs from z only in coordinate j.
-            z[ar, j] += gamma
-            i = draws[0]
-            project(z, A.data.take(i, axis=0), A.row_sqnorms.take(i))
-        return gamma
-    i = draws[0]
-    target = rhs.take(i) if rhs.ndim == 1 else rhs[ar, i]
-    if method == "rek":
-        j, t = draws[1], A.T
-        project(z, t.data.take(j, axis=0), t.row_sqnorms.take(j))
-        target -= z[ar, i]
-    project(beta, A.data.take(i, axis=0), A.row_sqnorms.take(i), target)
-    return None
+        regs = method == "regs"
+
+        def step(draws):
+            j = draws[-1]
+            gamma = project(residual, cols.take(j, axis=0), col_sqnorms.take(j))
+            beta[ar, j] += gamma
+            if regs:
+                # w = z + (beta_t - beta_{t-1}) differs from z only in coordinate j.
+                z[ar, j] += gamma
+                i = draws[0]
+                project(z, data.take(i, axis=0), sqnorms.take(i))
+            return gamma
+
+        return step
+    shared, rek = rhs.ndim == 1, method == "rek"
+
+    def step(draws):
+        i = draws[0]
+        target = rhs.take(i) if shared else rhs[ar, i]
+        if rek:
+            j = draws[1]
+            project(z, cols.take(j, axis=0), col_sqnorms.take(j))
+            target -= z[ar, i]
+        project(beta, data.take(i, axis=0), sqnorms.take(i), target)
+
+    return step
 
 
 # --- the block kernel -------------------------------------------------------
@@ -172,13 +194,13 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
 # What step r changes and a later step s reads enters through an inclusive
 # lower-triangular cross matrix (cross_sum): rek's z[i_s] and the regs
 # correction's coordinate patches, both from A[I][:, J].  A block gathers
-# each draw's rows once (``gather``), and everything in it reads only them
-# and the Gram tables: the projections, the cross sums, which take their
-# B^2 entries from rows the block gathered (A[I] here, U[I] or V.T[Q] for
-# a pairing's drift), and ``rewind``, which undoes row steps with the rows
-# the block returned beside their coefficients.  A side costs one gather,
-# one (B, B) Gram matrix and one (B, B) solve instead of B rounds of
-# per-step numpy calls, and agrees with them to rounding.
+# each draw's rows once (``gatherer``), and everything in it reads only
+# them and the Gram tables: the projections, the cross sums, which take
+# their B^2 entries from rows the block gathered (A[I] here, U[I] or V.T[Q]
+# for a pairing's drift), and the rewinds, which undo row steps with the
+# rows the block returned beside their coefficients.  A side costs one
+# gather, one (B, B) Gram matrix and one (B, B) solve instead of B rounds
+# of per-step numpy calls, and agrees with them to rounding.
 # Each thread owns the window's workspace: one flat MAX_BLOCK^2 buffer and
 # one MAX_BLOCK vector.  A projection gathers its Gram matrix straight into
 # a contiguous B x B view of the buffer's head (lda = B), the drawn squared
@@ -194,21 +216,22 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
 # The triangle goes to CBLAS dtrsv, a forward substitution, in the BLAS
 # that numpy links to, called through ctypes on the B x B view, with its
 # arguments bound once per B.  ctypes releases the GIL during the call,
-# hence a workspace per thread.  A numpy build that exports no CBLAS dtrsv
-# falls back to LAPACK dgesv through numpy's gufunc (the call
-# np.linalg.solve makes, without its wrapper) on the masked triangle; the
-# two paths differ at rounding, and BLOCK_SOLVER names the one this build
-# runs.  Neither needs a singular-matrix guard: the diagonal holds squared
-# norms of drawn rows, and NormSampler never draws a zero weight.  When M
-# (A or A.T) is tabled (at most twice as many rows as columns), the Gram
-# matrix is gathered from M M^T, built on the first block that needs it
-# and held, read-only, in M's memo beside its sampler; the table is then
-# no larger than A and A.T together.  einsum builds it, as a threaded
-# gemm's bits would depend on the BLAS thread count.  A longer side
-# computes rows @ rows.T of the gathered rows.  The state is one trial's
-# (dim,) arrays; draw entry s is step s's index.  A block returns its step
-# coefficients, from which ``rewind`` recovers the iterate at any step
-# inside it.
+# hence a workspace per thread; a block kernel binds the workspace of the
+# thread that binds it, and runs in that thread.  A numpy build that
+# exports no CBLAS dtrsv falls back to LAPACK dgesv through numpy's gufunc
+# (the call np.linalg.solve makes, without its wrapper) on the masked
+# triangle; the two paths differ at rounding, and BLOCK_SOLVER names the
+# one this build runs.  Neither needs a singular-matrix guard: the
+# diagonal holds squared norms of drawn rows, and NormSampler never draws
+# a zero weight.  When M (A or A.T) is tabled (at most twice as many rows
+# as columns), the Gram matrix is gathered from M M^T, built when the
+# first block kernel on M is bound and held, read-only, in M's memo beside
+# its sampler; the table is then no larger than A and A.T together.
+# einsum builds it, as a threaded gemm's bits would depend on the BLAS
+# thread count.  A longer side computes rows @ rows.T of the gathered
+# rows.  The state is one trial's (dim,) arrays; draw entry s is step s's
+# index.  A block returns its step coefficients, from which a rewinder
+# (``rewinder``) recovers the iterate at any step inside it.
 
 # The T = 1 window, and the longest block.
 MAX_BLOCK = 64
@@ -226,30 +249,42 @@ def _mask(b: int, triangle) -> np.ndarray:
     return _read_only(triangle(np.ones((b, b))))
 
 
-def gather(method: str, A: DenseMatrix, draws) -> tuple:
-    """The rows a block of ``method`` on A acts on, one (B, len) array per draw (``DRAWS``): A.data[draws[d]]
-    for a row draw, A.T.data[draws[d]] for a column draw."""
-    return tuple((A if d == "row" else A.T).data.take(ix, 0) for d, ix in zip(DRAWS[method], draws))
+def gatherer(method: str, A: DenseMatrix):
+    """gather(draws): the rows a block of ``method`` on A acts on, one (B, len) array per draw (``DRAWS``):
+    A.data[draws[d]] for a row draw, A.T.data[draws[d]] for a column draw."""
+    sides = [(A if d == "row" else A.T).data for d in DRAWS[method]]
+    if len(sides) == 1:
+        (first,) = sides
+        return lambda draws: (first.take(draws[0], 0),)
+    first, second = sides
+    return lambda draws: (first.take(draws[0], 0), second.take(draws[1], 0))
 
 
-def cross_sum(at: np.ndarray, by: np.ndarray, coef: np.ndarray, at_rows=None, by_rows=None):
-    """Entry s: sum over r <= s of M[at[s], by[r]] * coef[r], for (B,) at, by, coef and a matrix M.
+def cross_summer():
+    """cross_sum(at, by, coef, at_rows=None, by_rows=None) on the calling thread's triangle buffer.
 
-    Reads B^2 entries of the rows the caller's block gathered, given as
-    at_rows = M[at] or, when None, by_rows = M.T[by].  The entries go to
-    this thread's triangle buffer, unchecked: the block has already
-    gathered rows by the indices they are read by.
+    Entry s of cross_sum is the sum over r <= s of M[at[s], by[r]] *
+    coef[r], for (B,) at, by, coef and a matrix M.  It reads B^2 entries
+    of the rows the caller's block gathered, given as at_rows = M[at]
+    or, when None, by_rows = M.T[by].  The entries go to the triangle
+    buffer, unchecked: the block has already gathered rows by the
+    indices they are read by.
     """
-    b = at.size
-    mat = _buffers.by_size[b][0]
-    if at_rows is not None:
-        cross = at_rows.take(by, 1, out=mat, mode="clip")  # cross[s, r]
-        cross *= _mask(b, np.tril)
-        return cross @ coef
-    # C-ordered, so an upper mask: a product with the lower mask's F-ordered transpose takes about twice as long.
-    cross = by_rows.take(at, 1, out=mat, mode="clip")  # cross[r, s]
-    cross *= _mask(b, np.triu)
-    return coef @ cross
+    buffers = _buffers.by_size
+
+    def cross_sum(at, by, coef, at_rows=None, by_rows=None):
+        b = at.size
+        mat = buffers[b][0]
+        if at_rows is not None:
+            cross = at_rows.take(by, 1, out=mat, mode="clip")  # cross[s, r]
+            cross *= _mask(b, np.tril)
+            return cross @ coef
+        # C-ordered, so an upper mask: a product with the lower mask's F-ordered transpose takes about twice as long.
+        cross = by_rows.take(at, 1, out=mat, mode="clip")  # cross[r, s]
+        cross *= _mask(b, np.triu)
+        return coef @ cross
+
+    return cross_sum
 
 
 def _find_dtrsv():
@@ -300,95 +335,132 @@ class _Buffers(threading.local):
 _buffers = _Buffers()
 
 
-def _solve_lower_dtrsv(b: int) -> np.ndarray:
-    """Solve tril(mat) c = vec on this thread's B x B buffers by CBLAS dtrsv, in place; returns a copy of c."""
-    _, _, vec, call = _buffers.by_size[b]
+def _solve_lower_dtrsv(buffer) -> np.ndarray:
+    """Solve tril(mat) c = vec in one (mat, diag, vec, dtrsv) entry of a thread's buffers by CBLAS dtrsv, in
+    place; returns a copy of c."""
+    _, _, vec, call = buffer
     call()
     return vec.copy()
 
 
-def _solve_lower_dgesv(b: int) -> np.ndarray:
-    """Solve tril(mat) c = vec on this thread's B x B buffers by LAPACK dgesv.  Overwrites mat's upper triangle."""
-    mat, _, vec, _ = _buffers.by_size[b]
-    mat *= _mask(b, np.tril)
+def _solve_lower_dgesv(buffer) -> np.ndarray:
+    """Solve tril(mat) c = vec in one (mat, diag, vec, dtrsv) entry of a thread's buffers by LAPACK dgesv.
+    Overwrites mat's upper triangle."""
+    mat, _, vec, _ = buffer
+    mat *= _mask(vec.size, np.tril)
     return _solve1(mat, vec, signature="dd->d")
 
 
 _solve_lower = _solve_lower_dgesv if _DTRSV is None else _solve_lower_dtrsv
 
 
-def _project_block(M: DenseMatrix, v: np.ndarray, idx: np.ndarray, rhs: np.ndarray | None, rows: np.ndarray):
-    """Projections of v onto rows idx[0], idx[1], ... of M against rhs[s] (0 when None): B ``project`` calls.
+def _projector(M: DenseMatrix):
+    """project_block(v, idx, rhs, rows): the projections of v onto rows idx[0], idx[1], ... of M against rhs[s]
+    (0 when None), B ``project`` calls at once, with M's squared norms, its Gram source and the calling thread's
+    triangle buffers bound.
 
     rows is M.data[idx] as the block gathered it.  The Gram matrix, the
-    squared norms on its diagonal and rows @ v - rhs go straight to this
-    thread's triangle buffers.  Returns the (B,) step coefficients c.
+    squared norms on its diagonal and rows @ v - rhs go straight to the
+    triangle buffers.  project_block returns the (B,) step coefficients c.
     """
-    b = idx.size
-    mat, diag, vec, _ = _buffers.by_size[b]
-    if M.rows > 2 * M.cols:
-        np.matmul(rows, rows.T, out=mat)
-    else:
-        table = M.memo("gram", lambda: _read_only(np.einsum("ik,jk->ij", M.data, M.data)))
-        table.take(idx, 0).take(idx, 1, out=mat, mode="clip")
-    M.row_sqnorms.take(idx, out=diag, mode="clip")
-    np.matmul(rows, v, out=vec)
-    if rhs is not None:
-        vec -= rhs
-    c = _solve_lower(b)
-    v -= c @ rows
-    return c
+    sqnorms, buffers, solve = M.row_sqnorms, _buffers.by_size, _solve_lower
+    table = None if M.rows > 2 * M.cols else M.memo("gram", lambda: _read_only(np.einsum("ik,jk->ij", M.data, M.data)))
+
+    def project_block(v, idx, rhs, rows):
+        buffer = buffers[idx.size]
+        mat, diag, vec, _ = buffer
+        if table is None:
+            np.matmul(rows, rows.T, out=mat)
+        else:
+            table.take(idx, 0).take(idx, 1, out=mat, mode="clip")
+        sqnorms.take(idx, out=diag, mode="clip")
+        np.matmul(rows, v, out=vec)
+        if rhs is not None:
+            vec -= rhs
+        c = solve(buffer)
+        v -= c @ rows
+        return c
+
+    return project_block
 
 
-def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual, draws, drift=None, rows=None):
-    """B ``method`` steps on (A, rhs) for one trial: the block-exact form of B ``step_kernel`` calls.
+def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray | None, beta, z, residual):
+    """``method``'s block on (A, rhs) for one trial, bound to its state: returns block(draws, rows=None,
+    drift=None, rhs=rhs), the block-exact form of B ``step_kernel`` steps.
 
     rhs is (m,) and beta, z and residual are the trial's (dim,) state
     (None where the method keeps none); draws are (B,) index arrays in
-    draw order, and rows their ``gather`` (made here when None).
-    drift[s] is how far step s's right-hand side has dropped since the
-    block began (None for a fixed one): rk and rek subtract it from rhs
-    at the row draw; for rgs and regs, whose residual's inner product
-    with the drawn column has grown by it, -drift[s] is the rhs of the
-    residual's projection.  Returns what ``rewind`` undoes the steps
-    with: (c, A.data[i]), the row projections' (B,) coefficients and
-    rows, for rk and rek; the (B,) coordinate moves of rgs; and for regs
-    the coordinate moves and (c, A.data[i]) of z's row projections.
+    draw order, and rows their ``gatherer`` rows (gathered by the block
+    when None).  drift[s] is how far step s's right-hand side has dropped
+    since the block began (None for a fixed one): rk and rek subtract it
+    from rhs at the row draw; for rgs and regs, whose residual's inner
+    product with the drawn column has grown by it, -drift[s] is the rhs
+    of the residual's projection.  A block's own rhs replaces the bound
+    one.  block returns what ``rewinder`` undoes the steps with: (c,
+    A.data[i]), the row projections' (B,) coefficients and rows, for rk
+    and rek; the (B,) coordinate moves of rgs; and for regs the
+    coordinate moves and (c, A.data[i]) of z's row projections.
     """
-    if rows is None:
-        rows = gather(method, A, draws)
+    gather = gatherer(method, A)
+    draws_rows, draws_cols = "row" in DRAWS[method], "col" in DRAWS[method]
+    project_rows = _projector(A) if draws_rows else None
+    project_cols = _projector(A.T) if draws_cols else None
+    cross_sum = cross_summer() if draws_rows and draws_cols else None
     if method in ("rgs", "regs"):
-        j = draws[-1]
-        gamma = _project_block(A.T, residual, j, None if drift is None else -drift, rows[-1])
-        np.add.at(beta, j, gamma)
-        if method == "regs":
-            # Row step s projects z + sum_{r<=s} gamma_r e_{j_r}: the patches enter its rhs.
-            i = draws[0]
-            c = _project_block(A, z, i, -cross_sum(i, j, gamma, at_rows=rows[0]), rows[0])
-            np.add.at(z, j, gamma)
-            return gamma, (c, rows[0])
-        return gamma
-    i = draws[0]
-    target = rhs.take(i)
-    if drift is not None:
-        target -= drift
-    if method == "rek":
-        # Row step s reads z[i_s] after the column projections r <= s.
-        z_rows = z.take(i)
-        z_rows -= cross_sum(i, draws[1], _project_block(A.T, z, draws[1], None, rows[1]), at_rows=rows[0])
-        target -= z_rows
-    return _project_block(A, beta, i, target, rows[0]), rows[0]
+        regs = method == "regs"
+
+        def block(draws, rows=None, drift=None, rhs=rhs):
+            if rows is None:
+                rows = gather(draws)
+            j = draws[-1]
+            gamma = project_cols(residual, j, None if drift is None else -drift, rows[-1])
+            np.add.at(beta, j, gamma)
+            if regs:
+                # Row step s projects z + sum_{r<=s} gamma_r e_{j_r}: the patches enter its rhs.
+                i = draws[0]
+                c = project_rows(z, i, -cross_sum(i, j, gamma, at_rows=rows[0]), rows[0])
+                np.add.at(z, j, gamma)
+                return gamma, (c, rows[0])
+            return gamma
+
+        return block
+    rek = method == "rek"
+
+    def block(draws, rows=None, drift=None, rhs=rhs):
+        if rows is None:
+            rows = gather(draws)
+        i = draws[0]
+        target = rhs.take(i)
+        if drift is not None:
+            target -= drift
+        if rek:
+            # Row step s reads z[i_s] after the column projections r <= s.
+            z_rows = z.take(i)
+            z_rows -= cross_sum(i, draws[1], project_cols(z, draws[1], None, rows[1]), at_rows=rows[0])
+            target -= z_rows
+        return project_rows(beta, i, target, rows[0]), rows[0]
+
+    return block
 
 
-def rewind(method: str, v: np.ndarray, draws, coef, s: int) -> np.ndarray:
-    """(1, dim) v s steps into a block of ``method`` that ended at v and returned coef: steps s.. undone."""
-    if method in ("rgs", "regs"):  # coordinate step r added coef[r] at j_r
-        return v - np.bincount(draws[-1][s:], coef[s:], v.shape[1])
-    c, rows = coef  # row step r took c[r] rows[r] off v
+def _rewind_rows(v: np.ndarray, draws, coef, s: int) -> np.ndarray:
+    """(1, dim) v s steps into a block of row steps that ended at v: row step r took c[r] rows[r] off v."""
+    c, rows = coef
     return v + c[s:] @ rows[s:]
 
 
-# --- state ------------------------------------------------------------------
+def _rewind_coords(v: np.ndarray, draws, coef, s: int) -> np.ndarray:
+    """(1, dim) v s steps into a block of coordinate steps that ended at v: step r added coef[r] at draws[r]."""
+    return v - np.bincount(draws[s:], coef[s:], v.shape[1])
+
+
+def rewinder(method: str):
+    """rewind(v, draws, coef, s): the (1, dim) iterate v s steps into a block of ``method`` that ended at v and
+    returned coef; draws are the block's (B,) column draws (read by rgs only)."""
+    return _rewind_coords if method in ("rgs", "regs") else _rewind_rows
+
+
+# --- state and binding ------------------------------------------------------
 
 
 def init_state(method: str, A: DenseMatrix, y: np.ndarray) -> SolverState:
@@ -412,6 +484,34 @@ def estimate(method: str, state: SolverState) -> np.ndarray:
     if method == "regs":
         return state.beta - state.z
     return state.beta
+
+
+def tiled(state, trials: int):
+    """``state`` (a SolverState or an InterlacedState) with each vector repeated as ``trials`` rows."""
+    return type(state)(*(None if v is None else np.tile(v, (trials, 1)) for v in vars(state).values()))
+
+
+class Binding(NamedTuple):
+    """One run of one method on one target, bound when it starts (``SingleSystem.bind``, ``FactoredSystem.bind``).
+
+    state holds the T trials' (T, dim) arrays.  advance(draws) takes a
+    step with the per-step kernel at T >= 2, with one (T,) index array
+    per draw, and a window with the block kernel at T = 1, with one (B,)
+    index array per draw, on the (dim,) rows of the state; it returns
+    the step coefficients.  estimate(state) and residuals(state) read a
+    state: the (T, n) estimates, and the residual rows (A estimate - y,
+    or U x - y and V b - x).  At T = 1, snapshot(draws, coef, s) is
+    the state s steps into the window that just ran, holding what
+    residuals reads, and estimate_at(draws, coef, s) that state's
+    estimate alone; both are None at T >= 2.
+    """
+
+    state: object
+    advance: Callable
+    estimate: Callable
+    residuals: Callable
+    snapshot: Callable | None
+    estimate_at: Callable | None
 
 
 # --- the target -------------------------------------------------------------
@@ -450,31 +550,38 @@ class SingleSystem:
     def samplers(self, method: str) -> tuple:
         return samplers(method, self.A)
 
-    def init(self, method: str) -> SolverState:
-        return init_state(method, self.A, self.y)
+    def bind(self, method: str, trials: int) -> Binding:
+        """A run of ``trials`` lock-step ``method`` trials from the method's initial state, bound (``Binding``).
 
-    def kernels(self, method: str) -> tuple:
-        """``step_kernel`` and ``block_kernel`` with the method and the data bound."""
-        bound = (method, self.A, self.y)
-        return functools.partial(step_kernel, *bound), functools.partial(block_kernel, *bound)
+        A T = 1 snapshot holds beta (and regs z) rewound, and estimate_at reads the estimate from them.
+        """
+        A, y = self.A, self.y
+        state = tiled(init_state(method, A, y), trials)
+        vectors = (state.beta, state.z, state.residual)
+        read, data_t = functools.partial(estimate, method), A.data.T
+        residuals = lambda s: (read(s) @ data_t - y,)
+        if trials > 1:
+            return Binding(state, step_kernel(method, A, y, *vectors, np.arange(trials)), read, residuals, None, None)
+        beta, z = state.beta, state.z
+        if method == "regs":
 
-    estimate = staticmethod(estimate)
+            def snapshot(draws, coef, s):
+                gamma, c = coef
+                j = draws[-1]
+                rewound_z = _rewind_rows(_rewind_coords(z, j, gamma, s), j, c, s)
+                return SolverState(_rewind_coords(beta, j, gamma, s), rewound_z)
 
-    def snapshot(self, method: str, state: SolverState, draws, coef, s: int) -> SolverState:
-        """The beta (and regs z) s steps into a T = 1 block that ended at ``state`` and returned coef."""
-        if method != "regs":
-            return SolverState(rewind(method, state.beta, draws, coef, s))
-        gamma, c = coef
-        z = rewind("rk", rewind("rgs", state.z, draws, gamma, s), draws, c, s)
-        return SolverState(rewind("rgs", state.beta, draws, gamma, s), z)
+            estimate_at = lambda draws, coef, s: read(snapshot(draws, coef, s))
+        else:
+            rewind = rewinder(method)
 
-    def estimate_at(self, method: str, state: SolverState, draws, coef, s: int) -> np.ndarray:
-        """The estimate s steps into a T = 1 block: that of the snapshot, which holds only what estimate reads."""
-        return estimate(method, self.snapshot(method, state, draws, coef, s))
+            def estimate_at(draws, coef, s):
+                return rewind(beta, draws[-1], coef, s)
 
-    def residuals(self, method: str, state: SolverState) -> tuple:
-        """A estimate - y, one row per trial of (T, dim) state."""
-        return (estimate(method, state) @ self.A.data.T - self.y,)
+            snapshot = lambda draws, coef, s: SolverState(estimate_at(draws, coef, s))
+
+        advance = block_kernel(method, A, y, *(None if v is None else v[0] for v in vectors))
+        return Binding(state, advance, read, residuals, snapshot, estimate_at)
 
 
 def default_stride(budget: int) -> int:

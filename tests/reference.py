@@ -26,7 +26,6 @@ to.
 from __future__ import annotations
 
 import dataclasses
-import functools
 
 import numpy as np
 
@@ -50,7 +49,7 @@ def _stepper(method: str, target, state, rng: np.random.Generator):
         kernel, fixed = step_kernel, (method, target.A, target.y)
     draw_from = target.samplers(method)
     views = (None if v is None else v[None] for v in (getattr(state, f.name) for f in dataclasses.fields(state)))
-    kernel = functools.partial(kernel, *fixed, *views, 0)
+    kernel = kernel(*fixed, *views, 0)
 
     def one_step():
         drawn = tuple(s.draw(rng) for s in draw_from)
@@ -150,13 +149,14 @@ def coord_step(beta, residual, cols, at, sqnorms):
 
 
 def solve_in_buffers(solve, gram, rhs, diag):
-    """solve(b) on this thread's triangle buffers, filled as the block projection fills them: gram (only
-    its lower triangle is read), then diag on its diagonal, and rhs."""
-    mat, mat_diag, vec, _ = solvers._buffers.by_size[rhs.size]
+    """solve on this thread's triangle buffers for B = rhs.size, filled as the block projection fills them:
+    gram (only its lower triangle is read), then diag on its diagonal, and rhs."""
+    buffer = solvers._buffers.by_size[rhs.size]
+    mat, mat_diag, vec, _ = buffer
     mat[...] = gram
     mat_diag[...] = diag
     vec[...] = rhs
-    return solve(rhs.size)
+    return solve(buffer)
 
 
 def _block_solve(side, vecs, idx, rhs, diag):

@@ -62,7 +62,7 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(method="rk", seed=1, stride=0)
 
-    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0])
+    @pytest.mark.parametrize("tolerance", [float("nan"), float("inf"), -1.0, True, np.True_])
     def test_tolerance_must_be_finite_and_non_negative(self, tolerance):
         with pytest.raises(ValueError, match="tolerance"):
             RunConfig(method="rk", seed=1, tolerance=tolerance)
@@ -71,7 +71,8 @@ class TestRunConfig:
         assert RunConfig(method="rk", seed=1, tolerance=0.0).tolerance == 0.0
 
     @pytest.mark.parametrize("field, value", [("trials", 2.0), ("budget", 100.0), ("seed", 1.5), ("stride", 5.0),
-                                              ("budget", "100"), ("trials", np.float64(2))])
+                                              ("budget", "100"), ("trials", np.float64(2)), ("trials", True),
+                                              ("budget", True), ("seed", False), ("stride", True)])
     def test_counts_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             RunConfig(**{"method": "rk", "seed": 1, field: value})

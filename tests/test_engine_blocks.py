@@ -11,7 +11,8 @@ Apart from the engine's scheduling, one block of each block kernel is
 held to the same number of per-step kernel calls, and a rewound block to
 a shorter one.  Each triangle path is held to np.linalg.solve and, through
 the engine, to the reference, and concurrent T = 1 runs to the same runs
-made one after the other.
+made one after the other.  A run looks up what it reads by name when it
+starts, not at each window or step.
 """
 
 import gc
@@ -159,9 +160,10 @@ def test_block_kernel_equals_per_step_kernel(method, block, dims=(7, 4, 6)):
     stepped = [None if v is None else v.copy()[None] for v in blocked]
     # Few rows and columns, so the draws repeat indices within a block.
     draws = tuple(sampler.draw_many(rng.random(block)) for sampler in step_samplers)
-    block_step(*fixed, *blocked, draws)
+    block_step(*fixed, *blocked)(draws)
+    one_step = kernel(*fixed, *stepped, 0)
     for step in range(block):
-        kernel(*fixed, *stepped, 0, tuple(d[step : step + 1] for d in draws))
+        one_step(tuple(d[step : step + 1] for d in draws))
     for got, want in zip(blocked, stepped):
         if want is not None:
             assert np.all(np.abs(got - want[0]) <= 1e-10 * (1.0 + np.abs(want).max()))
@@ -300,21 +302,60 @@ def counted_calls(monkeypatch):
     """(steps, calls): the steps T = 1 runs have taken so far, and the per-step and block kernel calls."""
     steps, calls = [0], {"kernel": 0, "block": 0}
 
-    def counted(fn, kind):
-        def run_steps(*args):
-            # The draws come last: (T,) arrays for one step, (B,) for a block.
-            steps[0] += args[-1][0].shape[0] if kind == "block" else 1
-            calls[kind] += 1
-            return fn(*args)
+    def counted(bind, kind):
+        def bound(*args):
+            fn = bind(*args)
 
-        return run_steps
+            def run_steps(*args):
+                # The draws come first: (T,) arrays for one step, (B,) for a block.
+                steps[0] += args[0][0].shape[0] if kind == "block" else 1
+                calls[kind] += 1
+                return fn(*args)
 
-    # The targets' kernels() bind the kernels from these names.
+            return run_steps
+
+        return bound
+
+    # The targets' bind() binds the kernels from these names.
     monkeypatch.setattr(solvers, "step_kernel", counted(solvers.step_kernel, "kernel"))
     monkeypatch.setattr(interlaced, "pairing_kernel", counted(interlaced.pairing_kernel, "kernel"))
     monkeypatch.setattr(solvers, "block_kernel", counted(solvers.block_kernel, "block"))
     monkeypatch.setattr(interlaced, "pairing_block", counted(interlaced.pairing_block, "block"))
     return steps, calls
+
+
+@pytest.mark.parametrize("trials, steps", [(1, solvers.MAX_BLOCK), (3, 1)], ids=["windows", "steps"])
+@pytest.mark.parametrize("method", ["rek-rk", "rek"])
+def test_a_run_resolves_its_names_once(method, trials, steps, monkeypatch):
+    """What a run reads by name (``DenseMatrix.memo``, a matrix's ``T``, ``data`` and ``row_sqnorms``, and
+    ``interlaced._split``) it reads when it starts: a run of 40 T = 1 windows, or of 40 T = 3 steps, with records
+    every 7 steps and a tolerance that never passes, so that records and checks fall inside windows, makes as many
+    of these calls as one of 20 on the same target.  Both sides of rek and the rows of V read Gram tables."""
+    target = make_target(method, 9, 4, 6, seed=8, consistent=False)
+    if method not in PAIRINGS:
+        target = SingleSystem(*target)
+    star = oracle_solution(target)
+    calls = {}
+
+    def counted(name, fn):
+        def call(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(DenseMatrix, "memo", counted("memo", DenseMatrix.memo))
+    for name in ("T", "data", "row_sqnorms"):
+        monkeypatch.setattr(DenseMatrix, name, property(counted(name, getattr(DenseMatrix, name).fget)))
+    monkeypatch.setattr(interlaced, "_split", counted("_split", interlaced._split))
+    seen = []
+    for count in (20, 20, 40):  # the first run also builds the samplers and Gram tables
+        calls.clear()
+        config = RunConfig(method=method, seed=4, trials=trials, budget=count * steps, stride=7, tolerance=1e-300)
+        run_experiment(config, target, beta_star=star)
+        seen.append(dict(calls))
+    assert seen[1] == seen[2]
+    assert seen[1]["memo"] and seen[1]["data"] and ("_split" in seen[1]) == (method in PAIRINGS)
 
 
 def assert_records_match(traj, records, star):
@@ -342,14 +383,19 @@ def test_one_trial_tolerance_checks_every_m_steps(method, counted_calls, monkeyp
     real_check = _engine._Batch.max_residual
 
     def snapshotting(cls):
-        real = cls.snapshot
+        real = cls.bind
 
-        def snapshot(self, method, state, draws, coef, s):
-            snap = real(self, method, state, draws, coef, s)
-            snap.step = steps[0] - draws[0].size + s
-            return snap
+        def bind(self, method, trials):
+            binding = real(self, method, trials)
 
-        return snapshot
+            def snapshot(draws, coef, s):
+                snap = binding.snapshot(draws, coef, s)
+                snap.step = steps[0] - draws[0].size + s
+                return snap
+
+            return binding._replace(snapshot=snapshot)
+
+        return bind
 
     def max_residual(self, state):
         # A check at a block's end reads the live state, which has no step of its own.
@@ -357,7 +403,7 @@ def test_one_trial_tolerance_checks_every_m_steps(method, counted_calls, monkeyp
         return real_check(self, state)
 
     for cls in (SingleSystem, FactoredSystem):
-        monkeypatch.setattr(cls, "snapshot", snapshotting(cls))
+        monkeypatch.setattr(cls, "bind", snapshotting(cls))
     monkeypatch.setattr(_engine._Batch, "max_residual", max_residual)
     budget, tol, stride = 100_000, 1e-10, 21
     config = RunConfig(method=method, seed=9, trials=1, budget=budget, stride=stride, tolerance=tol)
@@ -394,13 +440,17 @@ def test_records_rewind_only_the_estimate(method, counted_calls, monkeypatch):
     star = oracle_solution(target)
     steps, _ = counted_calls
 
-    def counting(*args):
-        # (..., v, draws, coef, s): the end state v rewound to step s of the block that just ran.
-        v, draws, s = args[-4], args[-3], args[-1]
-        rewound[v.shape[1]].append(steps[0] - draws[0].size + s)
-        return solvers.rewind(*args)
+    def counting(method):
+        rewind = solvers.rewinder(method)
 
-    monkeypatch.setattr(interlaced, "rewind", counting)
+        def counted(v, draws, coef, s):
+            # The end state v rewound to step s of the block that just ran, whose (B,) draws are given.
+            rewound[v.shape[1]].append(steps[0] - draws.size + s)
+            return rewind(v, draws, coef, s)
+
+        return counted
+
+    monkeypatch.setattr(interlaced, "rewinder", counting)
     inside = lambda every: [e for e in range(every, 2049, every) if e % solvers.MAX_BLOCK]
     for tolerance in (None, 1e-300):
         rewound = {4: [], 6: []}  # length of the rewound vector -> steps rewound to
@@ -484,7 +534,7 @@ def test_cross_sum_equals_its_definition(shape, b):
     want = np.array([math.fsum(t) for t in terms])
     scale = np.array([math.fsum(abs(x) for x in t) for t in terms])
     for rows in ({"at_rows": M.data.take(at, 0)}, {"by_rows": M.T.data.take(by, 0)}):
-        got = solvers.cross_sum(at, by, coef, **rows)
+        got = solvers.cross_summer()(at, by, coef, **rows)
         assert got.shape == (b,)
         assert np.all(np.abs(got - want) <= b * np.finfo(np.float64).eps * scale), list(rows)
 
@@ -509,22 +559,29 @@ def test_block_rewound_equals_shorter_block(method):
     target = make_target(method, 7, 4, 6, seed=10, consistent=False)
     if method not in PAIRINGS:
         target = SingleSystem(*target)
-    block = target.kernels(method)[1]
     rng = master_rng(300)
-    start = [None if v is None else rng.standard_normal(v.size) for v in vars(target.init(method)).values()]
+    start = [None if v is None else rng.standard_normal(v.shape[1]) for v in vars(target.bind(method, 1).state).values()]
+
+    def bound_at_start():
+        # A T = 1 binding whose state (the (1, dim) arrays its block kernel steps) holds start.
+        binding = target.bind(method, 1)
+        for v, value in zip(vars(binding.state).values(), start):
+            if v is not None:
+                v[0] = value
+        return binding
+
     draws = tuple(sampler.draw_many(rng.random(32)) for sampler in target.samplers(method))
     assert all(np.unique(d).size < 32 for d in draws)
-    ended = [None if v is None else v.copy() for v in start]
-    coef = block(*ended, draws)
-    end_state = type(target.init(method))(*(None if v is None else v[None] for v in ended))
+    ended = bound_at_start()
+    coef = ended.advance(draws)
     for s in range(1, 32):
-        shorter = [None if v is None else v.copy() for v in start]
-        block(*shorter, tuple(d[:s] for d in draws))
-        want = vars(type(end_state)(*shorter))
-        for name, got in vars(target.snapshot(method, end_state, draws, coef, s)).items():
+        shorter = bound_at_start()
+        shorter.advance(tuple(d[:s] for d in draws))
+        want = vars(shorter.state)
+        for name, got in vars(ended.snapshot(draws, coef, s)).items():
             if got is not None:
-                assert got.shape == (1, want[name].size)
-                assert np.abs(got[0] - want[name]).max() <= 1e-12 * np.abs(want[name]).max(), (s, name)
+                assert got.shape == want[name].shape == (1, got.size)
+                assert np.abs(got - want[name]).max() <= 1e-12 * np.abs(want[name]).max(), (s, name)
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
@@ -573,9 +630,9 @@ def test_projections_equal_per_side_formulas(shape, count, seed, with_rhs, repea
     beta, z = rng.standard_normal(n), rng.standard_normal(m)
     ours = [beta.copy(), z.copy()]
     row_rhs = np.zeros(count) if rhs is None else rhs
-    assert same(-solvers._project_block(a, ours[0], i, rhs, a.data.take(i, 0)), rows_block(a, beta, i, row_rhs))
+    assert same(-solvers._projector(a)(ours[0], i, rhs, a.data.take(i, 0)), rows_block(a, beta, i, row_rhs))
     drift = None if rhs is None else -rhs
-    assert same(solvers._project_block(a.T, ours[1], j, rhs, a.T.data.take(j, 0)), cols_block(a, z, j, drift))
+    assert same(solvers._projector(a.T)(ours[1], j, rhs, a.T.data.take(j, 0)), cols_block(a, z, j, drift))
     assert same(ours[0], beta) and same(ours[1], z)
 
 
@@ -698,16 +755,14 @@ def test_out_of_range_draws_raise_in_a_block(method, dims):
     target = make_target(method, *dims, seed=14, consistent=False)
     if method not in PAIRINGS:
         target = SingleSystem(*target)
-    block = target.kernels(method)[1]
     rng = master_rng(500)
     sides = target.samplers(method)
     draws = tuple(sampler.draw_many(rng.random(16)) for sampler in sides)
     for d, sampler in enumerate(sides):
         bad = [ix.copy() for ix in draws]
         bad[d][5] = sampler.size
-        state = [None if v is None else v.copy() for v in vars(target.init(method)).values()]
         with pytest.raises(IndexError):
-            block(*state, tuple(bad))
+            target.bind(method, 1).advance(tuple(bad))
 
 
 @pytest.mark.parametrize("shape", [(12, 5), (9, 5), (5, 9)], ids=["long", "tall", "wide"])
@@ -721,8 +776,8 @@ def test_block_results_are_not_views_of_the_buffers(shape, solve_path):
     def block(b):
         idx, by = rng.integers(0, shape[0], b), rng.integers(0, shape[1], b)
         v, rhs, rows = rng.standard_normal(shape[1]), rng.standard_normal(b), M.data.take(idx, 0)
-        c = solvers._project_block(M, v, idx, rhs, rows)
-        return c, solvers.cross_sum(idx, by, c, rows), solvers.cross_sum(idx, by, c, by_rows=M.T.data.take(by, 0))
+        c, cross_sum = solvers._projector(M)(v, idx, rhs, rows), solvers.cross_summer()
+        return c, cross_sum(idx, by, c, rows), cross_sum(idx, by, c, by_rows=M.T.data.take(by, 0))
 
     kept = block(solvers.MAX_BLOCK)
     want = [a.copy() for a in kept]

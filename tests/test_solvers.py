@@ -79,7 +79,7 @@ class TestUpdateAlgebra:
         residual = y[None].copy()
         for j in (0, 1, 0):
             draw = np.array([j])
-            gamma = step_kernel("regs", a, y, beta, z, residual, np.arange(1), (draw, draw))
+            gamma = step_kernel("regs", a, y, beta, z, residual, np.arange(1))((draw, draw))
             assert gamma.shape == (1,)
             assert np.allclose(z, 0.0, atol=1e-15)
         assert np.allclose(beta[0], y, atol=1e-15)

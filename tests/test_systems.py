@@ -72,7 +72,8 @@ class TestScenarioSpec:
         with pytest.raises(ValueError):
             ScenarioSpec("S1", m=10, n=5, k=3, seed=-1)
 
-    @pytest.mark.parametrize("field, value", [("m", 60.0), ("n", np.float64(40)), ("k", "20"), ("seed", 1.5)])
+    @pytest.mark.parametrize("field, value", [("m", 60.0), ("n", np.float64(40)), ("k", "20"), ("seed", 1.5), ("k", True),
+                                              ("seed", False)])
     def test_sizes_and_seed_must_be_integers(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must be an integer"):
             ScenarioSpec(**{"scenario": "S1", "m": 60, "n": 40, "k": 20, "seed": 0, field: value})

@@ -35,7 +35,7 @@ from kaczfact.cli import main
 from kaczfact.dense import DenseMatrix, save_matrix, save_vector
 from kaczfact.interlaced import PAIRINGS, BoundInputs, FactoredSystem, expected_error_bound
 from kaczfact.sampling import trial_rng
-from kaczfact.solvers import SingleSystem
+from kaczfact.solvers import SingleSystem, estimate
 from kaczfact.systems import SCENARIOS, load_instance
 
 EDGE = [0.0, -0.0, 5e-324, 1e-5, 9.999999999999998e15, 1e16, 0.1]
@@ -403,7 +403,7 @@ def reference_records(method, target, budget, seed, trials, stride, star, tolera
         if isinstance(target, FactoredSystem):
             parts = (target.y - target.U.data @ state.x, state.x - target.V.data @ state.b)
         else:
-            parts = (target.y - target.A.data @ target.estimate(method, state),)
+            parts = (target.y - target.A.data @ estimate(method, state),)
         return all(np.linalg.norm(r) <= tolerance for r in parts)
 
     last = budget
