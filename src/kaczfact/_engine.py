@@ -7,10 +7,10 @@ draw, U-side before V-side; ``tests/reference.py`` is that sequential
 reference).  Uniforms are drawn and mapped to indices 1024 steps at a
 time (a sampling block), so index draws match the sequential path
 bit-for-bit.  A run keeps one (trial, step, draw) uniform buffer, each
-trial's stream filling its own contiguous row in (step, draw) order;
-each draw's indices come out as (step, trial), so a step's (T,)
-indices for one draw are one contiguous row, as is a T = 1 window's
-run of steps.
+trial's stream filling its own contiguous row in (step, draw) order,
+and per draw one (step, trial) index buffer, which ``draw_many`` fills
+from the buffer's strided (step, trial) view; a step's (T,) indices for
+one draw are one contiguous row, as is a T = 1 window's run of steps.
 
 Each sampling block is advanced in windows of L(T) steps, cut short only
 at the sampling block's end (the T = 1 window, 64 steps, divides 1024,
@@ -18,22 +18,30 @@ so at T = 1 only the budget does that).  Errors are
 recorded at every multiple of the stride and at the budget, and with a
 tolerance set the residuals are checked at every multiple of m.  The
 engine keeps the next record and check step, so a window with neither
-due costs no walk.  Those in a window are taken after it, in step order:
-one at its end reads the live state, and one at step s inside it reads
-the end state rewound to step s by the step coefficients and rows the
-block kernel returned.  A check rewinds all that the residuals read (the
-binding's snapshot); a record that is not also a check rewinds only what
-the estimate reads (``estimate_at``: b of a pairing, not x).  A passing
-check stops the run at its own step.
+due costs no walk.  Those in a window are taken after it.  First its
+checks, in step order, up to the first that passes, which stops the run
+at its own step: one at the window's end reads the live state, and one
+at step s inside it the binding's snapshot, the end state rewound to
+step s by the step coefficients and rows the block kernel returned.  A
+check computes the residual parts in order and stops at the first whose
+norm is over the tolerance, so a pairing whose U x - y fails computes
+no V b - x, and its snapshot rewinds b only when read.  Then the
+records due up to the window's end or the stop: those inside the window
+come from one rewind of what the estimate reads (``estimate_at`` with
+all their steps: b of a pairing, not x), and one at the end reads the
+live state.  Each record subtracts beta* into a run-owned buffer from a
+tile of beta* (one row per trial, or per record at T = 1) and writes
+its squared norms into one run-owned error buffer, which doubles when
+full, so a run that stops early holds no buffer for its budget.
 
 A target (``solvers.SingleSystem``, ``interlaced.FactoredSystem``) gives
 the samplers, the flops and, once per run, a binding
 (``target.bind(method, trials)``, a ``solvers.Binding``): the run's
 state, the kernel bound to it and to the method's branches, the data
 and, at T = 1, the Gram tables and this thread's triangle buffers, and
-the estimate, residuals, snapshot and rewound estimate, each bound the
-same way.  A window, a record and a check are then calls of these, with
-no lookup by method name.  The trial count alone picks the kernel: every
+the estimate, residuals, snapshot and rewound estimates, each bound the
+same way.  A window, its records and a check are then calls of these,
+with no lookup by method name.  The trial count alone picks the kernel: every
 T = 1 window runs the block kernel, however short, and every T >= 2
 step the per-step kernel, the one the sequential reference steps with.
 This module holds no algebra and no branch on the target's type: it
@@ -84,11 +92,47 @@ class _Batch:
     def __init__(self, binding):
         self.binding = binding
 
-    def max_residual(self, state) -> float:
-        """Largest residual norm across the trials of ``state`` (joint over a pairing's two subsystems)."""
-        parts = self.binding.residuals(state)
-        # One sqrt of the largest square: sqrt is monotone and correctly rounded, so this is the largest norm.
-        return math.sqrt(max(float((res * res).sum(axis=1).max()) for res in parts))
+    def max_residual(self, state, tolerance: float) -> float:
+        """Largest residual norm across the trials of ``state``, joint over a pairing's two subsystems, or the
+        first one not within ``tolerance`` (nan included): the parts are computed in order, and none after a
+        part that fails."""
+        worst = 0.0
+        for res in self.binding.residuals(state):
+            # One sqrt of the largest square: sqrt is monotone and correctly rounded, so this is the largest norm.
+            norm = math.sqrt(float((res * res).sum(axis=1).max()))
+            if not norm <= tolerance:
+                return norm
+            worst = max(worst, norm)
+        return worst
+
+
+class _Errors:
+    """A run's recorded squared errors, written in place into one buffer that doubles when full.
+
+    add(estimates) records each (n,) row of estimates: at T = 1 one row
+    per recorded step, at T >= 2 one row per trial of one step.  It
+    subtracts beta* into a run-owned buffer from a tile of beta* as tall
+    as the rows it takes, so no record broadcasts beta* or allocates.
+    """
+
+    def __init__(self, beta_star: np.ndarray, rows: int, capacity: int):
+        tile = np.tile(beta_star, (rows, 1))
+        diff = np.empty_like(tile)
+        self.heads = [(tile[:count], diff[:count]) for count in range(rows + 1)]  # by the rows a record takes
+        self.flat = np.empty(capacity)
+        self.size = 0
+
+    def add(self, estimates: np.ndarray) -> None:
+        count = len(estimates)
+        end = self.size + count
+        if end > self.flat.size:
+            grown = np.empty(max(2 * self.flat.size, end))
+            grown[: self.size] = self.flat[: self.size]
+            self.flat = grown
+        tile, diff = self.heads[count]
+        np.subtract(estimates, tile, diff)
+        _einsum("ij,ij->i", diff, diff, out=self.flat[self.size : end])
+        self.size = end
 
 
 def run_trials(
@@ -116,55 +160,67 @@ def run_trials(
     per_step = target.step_flops(method)
     check_every = target.m if tolerance is not None else budget + 1  # without a tolerance no check is due
     rngs = [trial_rng(seed, tr) for tr in range(trials)]
+    rows = min(_BLOCK, budget)
     # The run's uniforms, (trial, step, draw): each trial's stream fills its own row in (step, draw) order.
-    uniforms = np.empty((trials, min(_BLOCK, budget), len(samplers)))
+    uniforms = np.empty((trials, rows, len(samplers)))
+    # Per draw, its (step, trial) indices: a step's (T,) indices for one draw are one contiguous row.
+    indices = [np.empty((rows, trials), dtype=np.intp) for _ in samplers]
 
     round_steps = _round_steps(trials)
+    # Room for the run's records, or at first for _BLOCK of them if it has more: the record steps are the
+    # multiples of stride below the budget, and the budget.
+    records = (budget - 1) // stride + 1
+    errors = _Errors(beta_star, max(trials, round_steps), min(records, _BLOCK) * trials)
     iters: list[int] = []
-    errors: list[np.ndarray] = []
     t = 0
-    stopped = False
+    stop = None
     # The next record and check steps, and the first of them.
     next_rec, next_check = min(stride, budget), check_every
     due = min(next_rec, next_check)
-    while t < budget and not stopped:
+    while t < budget and stop is None:
         block = min(_BLOCK, budget - t)
         for tr, rng in enumerate(rngs):
             rng.random(out=uniforms[tr, :block])
-        # (step, trial) indices per draw: a step's (T,) indices for one draw are one contiguous row.
-        idx = [s.draw_many(uniforms[:, :block, d].T) for d, s in enumerate(samplers)]
-        # The windows (t, end], of L(T) steps, cut short only at the sampling block's end, with their draws:
-        # (B,) runs of the one trial's indices at T = 1, and at T >= 2 one (T,) row per draw.
-        ends = [t + min(s + round_steps, block) for s in range(0, block, round_steps)]
-        if trials == 1:
-            runs = [ix[:, 0] for ix in idx]
-            windows = [tuple([r[s : s + round_steps] for r in runs]) for s in range(0, block, round_steps)]
-        else:
-            windows = zip(*idx)
+        for d, sampler in enumerate(samplers):
+            sampler.draw_many(uniforms[:, :block, d].T, out=indices[d][:block])
+        # The windows (t, end], of L(T) steps, cut short only at the sampling block's end, with their draws: per
+        # draw a row of its indices reshaped to L(T) T columns, which is a (B,) run of the one trial's indices at
+        # T = 1 and one step's (T,) indices at T >= 2, and a last short run at T = 1.
+        whole = block - block % round_steps
+        ends = [*range(t + round_steps, t + whole + 1, round_steps)]
+        windows = [*zip(*(ix[:whole].reshape(-1, round_steps * trials) for ix in indices))]
+        if whole < block:
+            ends.append(t + block)
+            windows.append(tuple([ix[whole:block, 0] for ix in indices]))
         for end, window in zip(ends, windows):
             coef = advance(window)
-            # Records and checks due in the window, in step order.  Inside it a check reads the snapshot
-            # rewound from its end, and a record that is not also a check only the rewound estimate.
-            while due <= end and not stopped:
-                e = due
-                if e == next_check:
+            if due <= end:
+                # Checks due in the window, in step order, up to the first that passes: inside the window one
+                # reads the snapshot rewound from its end.
+                last = end
+                while next_check <= end:
+                    e, next_check = next_check, next_check + check_every
                     state = live if e == end else snapshot(window, coef, e - t)
-                    stopped = batch.max_residual(state) <= tolerance
-                    next_check += check_every
-                    est = estimate(state) if stopped or e == next_rec else None
-                elif e == end:
-                    est = estimate(live)
-                else:
-                    est = estimate_at(window, coef, e - t)
-                if est is not None:
-                    diff = est - beta_star
-                    iters.append(e)
-                    errors.append(_einsum("ij,ij->i", diff, diff))
-                    next_rec = min(e + stride, budget) if e < budget else budget + 1
+                    if batch.max_residual(state, tolerance) <= tolerance:
+                        stop = last = e
+                        break
+                # Records due up to there, the multiples of stride, the budget and a stop: those inside the window
+                # from one rewind, by their offsets into it, and one at its end from the live state.
+                steps = range(next_rec, min(last + 1, end), stride)
+                offsets = range(steps.start - t, steps.stop - t, stride)
+                if last < end and last not in steps:
+                    steps, offsets = [*steps, last], [*offsets, last - t]
+                if steps:
+                    errors.add(estimate_at(window, coef, offsets))
+                    iters += steps
+                if last == end and (end % stride == 0 or end == budget or stop == end):
+                    errors.add(estimate(live))
+                    iters.append(end)
+                next_rec = min((end // stride + 1) * stride, budget)
                 due = min(next_rec, next_check)
             t = end
-            if stopped:
+            if stop is not None:
                 break
 
     it = np.asarray(iters, dtype=np.int64)
-    return it, it * per_step, (np.vstack(errors).T if errors else np.empty((trials, 0)))
+    return it, it * per_step, errors.flat[: errors.size].reshape(len(iters), trials).T

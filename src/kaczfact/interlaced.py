@@ -58,6 +58,7 @@ a row draw on V 4n + 2 and a column draw on V 4k + 2.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,27 +148,33 @@ class FactoredSystem:
     def bind(self, method: str, trials: int) -> Binding:
         """A run of ``trials`` lock-step trials of the pairing from its initial state, bound (``Binding``).
 
-        The estimate is b, and the residuals are U x - y and V b - x.  A
-        T = 1 snapshot holds x and b rewound; estimate_at rewinds b alone.
+        The estimate is b, and the residuals are U x - y and then V b - x.  A
+        T = 1 snapshot holds x rewound and rewinds b when b is first read, which
+        a check does only once U x - y is within its tolerance; estimate_at
+        rewinds b alone.
         """
         outer, inner, split = _split(method)
         state = tiled(init_interlaced(method, self), trials)
         vectors = (state.x, state.b, state.z, state.zv, state.res_u, state.res_v)
         ut, vt, y = self.U.data.T, self.V.data.T, self.y
         read = lambda s: s.b
-        residuals = lambda s: (s.x @ ut - y, s.b @ vt - s.x)
+
+        def residuals(s):
+            yield s.x @ ut - y
+            yield s.b @ vt - s.x
+
         if trials > 1:
             step = pairing_kernel(method, self, *vectors, np.arange(trials))
             return Binding(state, step, read, residuals, None, None)
         x, b = state.x, state.b
         rewind_outer, rewind_inner = rewinder(outer), rewinder(inner)
 
-        def estimate_at(draws, coef, s):
-            return rewind_inner(b, draws[-1], coef[1], s)
+        def estimate_at(draws, coef, steps):
+            return rewind_inner(b, draws[-1], coef[1], steps)
 
         def snapshot(draws, coef, s):
-            x_s = rewind_outer(x, draws[split - 1], coef[0], s)
-            return InterlacedState(x_s, estimate_at(draws, coef, s))
+            x_s = rewind_outer(x, draws[split - 1], coef[0], (s,))
+            return _Snapshot(x_s, lambda: estimate_at(draws, coef, (s,)))
 
         advance = pairing_block(method, self, *(None if v is None else v[0] for v in vectors))
         return Binding(state, advance, read, residuals, snapshot, estimate_at)
@@ -188,6 +195,17 @@ class InterlacedState:
     zv: np.ndarray | None = None
     res_u: np.ndarray | None = None
     res_v: np.ndarray | None = None
+
+
+class _Snapshot:
+    """A T = 1 pairing's x and b some steps into the window that just ran: x rewound, and b rewound on first read."""
+
+    def __init__(self, x: np.ndarray, rewind_b):
+        self.x, self._rewind_b = x, rewind_b
+
+    @functools.cached_property
+    def b(self) -> np.ndarray:
+        return self._rewind_b()
 
 
 def _split(method: str) -> tuple[str, str, int]:
@@ -256,7 +274,7 @@ def pairing_block(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v):
             drift = cross_sum(inner_draws[0], draws[split - 1], coef, at_rows=inner_rows[0])
         inner_coef = inner(inner_draws, inner_rows, drift, rhs)
         if res_v is not None:
-            np.add.at(res_v, draws[split - 1], coef)
+            np.add(res_v, np.bincount(draws[split - 1], coef, res_v.size), out=res_v)
         return coef, inner_coef
 
     return block

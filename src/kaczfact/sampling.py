@@ -19,7 +19,9 @@ vectorized passes advance each draw while ``cum[idx] <= u * total``
 (a pass is made when at least a twentieth of the entries need it), and
 draws at entries whose bounds lie further apart than the passes reach
 (several prefix sums in one entry, as under skewed weights) fall back
-to ``searchsorted``.  Construction is O(size), a draw costs a fixed
+to ``searchsorted``; a sampler with no such entry skips that lookup.
+Draws are made in chunks of rows of at most _CHUNK uniforms, into the
+caller's index buffer when it gives one.  Construction is O(size), a draw costs a fixed
 number of numpy passes, and the result equals the binary search's
 exactly.
 
@@ -35,6 +37,10 @@ import numpy as np
 from .dense import DenseMatrix
 
 __all__ = ["NormSampler", "master_rng", "trial_rng"]
+
+# The most uniforms ``draw_many`` maps at once: its temporaries then stay far below glibc's 128 KB mmap
+# threshold, so their pages are reused, not faulted in afresh on every call.
+_CHUNK = 8192
 
 
 class NormSampler:
@@ -71,7 +77,8 @@ class NormSampler:
         self._guide, span = at_edges[:-1], np.diff(at_edges)
         # A pass costs about as much as a binary search on a twentieth of the draws.
         self._passes = sum(int(np.mean(span > p) > 0.05) for p in (0, 1))
-        self._open = span > self._passes
+        open_ = span > self._passes
+        self._open = open_ if open_.any() else None  # None: no draw needs the binary search
         self._bounded = np.append(self._cumulative, np.inf)
 
     @property
@@ -83,20 +90,43 @@ class NormSampler:
         u = rng.random()
         return int(np.searchsorted(self._cumulative, u * self._total, side="right"))
 
-    def draw_many(self, uniforms: np.ndarray) -> np.ndarray:
-        """Map an array of uniforms in [0, 1) to index draws, equal to ``draw`` uniform by uniform."""
-        u = np.ascontiguousarray(uniforms, dtype=np.float64)
+    def draw_many(self, uniforms: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Map an array of uniforms in [0, 1) to index draws, equal to ``draw`` uniform by uniform.
+
+        The draws go to ``out`` when given, a C-contiguous intp array of
+        the uniforms' shape, and to a new array otherwise.  uniforms may
+        be a strided view, such as the engine's (step, trial) view of its
+        uniform buffer: it is read in chunks of leading rows, so that each
+        temporary holds at most _CHUNK entries.
+        """
+        u = np.asarray(uniforms, dtype=np.float64)
+        if out is None:
+            out = np.empty(u.shape, dtype=np.intp)
+        flat = out.reshape(-1)
+        if u.size <= _CHUNK:
+            self._draw_into(u, flat)
+            return out
+        lead = u.reshape(len(u), -1)
+        width = lead.shape[1]
+        rows = max(1, _CHUNK // width)
+        for r in range(0, len(lead), rows):
+            self._draw_into(lead[r : r + rows], flat[r * width : (r + rows) * width])
+        return out
+
+    def _draw_into(self, u: np.ndarray, idx: np.ndarray) -> None:
+        """Write the draws of the uniforms u, in C order, into the contiguous (u.size,) idx."""
+        u = np.ascontiguousarray(u)  # one strided read, not one per use
         v = (u * self._total).reshape(-1)
         bucket = (u + self._shift).view(np.int64).reshape(-1)
         bucket -= self._shift_bits
-        idx = self._guide.take(bucket)
+        # Unchecked: a uniform in [0, 1) rounds to an entry in [0, K], and the table has K + 1.
+        self._guide.take(bucket, out=idx, mode="clip")
         for _ in range(self._passes):
             idx += self._bounded.take(idx) <= v
         # Entries whose answers span more than the passes: binary search on just those draws.
-        at = np.flatnonzero(self._open.take(bucket))
-        if at.size:
+        at = None if self._open is None else np.flatnonzero(self._open.take(bucket))
+        if at is not None and at.size:
             idx[at] = np.searchsorted(self._cumulative, v[at], side="right")
-        return idx.reshape(u.shape)
 
 
 def row_sampler(A: DenseMatrix) -> NormSampler:

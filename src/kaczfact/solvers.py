@@ -228,10 +228,18 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
 # first block kernel on M is bound and held, read-only, in M's memo beside
 # its sampler; the table is then no larger than A and A.T together.
 # einsum builds it, as a threaded gemm's bits would depend on the BLAS
-# thread count.  A longer side computes rows @ rows.T of the gathered
-# rows.  The state is one trial's (dim,) arrays; draw entry s is step s's
-# index.  A block returns its step coefficients, from which a rewinder
-# (``rewinder``) recovers the iterate at any step inside it.
+# thread count, and M's squared norms replace its diagonal, so that the
+# gathered diagonal is the drawn squared norms with no take of its own
+# (an entry (s, r) of two draws of one row reads that row's squared norm
+# too, within rounding of its dot).  A longer side computes rows @ rows.T
+# of the gathered rows and takes the drawn squared norms onto its
+# diagonal.  Coordinate moves (rgs, regs, and the rgs-rgs res_v patch) add
+# one bincount of the block's moves, which sums a coordinate drawn twice
+# before it is added.  The state is one trial's (dim,) arrays; draw entry s
+# is step s's index.  A block returns its step coefficients, from which a
+# rewinder (``rewinder``) recovers the iterate at any steps inside it: row
+# steps by one suffix-masked (R, B) @ (B, dim) product, coordinate steps by
+# one bincount scatter into (R, dim), and one step by the suffix alone.
 
 # The T = 1 window, and the longest block.
 MAX_BLOCK = 64
@@ -354,26 +362,33 @@ def _solve_lower_dgesv(buffer) -> np.ndarray:
 _solve_lower = _solve_lower_dgesv if _DTRSV is None else _solve_lower_dtrsv
 
 
+def _gram_table(M: DenseMatrix) -> np.ndarray:
+    """M M^T by einsum, read-only, with M's squared norms on its diagonal."""
+    table = np.einsum("ik,jk->ij", M.data, M.data)
+    np.fill_diagonal(table, M.row_sqnorms)
+    return _read_only(table)
+
+
 def _projector(M: DenseMatrix):
     """project_block(v, idx, rhs, rows): the projections of v onto rows idx[0], idx[1], ... of M against rhs[s]
     (0 when None), B ``project`` calls at once, with M's squared norms, its Gram source and the calling thread's
     triangle buffers bound.
 
-    rows is M.data[idx] as the block gathered it.  The Gram matrix, the
-    squared norms on its diagonal and rows @ v - rhs go straight to the
-    triangle buffers.  project_block returns the (B,) step coefficients c.
+    rows is M.data[idx] as the block gathered it.  The Gram matrix, with
+    the squared norms on its diagonal, and rows @ v - rhs go straight to
+    the triangle buffers.  project_block returns the (B,) step coefficients c.
     """
     sqnorms, buffers, solve = M.row_sqnorms, _buffers.by_size, _solve_lower
-    table = None if M.rows > 2 * M.cols else M.memo("gram", lambda: _read_only(np.einsum("ik,jk->ij", M.data, M.data)))
+    table = None if M.rows > 2 * M.cols else M.memo("gram", lambda: _gram_table(M))
 
     def project_block(v, idx, rhs, rows):
         buffer = buffers[idx.size]
         mat, diag, vec, _ = buffer
         if table is None:
             np.matmul(rows, rows.T, out=mat)
+            sqnorms.take(idx, out=diag, mode="clip")
         else:
             table.take(idx, 0).take(idx, 1, out=mat, mode="clip")
-        sqnorms.take(idx, out=diag, mode="clip")
         np.matmul(rows, v, out=vec)
         if rhs is not None:
             vec -= rhs
@@ -414,12 +429,13 @@ def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray | None, beta, z, r
                 rows = gather(draws)
             j = draws[-1]
             gamma = project_cols(residual, j, None if drift is None else -drift, rows[-1])
-            np.add.at(beta, j, gamma)
+            moves = np.bincount(j, gamma, beta.size)
+            np.add(beta, moves, out=beta)
             if regs:
                 # Row step s projects z + sum_{r<=s} gamma_r e_{j_r}: the patches enter its rhs.
                 i = draws[0]
                 c = project_rows(z, i, -cross_sum(i, j, gamma, at_rows=rows[0]), rows[0])
-                np.add.at(z, j, gamma)
+                np.add(z, moves, out=z)
                 return gamma, (c, rows[0])
             return gamma
 
@@ -443,20 +459,39 @@ def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray | None, beta, z, r
     return block
 
 
-def _rewind_rows(v: np.ndarray, draws, coef, s: int) -> np.ndarray:
-    """(1, dim) v s steps into a block of row steps that ended at v: row step r took c[r] rows[r] off v."""
+def _row_moves(coef, steps) -> np.ndarray:
+    """For each s in steps, sum_{r >= s} c[r] rows[r] of a block's row steps coef = (c, rows): the (dim,) suffix
+    product for one step, else one suffix-masked (R, B) @ (B, dim) product."""
     c, rows = coef
-    return v + c[s:] @ rows[s:]
+    if len(steps) == 1:
+        s = steps[0]
+        return c[s:] @ rows[s:]
+    return (_mask(c.size, np.triu).take(steps, 0) * c) @ rows
 
 
-def _rewind_coords(v: np.ndarray, draws, coef, s: int) -> np.ndarray:
-    """(1, dim) v s steps into a block of coordinate steps that ended at v: step r added coef[r] at draws[r]."""
-    return v - np.bincount(draws[s:], coef[s:], v.shape[1])
+def _rewind_rows(v: np.ndarray, draws, coef, steps) -> np.ndarray:
+    """(1, dim) v at each of steps into a block of row steps that ended at v: row step r took c[r] rows[r] off v."""
+    return v + _row_moves(coef, steps)
+
+
+def _rewind_coords(v: np.ndarray, draws, coef, steps) -> np.ndarray:
+    """(1, dim) v at each of steps into a block of coordinate steps that ended at v: step r added coef[r] at
+    draws[r].  Several steps scatter their masked moves into (R, dim) with one bincount."""
+    n = v.shape[1]
+    if len(steps) == 1:
+        s = steps[0]
+        return v - np.bincount(draws[s:], coef[s:], n)
+    count = len(steps)
+    weights = _mask(coef.size, np.triu).take(steps, 0)
+    weights *= coef
+    at = draws + np.arange(0, count * n, n)[:, None]
+    return v - np.bincount(at.ravel(), weights.ravel(), count * n).reshape(count, n)
 
 
 def rewinder(method: str):
-    """rewind(v, draws, coef, s): the (1, dim) iterate v s steps into a block of ``method`` that ended at v and
-    returned coef; draws are the block's (B,) column draws (read by rgs only)."""
+    """rewind(v, draws, coef, steps): the (1, dim) iterate v at each of steps (ascending, in [1, B)) into a block
+    of ``method`` that ended at v and returned coef, as (R, dim) rows; draws are the block's (B,) column draws
+    (read by rgs only)."""
     return _rewind_coords if method in ("rgs", "regs") else _rewind_rows
 
 
@@ -498,12 +533,13 @@ class Binding(NamedTuple):
     step with the per-step kernel at T >= 2, with one (T,) index array
     per draw, and a window with the block kernel at T = 1, with one (B,)
     index array per draw, on the (dim,) rows of the state; it returns
-    the step coefficients.  estimate(state) and residuals(state) read a
-    state: the (T, n) estimates, and the residual rows (A estimate - y,
-    or U x - y and V b - x).  At T = 1, snapshot(draws, coef, s) is
-    the state s steps into the window that just ran, holding what
-    residuals reads, and estimate_at(draws, coef, s) that state's
-    estimate alone; both are None at T >= 2.
+    the step coefficients.  estimate(state) reads a state's (T, n)
+    estimates, and residuals(state) yields its residual rows in order
+    (A estimate - y, or U x - y and then V b - x), each computed only
+    when asked for.  At T = 1, snapshot(draws, coef, s) is the state s
+    steps into the window that just ran, holding what residuals reads,
+    and estimate_at(draws, coef, steps) the (R, n) estimates at each of
+    steps (ascending, inside the window) alone; both are None at T >= 2.
     """
 
     state: object
@@ -553,7 +589,8 @@ class SingleSystem:
     def bind(self, method: str, trials: int) -> Binding:
         """A run of ``trials`` lock-step ``method`` trials from the method's initial state, bound (``Binding``).
 
-        A T = 1 snapshot holds beta (and regs z) rewound, and estimate_at reads the estimate from them.
+        A T = 1 snapshot holds beta (and regs z) rewound, and estimate_at rewinds the estimate alone: regs's
+        beta - z loses the coordinate moves, which beta and z share, so only z's row projections are undone.
         """
         A, y = self.A, self.y
         state = tiled(init_state(method, A, y), trials)
@@ -568,17 +605,19 @@ class SingleSystem:
             def snapshot(draws, coef, s):
                 gamma, c = coef
                 j = draws[-1]
-                rewound_z = _rewind_rows(_rewind_coords(z, j, gamma, s), j, c, s)
-                return SolverState(_rewind_coords(beta, j, gamma, s), rewound_z)
+                rewound_z = _rewind_rows(_rewind_coords(z, j, gamma, (s,)), j, c, (s,))
+                return SolverState(_rewind_coords(beta, j, gamma, (s,)), rewound_z)
 
-            estimate_at = lambda draws, coef, s: read(snapshot(draws, coef, s))
+            def estimate_at(draws, coef, steps):
+                return (beta - z) - _row_moves(coef[1], steps)
+
         else:
             rewind = rewinder(method)
 
-            def estimate_at(draws, coef, s):
-                return rewind(beta, draws[-1], coef, s)
+            def estimate_at(draws, coef, steps):
+                return rewind(beta, draws[-1], coef, steps)
 
-            snapshot = lambda draws, coef, s: SolverState(estimate_at(draws, coef, s))
+            snapshot = lambda draws, coef, s: SolverState(estimate_at(draws, coef, (s,)))
 
         advance = block_kernel(method, A, y, *(None if v is None else v[0] for v in vectors))
         return Binding(state, advance, read, residuals, snapshot, estimate_at)

@@ -159,16 +159,19 @@ def solve_in_buffers(solve, gram, rhs, diag):
     return solve(buffer)
 
 
-def _block_solve(side, vecs, idx, rhs, diag):
-    """tril(G) c = rhs for the Gram matrix G of vecs = side[idx], read from the table of side's row inner
-    products when side has at most twice as many rows as columns.  The masked triangle goes to the
+def _block_solve(side, vecs, idx, rhs, sqnorms):
+    """tril(G) c = rhs for the Gram matrix G of vecs = side[idx], with the squared norms sqnorms[idx] of side's
+    rows on its diagonal.  G is read from the table of side's row inner products, with sqnorms on its
+    diagonal, when side has at most twice as many rows as columns.  The masked triangle goes to the
     package's triangle solve, whichever path this numpy build runs; the tests hold that solve to
     np.linalg.solve on its own."""
-    b = idx.size
+    b, diag = idx.size, sqnorms.take(idx)
     if side.shape[0] > 2 * side.shape[1]:
         gram = vecs @ vecs.T
     else:
-        gram = np.einsum("ik,jk->ij", side, side).take(idx, 0).take(idx, 1)
+        table = np.einsum("ik,jk->ij", side, side)
+        table[np.diag_indices(side.shape[0])] = sqnorms
+        gram = table.take(idx, 0).take(idx, 1)
     gram = gram * np.tril(np.ones((b, b)))
     gram[np.diag_indices(b)] = diag
     return solve_in_buffers(solvers._solve_lower, gram, rhs, diag)
@@ -177,7 +180,7 @@ def _block_solve(side, vecs, idx, rhs, diag):
 def rows_block(A, beta, idx, rhs):
     """Row projections of beta onto rows idx[0], idx[1], ... of A against rhs[s]."""
     rows = A.data.take(idx, 0)
-    coef = _block_solve(A.data, rows, idx, rhs - rows @ beta, A.row_sqnorms.take(idx))
+    coef = _block_solve(A.data, rows, idx, rhs - rows @ beta, A.row_sqnorms)
     beta += coef @ rows
     return coef
 
@@ -189,6 +192,6 @@ def cols_block(A, z, idx, extra=None):
     rhs = cols @ z
     if extra is not None:
         rhs += extra
-    coef = _block_solve(side, cols, idx, rhs, (A.data * A.data).sum(axis=0).take(idx))
+    coef = _block_solve(side, cols, idx, rhs, (A.data * A.data).sum(axis=0))
     z -= coef @ cols
     return coef

@@ -2,7 +2,7 @@
 
 At T=1 the engine advances in windows of MAX_BLOCK (64) steps on every
 target (block-exact stepping), and takes the records and checks that
-fall inside one from a snapshot rewound from its end; these tests hold it
+fall inside one by rewinding its end state; these tests hold it
 to the sequential reference
 (``reference.run``) on recorded iterations, stop steps and errors.  At
 T >= 2 it runs the same per-step kernel as the reference, and its errors
@@ -397,10 +397,10 @@ def test_one_trial_tolerance_checks_every_m_steps(method, counted_calls, monkeyp
 
         return bind
 
-    def max_residual(self, state):
+    def max_residual(self, state, tolerance):
         # A check at a block's end reads the live state, which has no step of its own.
         checks.append(getattr(state, "step", steps[0]))
-        return real_check(self, state)
+        return real_check(self, state, tolerance)
 
     for cls in (SingleSystem, FactoredSystem):
         monkeypatch.setattr(cls, "bind", snapshotting(cls))
@@ -432,10 +432,11 @@ def test_records_and_checks_cut_no_block(method, counted_calls):
 
 @pytest.mark.parametrize("method", PAIRINGS)
 def test_records_rewind_only_the_estimate(method, counted_calls, monkeypatch):
-    """A T = 1 pairing's record inside a window rewinds b alone: with no tolerance no rewind acts on x, and
-    with one x is rewound once at each check step inside a window and nowhere else.  b is rewound once at
-    each record or check step inside a window.  x has k = 4 entries and b n = 6, which tells the rewinds
-    apart; records fall every 7 steps and checks every m = 9."""
+    """A T = 1 pairing's records inside a window rewind b alone, in one call per window: with no tolerance no
+    rewind acts on x, and with one x is rewound once at each check step inside a window and nowhere else.  b is
+    rewound once per window that holds records, at all of them, and a check whose U x - y is over the
+    tolerance (1e-300 here) rewinds no b.  x has k = 4 entries and b n = 6, which tells the rewinds apart;
+    records fall every 7 steps and checks every m = 9."""
     target = make_target(method, 9, 4, 6, seed=8, consistent=False)
     star = oracle_solution(target)
     steps, _ = counted_calls
@@ -443,23 +444,25 @@ def test_records_rewind_only_the_estimate(method, counted_calls, monkeypatch):
     def counting(method):
         rewind = solvers.rewinder(method)
 
-        def counted(v, draws, coef, s):
-            # The end state v rewound to step s of the block that just ran, whose (B,) draws are given.
-            rewound[v.shape[1]].append(steps[0] - draws.size + s)
-            return rewind(v, draws, coef, s)
+        def counted(v, draws, coef, at):
+            # The end state v rewound to the steps at of the block that just ran, whose (B,) draws are given.
+            rewound[v.shape[1]].append([steps[0] - draws.size + s for s in at])
+            return rewind(v, draws, coef, at)
 
         return counted
 
     monkeypatch.setattr(interlaced, "rewinder", counting)
     inside = lambda every: [e for e in range(every, 2049, every) if e % solvers.MAX_BLOCK]
     for tolerance in (None, 1e-300):
-        rewound = {4: [], 6: []}  # length of the rewound vector -> steps rewound to
+        rewound = {4: [], 6: []}  # length of the rewound vector -> the steps of each rewind call
         steps[0] = 0
         config = RunConfig(method=method, seed=4, trials=1, budget=2048, stride=7, tolerance=tolerance)
         traj = run_experiment(config, target, beta_star=star)
         checks = [] if tolerance is None else inside(9)
-        assert rewound[4] == checks
-        assert rewound[6] == sorted(set(inside(7)) | set(checks))
+        assert rewound[4] == [[e] for e in checks]
+        windows = range(2048 // solvers.MAX_BLOCK)
+        by_window = [[e for e in inside(7) if (e - 1) // solvers.MAX_BLOCK == w] for w in windows]
+        assert rewound[6] == [window for window in by_window if window]
         records, _ = sequential(method, target, 2048, 4, 0, 7, None, star)
         assert_records_match(traj, records, star)
 
@@ -555,7 +558,8 @@ def test_tall_factors_match_reference(method):
 @pytest.mark.parametrize("method", METHODS + PAIRINGS)
 def test_block_rewound_equals_shorter_block(method):
     """A 32-step block rewound to offset s equals an s-step block from the same start, for s = 1..31,
-    on the state that estimate and residuals read; few rows and columns make the draws repeat."""
+    on the state that estimate and residuals read, and so do the estimates at all 31 offsets from one
+    estimate_at call; few rows and columns make the draws repeat."""
     target = make_target(method, 7, 4, 6, seed=10, consistent=False)
     if method not in PAIRINGS:
         target = SingleSystem(*target)
@@ -574,14 +578,20 @@ def test_block_rewound_equals_shorter_block(method):
     assert all(np.unique(d).size < 32 for d in draws)
     ended = bound_at_start()
     coef = ended.advance(draws)
+    estimates = ended.estimate_at(draws, coef, list(range(1, 32)))
+    assert estimates.shape == (31, ended.estimate(ended.state).shape[1])
     for s in range(1, 32):
         shorter = bound_at_start()
         shorter.advance(tuple(d[:s] for d in draws))
         want = vars(shorter.state)
-        for name, got in vars(ended.snapshot(draws, coef, s)).items():
+        snap = ended.snapshot(draws, coef, s)
+        for name in ("beta", "z", "x", "b"):
+            got = getattr(snap, name, None)
             if got is not None:
                 assert got.shape == want[name].shape == (1, got.size)
                 assert np.abs(got - want[name]).max() <= 1e-12 * np.abs(want[name]).max(), (s, name)
+        want = shorter.estimate(shorter.state)[0]
+        assert np.abs(estimates[s - 1] - want).max() <= 1e-12 * np.abs(want).max(), s
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

@@ -340,25 +340,25 @@ def test_tolerance_stopped_solve_golden_bytes(method, tmp_path):
 
 # SHA-256 of the trajectory CSV of a one-trial solve on the generated S1 (60x40x20) and S2 (40x60x50)
 # desk instances, seed 0: 1500 steps recorded every 50, so records fall inside the T = 1 path's windows
-# and read snapshots rewound from their ends.  Every run takes 64-step windows; the Gram entries come
+# and are rewound from their ends.  Every run takes 64-step windows; the Gram entries come
 # from tables on every side but S1's U rows (60 > 2 x 20), where they are computed.
 SINGLE_TRIAL_GOLDEN = {
-    ("S1", "rk-rk"): "9d9c19bd5534ca2d4a6e48aabe6cd602ce1a37ec50a10d7bdc1d8654573c1215",
-    ("S1", "rek-rk"): "79191810502d8519b9c541f8b0f8d74b15c439f78ab08857060fdeff10001832",
-    ("S1", "rek-rek"): "c8d3d08eb8160675e4f73f3a21f12d239bca7b929183bc2f4526094e9b4ca5d4",
-    ("S1", "rgs-rgs"): "adfec5f011860b84ffef71560d5c91bb9012516b37068a1455cf2919ba45485f",
-    ("S1", "rk"): "def42e57e92ab7ee701568c6f482483dedf55862c0fd80da655f70036564c9f6",
-    ("S1", "rek"): "05b8ebae0521220359c1c7576c962231ca0b51587644ff74e8c69aa227a6894d",
-    ("S1", "rgs"): "161558a0d14fe7be9b45cabc91f3ab2f78e0427e20b89c849b6f2754cae7bddf",
-    ("S1", "regs"): "1de17d91fd0705548ae07f0e0c4dc2df0f7f1cc256151598ac0fcd3d4e5c4692",
-    ("S2", "rk-rk"): "8481db7435a6d5f0ae8d6c11fd268d9bfad03aa1553b4130d66ab9a718f9d0f8",
-    ("S2", "rek-rk"): "75fdea555af0482bc0c4150ba5e4cabe2e6bdad2e950479d195a4203f75d5543",
-    ("S2", "rek-rek"): "ed36115456bb3d592bb69ad4349a774973bdbc9cc29a2b4d9c734cab7dad7d6a",
-    ("S2", "rgs-rgs"): "afdbb48356754ff39cdbf8ed658c9c6517b62166784bafd6d2b499e9b70a3fb9",
-    ("S2", "rk"): "f5b0a4048d08d26f526c4055f252380b6daba8e09e5012b9a1e4248461c03a2f",
-    ("S2", "rek"): "66195dbc5db33f2e5e61627cf25f1a94de9d9ef3b08072d81160efa83257de87",
-    ("S2", "rgs"): "9e5a5481db9131ee6973c74cf6336fc8800d624a74bdd3eb24130eb603a8756a",
-    ("S2", "regs"): "b196e9d6efb859a3c1b54c27a7d28f75b345c909f4647c7fdd0eaab1eecf5f0a",
+    ("S1", "rk-rk"): "0c33c457b8debd52aaac6f59769afde5c0d8d47f9c5b63db680ea41b07dd78bf",
+    ("S1", "rek-rk"): "95bdbe1ee5c13f1900adb103d30e41bed55652e48574945d6027f40ecf84517a",
+    ("S1", "rek-rek"): "7f63757480ac2b9d3d497ae382ebc8af98fe030a3673ddedaffc5ce675d36e55",
+    ("S1", "rgs-rgs"): "dea7d4fbd71135d177969a8dbf76a513ad198aa241c6e50400ff5f56e3446647",
+    ("S1", "rk"): "6f2b42f53dc66728967b21acc9689b1edbc6e7161f88b4e9f1d84d6521dc9d61",
+    ("S1", "rek"): "5f80a21991292c73ee54bcab60d07816225c4d9fa50b86132bf90138be589cb4",
+    ("S1", "rgs"): "9700913b5b1ee013cffd023f8228fd5310ee5781e2d177df8b89c6aa03eb2485",
+    ("S1", "regs"): "c6ad6bdbc0a6bff2a03b80be76d796027e93e1c69135f680b4f9fb6d6c4cd9b9",
+    ("S2", "rk-rk"): "9975ff6da15253d83d0ceeb142d1cb808a0743cd86ef4982858fc7218f47dcc1",
+    ("S2", "rek-rk"): "d83b56f2a3c2fbcd834d49e40d1e68aaa500756f62e322bddede55676e867d82",
+    ("S2", "rek-rek"): "628ff94c22cc8a97f1fad547c6b8e9b34096766321a554c2c3ed3fae9fee5da4",
+    ("S2", "rgs-rgs"): "904404766aa13d0f4d6a23852fc77a8fcf6734e9ac8199380721e075f6fededd",
+    ("S2", "rk"): "4f9e22a95ef94e4244c16a3890b8e14544f84c7e2b4d6fef5bcba819fb1aec04",
+    ("S2", "rek"): "956a4265f28baf54f6bd4c1985d22acd8a44c4ff3f25272e301a3cf61192f774",
+    ("S2", "rgs"): "de33f1635e646a33f32cfdc1dc43587f49fbea1741dcff840d8fde5acc89228e",
+    ("S2", "regs"): "ec2589775369407a306fd2417d46247319812a111029a4131ea74f8c6bcdca8a",
 }
 
 
