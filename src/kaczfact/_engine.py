@@ -18,28 +18,31 @@ so at T = 1 only the budget does that).  Errors are
 recorded at every multiple of the stride and at the budget, and with a
 tolerance set the residuals are checked at every multiple of m.  The
 engine keeps the next record and check step, so a window with neither
-due costs no walk.  Those in a window are taken after it.  First its
-checks, in step order, up to the first that passes, which stops the run
-at its own step: one at the window's end reads the live state, and one
-at step s inside it the binding's snapshot, the end state rewound to
-step s by the step coefficients and rows the block kernel returned.  A
-check computes the residual parts in order and stops at the first whose
-norm is over the tolerance, so a pairing whose U x - y fails computes
-no V b - x, and its snapshot rewinds b only when read.  Then the
-records due up to the window's end or the stop: those inside the window
-come from one rewind of what the estimate reads (``estimate_at`` with
-all their steps: b of a pairing, not x), and one at the end reads the
-live state.  Each record subtracts beta* into a run-owned buffer from a
-tile of beta* (one row per trial, or per record at T = 1) and writes
-its squared norms into one run-owned error buffer, which doubles when
-full, so a run that stops early holds no buffer for its budget.
+due costs no walk.  Those in a window of B steps are taken after it,
+each at its offset s into the window, in [1, B], from the coefficients
+the kernel returned; offset B is the window's end and moves nothing.
+First its checks, in step order, up to the first that passes, which
+stops the run at its own step.  A check reads the binding's residual
+parts at s, which are computed in order, and stops at the first whose
+norm is over the tolerance, so a pairing whose U x - y fails computes no
+V b - x and rewinds no b.  At T = 1 a part is one row, whose norm is the
+reference's, sqrt of ``np.dot`` (which takes one vector at a time); at
+T >= 2 it is the square root of the largest row sum of squares.  Then
+the records due up to the window's end or the stop, the multiples of
+the stride and the budget or the stop, from one ``estimate_at`` call
+with all their offsets: at T = 1 one rewind of what the estimate reads
+(b of a pairing, not x), at T >= 2 the live estimates.  Each record
+subtracts beta* into a run-owned buffer from a tile of beta* (one row
+per trial, or per record at T = 1) and writes its squared norms into one
+run-owned error buffer, which doubles when full, so a run that stops
+early holds no buffer for its budget.
 
 A target (``solvers.SingleSystem``, ``interlaced.FactoredSystem``) gives
 the samplers, the flops and, once per run, a binding
 (``target.bind(method, trials)``, a ``solvers.Binding``): the run's
 state, the kernel bound to it and to the method's branches, the data
 and, at T = 1, the Gram tables and this thread's triangle buffers, and
-the estimate, residuals, snapshot and rewound estimates, each bound the
+the estimates and residual parts at offsets into a window, bound the
 same way.  A window, its records and a check are then calls of these,
 with no lookup by method name.  The trial count alone picks the kernel: every
 T = 1 window runs the block kernel, however short, and every T >= 2
@@ -87,19 +90,21 @@ def _round_steps(trials: int) -> int:
 
 
 class _Batch:
-    """One run's binding (``target.bind``) and its tolerance check."""
+    """A run's tolerance check."""
 
-    def __init__(self, binding):
-        self.binding = binding
-
-    def max_residual(self, state, tolerance: float) -> float:
-        """Largest residual norm across the trials of ``state``, joint over a pairing's two subsystems, or the
-        first one not within ``tolerance`` (nan included): the parts are computed in order, and none after a
-        part that fails."""
+    def max_residual(self, parts, tolerance: float) -> float:
+        """Largest residual norm across the trials, joint over a pairing's two subsystems, or the first one not
+        within ``tolerance`` (nan included).  parts yields the (T, rows) residual parts (``residuals_at``), each
+        computed only when asked for, and none is asked for after a part that fails."""
         worst = 0.0
-        for res in self.binding.residuals(state):
-            # One sqrt of the largest square: sqrt is monotone and correctly rounded, so this is the largest norm.
-            norm = math.sqrt(float((res * res).sum(axis=1).max()))
+        for res in parts:
+            if len(res) == 1:
+                # One trial: the reference's norm.
+                r = res[0]
+                norm = math.sqrt(np.dot(r, r))
+            else:
+                # One sqrt of the largest square: sqrt is monotone and correctly rounded, so this is the largest norm.
+                norm = math.sqrt(float((res * res).sum(axis=1).max()))
             if not norm <= tolerance:
                 return norm
             worst = max(worst, norm)
@@ -154,8 +159,8 @@ def run_trials(
     at or below it, recording that iteration and no later one.  budget,
     trials and stride are positive, as ``bench.RunConfig`` checks.
     """
-    batch = _Batch(target.bind(method, trials))
-    live, advance, estimate, _, snapshot, estimate_at = batch.binding
+    batch = _Batch()
+    _, advance, estimate_at, residuals_at = target.bind(method, trials)
     samplers = target.samplers(method)
     per_step = target.step_flops(method)
     check_every = target.m if tolerance is not None else budget + 1  # without a tolerance no check is due
@@ -195,27 +200,21 @@ def run_trials(
         for end, window in zip(ends, windows):
             coef = advance(window)
             if due <= end:
-                # Checks due in the window, in step order, up to the first that passes: inside the window one
-                # reads the snapshot rewound from its end.
+                # Checks due in the window, in step order, up to the first that passes, then the records due up to
+                # there: the multiples of stride, and the budget or the stop.  Each reads its offset into the window.
                 last = end
                 while next_check <= end:
                     e, next_check = next_check, next_check + check_every
-                    state = live if e == end else snapshot(window, coef, e - t)
-                    if batch.max_residual(state, tolerance) <= tolerance:
+                    if batch.max_residual(residuals_at(window, coef, e - t), tolerance) <= tolerance:
                         stop = last = e
                         break
-                # Records due up to there, the multiples of stride, the budget and a stop: those inside the window
-                # from one rewind, by their offsets into it, and one at its end from the live state.
-                steps = range(next_rec, min(last + 1, end), stride)
+                steps = range(next_rec, last + 1, stride)
                 offsets = range(steps.start - t, steps.stop - t, stride)
-                if last < end and last not in steps:
+                if last in (stop, budget) and last not in steps:
                     steps, offsets = [*steps, last], [*offsets, last - t]
                 if steps:
                     errors.add(estimate_at(window, coef, offsets))
                     iters += steps
-                if last == end and (end % stride == 0 or end == budget or stop == end):
-                    errors.add(estimate(live))
-                    iters.append(end)
                 next_rec = min((end // stride + 1) * stride, budget)
                 due = min(next_rec, next_check)
             t = end

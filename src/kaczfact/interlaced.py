@@ -17,8 +17,10 @@ and a pairing's draws, samplers and flops (``FactoredSystem.samplers``,
 ``.step_flops``) are the outer method's followed by the inner one's.
 Both kernels are bound to a trial state, both sides' kernels and the
 pairing's split once, when a run starts; the engine gets the one its
-run steps with from ``FactoredSystem.bind``, and ``tests/reference.py``
-binds ``pairing_kernel`` as the reference.
+run steps with from ``FactoredSystem.bind``, with b and the residual
+parts, U x - y and then V b - x, at offsets into the window that just
+ran, and ``tests/reference.py`` binds ``pairing_kernel`` as the
+reference.
 
 Two rules carry the outer side's moves of x to the inner side:
 
@@ -58,7 +60,6 @@ a row draw on V 4n + 2 and a column draw on V 4k + 2.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,36 +149,30 @@ class FactoredSystem:
     def bind(self, method: str, trials: int) -> Binding:
         """A run of ``trials`` lock-step trials of the pairing from its initial state, bound (``Binding``).
 
-        The estimate is b, and the residuals are U x - y and then V b - x.  A
-        T = 1 snapshot holds x rewound and rewinds b when b is first read, which
-        a check does only once U x - y is within its tolerance; estimate_at
-        rewinds b alone.
+        The estimate is b, and the residuals are U x - y and then V b - x.  At T = 1 estimate_at rewinds b
+        alone, and residuals_at rewinds x for U x - y and b only when V b - x is asked for, which a check does
+        only once U x - y is within its tolerance.
         """
         outer, inner, split = _split(method)
         state = tiled(init_interlaced(method, self), trials)
         vectors = (state.x, state.b, state.z, state.zv, state.res_u, state.res_v)
-        ut, vt, y = self.U.data.T, self.V.data.T, self.y
-        read = lambda s: s.b
-
-        def residuals(s):
-            yield s.x @ ut - y
-            yield s.b @ vt - s.x
-
+        x, b, ut, vt, y = state.x, state.b, self.U.data.T, self.V.data.T, self.y
         if trials > 1:
-            step = pairing_kernel(method, self, *vectors, np.arange(trials))
-            return Binding(state, step, read, residuals, None, None)
-        x, b = state.x, state.b
-        rewind_outer, rewind_inner = rewinder(outer), rewinder(inner)
+            advance = pairing_kernel(method, self, *vectors, np.arange(trials))
+            x_at = lambda draws, coef, s: x
+            estimate_at = lambda draws, coef, steps: b
+        else:
+            advance = pairing_block(method, self, *(None if v is None else v[0] for v in vectors))
+            rewind_outer, rewind_inner = rewinder(outer), rewinder(inner)
+            x_at = lambda draws, coef, s: rewind_outer(x, draws[split - 1], coef[0], (s,))
+            estimate_at = lambda draws, coef, steps: rewind_inner(b, draws[-1], coef[1], steps)
 
-        def estimate_at(draws, coef, steps):
-            return rewind_inner(b, draws[-1], coef[1], steps)
+        def residuals_at(draws, coef, s):
+            x_s = x_at(draws, coef, s)
+            yield x_s @ ut - y
+            yield estimate_at(draws, coef, (s,)) @ vt - x_s
 
-        def snapshot(draws, coef, s):
-            x_s = rewind_outer(x, draws[split - 1], coef[0], (s,))
-            return _Snapshot(x_s, lambda: estimate_at(draws, coef, (s,)))
-
-        advance = pairing_block(method, self, *(None if v is None else v[0] for v in vectors))
-        return Binding(state, advance, read, residuals, snapshot, estimate_at)
+        return Binding(state, advance, estimate_at, residuals_at)
 
 
 @dataclass
@@ -195,17 +190,6 @@ class InterlacedState:
     zv: np.ndarray | None = None
     res_u: np.ndarray | None = None
     res_v: np.ndarray | None = None
-
-
-class _Snapshot:
-    """A T = 1 pairing's x and b some steps into the window that just ran: x rewound, and b rewound on first read."""
-
-    def __init__(self, x: np.ndarray, rewind_b):
-        self.x, self._rewind_b = x, rewind_b
-
-    @functools.cached_property
-    def b(self) -> np.ndarray:
-        return self._rewind_b()
 
 
 def _split(method: str) -> tuple[str, str, int]:
@@ -261,8 +245,8 @@ def pairing_block(method: str, sys: FactoredSystem, x, b, z, zv, res_u, res_v):
     def block(draws):
         inner_draws = draws[split:]
         inner_rows = gather_inner(inner_draws)
-        # An inner row side reads x as the block began; an inner rgs side reads res_v instead.
-        rhs = x.copy() if res_v is None else None
+        # An inner row side reads x at its row draws as the block began; an inner rgs side reads res_v instead.
+        rhs = x.take(inner_draws[0]) if res_v is None else None
         coef = outer(draws[:split])
         # Inner step s's rhs dropped with the outer steps r <= s: x[p_s] by U[i_r, p_s] c_r (row side, from
         # the outer rows U[i_r]), or, as the rgs residual's inner product grew, by V[j_r, q_s] gamma_r (from

@@ -237,9 +237,11 @@ def step_kernel(method: str, A: DenseMatrix, rhs: np.ndarray, beta, z, residual,
 # one bincount of the block's moves, which sums a coordinate drawn twice
 # before it is added.  The state is one trial's (dim,) arrays; draw entry s
 # is step s's index.  A block returns its step coefficients, from which a
-# rewinder (``rewinder``) recovers the iterate at any steps inside it: row
-# steps by one suffix-masked (R, B) @ (B, dim) product, coordinate steps by
-# one bincount scatter into (R, dim), and one step by the suffix alone.
+# rewinder (``rewinder``) recovers the iterate at any of its steps, its end
+# included, where nothing moves: row steps by one suffix-masked (R, B) @
+# (B, dim) product, whose mask's last row, for the end, is zeros,
+# coordinate steps by one bincount scatter into (R, dim), and one step by
+# the suffix alone.
 
 # The T = 1 window, and the longest block.
 MAX_BLOCK = 64
@@ -401,7 +403,7 @@ def _projector(M: DenseMatrix):
 
 def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray | None, beta, z, residual):
     """``method``'s block on (A, rhs) for one trial, bound to its state: returns block(draws, rows=None,
-    drift=None, rhs=rhs), the block-exact form of B ``step_kernel`` steps.
+    drift=None, rhs=None), the block-exact form of B ``step_kernel`` steps.
 
     rhs is (m,) and beta, z and residual are the trial's (dim,) state
     (None where the method keeps none); draws are (B,) index arrays in
@@ -410,8 +412,9 @@ def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray | None, beta, z, r
     since the block began (None for a fixed one): rk and rek subtract it
     from rhs at the row draw; for rgs and regs, whose residual's inner
     product with the drawn column has grown by it, -drift[s] is the rhs
-    of the residual's projection.  A block's own rhs replaces the bound
-    one.  block returns what ``rewinder`` undoes the steps with: (c,
+    of the residual's projection.  A block's own rhs, the (B,) right-hand
+    sides at its row draws, replaces the bound one's, and the block
+    overwrites it.  block returns what ``rewinder`` undoes the steps with: (c,
     A.data[i]), the row projections' (B,) coefficients and rows, for rk
     and rek; the (B,) coordinate moves of rgs; and for regs the
     coordinate moves and (c, A.data[i]) of z's row projections.
@@ -424,7 +427,7 @@ def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray | None, beta, z, r
     if method in ("rgs", "regs"):
         regs = method == "regs"
 
-        def block(draws, rows=None, drift=None, rhs=rhs):
+        def block(draws, rows=None, drift=None, rhs=None):
             if rows is None:
                 rows = gather(draws)
             j = draws[-1]
@@ -440,13 +443,13 @@ def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray | None, beta, z, r
             return gamma
 
         return block
-    rek = method == "rek"
+    rek, bound_rhs = method == "rek", rhs
 
-    def block(draws, rows=None, drift=None, rhs=rhs):
+    def block(draws, rows=None, drift=None, rhs=None):
         if rows is None:
             rows = gather(draws)
         i = draws[0]
-        target = rhs.take(i)
+        target = bound_rhs.take(i) if rhs is None else rhs
         if drift is not None:
             target -= drift
         if rek:
@@ -459,14 +462,21 @@ def block_kernel(method: str, A: DenseMatrix, rhs: np.ndarray | None, beta, z, r
     return block
 
 
+@functools.cache
+def _suffixes(b: int) -> np.ndarray:
+    """The (b + 1, b) mask whose row s keeps the steps r >= s of a b-step block: row b, the block's end, keeps
+    none."""
+    return _read_only(np.triu(np.ones((b + 1, b))))
+
+
 def _row_moves(coef, steps) -> np.ndarray:
-    """For each s in steps, sum_{r >= s} c[r] rows[r] of a block's row steps coef = (c, rows): the (dim,) suffix
-    product for one step, else one suffix-masked (R, B) @ (B, dim) product."""
+    """For each s in steps, sum_{r >= s} c[r] rows[r] of a block's row steps coef = (c, rows), zero at the block's
+    end: the (dim,) suffix product for one step, else one suffix-masked (R, B) @ (B, dim) product."""
     c, rows = coef
     if len(steps) == 1:
         s = steps[0]
         return c[s:] @ rows[s:]
-    return (_mask(c.size, np.triu).take(steps, 0) * c) @ rows
+    return (_suffixes(c.size).take(steps, 0) * c) @ rows
 
 
 def _rewind_rows(v: np.ndarray, draws, coef, steps) -> np.ndarray:
@@ -482,16 +492,16 @@ def _rewind_coords(v: np.ndarray, draws, coef, steps) -> np.ndarray:
         s = steps[0]
         return v - np.bincount(draws[s:], coef[s:], n)
     count = len(steps)
-    weights = _mask(coef.size, np.triu).take(steps, 0)
+    weights = _suffixes(coef.size).take(steps, 0)
     weights *= coef
     at = draws + np.arange(0, count * n, n)[:, None]
     return v - np.bincount(at.ravel(), weights.ravel(), count * n).reshape(count, n)
 
 
 def rewinder(method: str):
-    """rewind(v, draws, coef, steps): the (1, dim) iterate v at each of steps (ascending, in [1, B)) into a block
-    of ``method`` that ended at v and returned coef, as (R, dim) rows; draws are the block's (B,) column draws
-    (read by rgs only)."""
+    """rewind(v, draws, coef, steps): the (1, dim) iterate v at each of steps (ascending, in [1, B]) into a block
+    of ``method`` that ended at v and returned coef, as (R, dim) rows; step B, the block's end, moves nothing.
+    draws are the block's (B,) column draws (read by rgs only)."""
     return _rewind_coords if method in ("rgs", "regs") else _rewind_rows
 
 
@@ -529,25 +539,25 @@ def tiled(state, trials: int):
 class Binding(NamedTuple):
     """One run of one method on one target, bound when it starts (``SingleSystem.bind``, ``FactoredSystem.bind``).
 
-    state holds the T trials' (T, dim) arrays.  advance(draws) takes a
-    step with the per-step kernel at T >= 2, with one (T,) index array
-    per draw, and a window with the block kernel at T = 1, with one (B,)
-    index array per draw, on the (dim,) rows of the state; it returns
-    the step coefficients.  estimate(state) reads a state's (T, n)
-    estimates, and residuals(state) yields its residual rows in order
-    (A estimate - y, or U x - y and then V b - x), each computed only
-    when asked for.  At T = 1, snapshot(draws, coef, s) is the state s
-    steps into the window that just ran, holding what residuals reads,
-    and estimate_at(draws, coef, steps) the (R, n) estimates at each of
-    steps (ascending, inside the window) alone; both are None at T >= 2.
+    state holds the T trials' (T, dim) arrays.  advance(draws) runs a
+    window of B steps and returns its step coefficients: at T = 1 the
+    block kernel on the (dim,) rows of the state, with one (B,) index
+    array per draw, and at T >= 2 one step (B = 1) of the per-step
+    kernel, with one (T,) index array per draw.  The other two read the
+    state at offsets s in [1, B] into the window that just ran, given its
+    draws and coefficients: estimate_at(draws, coef, steps) gives the
+    estimates at each of steps (ascending) as rows, (R, n) at T = 1 and
+    (T, n) at T >= 2, and residuals_at(draws, coef, s) yields the (T,
+    rows) residual parts at s in order (A estimate - y, or U x - y and
+    then V b - x), each computed only when asked for.  Offset B is the
+    window's end and moves nothing; at T >= 2 it is the only offset, and
+    both read the live state.
     """
 
     state: object
     advance: Callable
-    estimate: Callable
-    residuals: Callable
-    snapshot: Callable | None
-    estimate_at: Callable | None
+    estimate_at: Callable
+    residuals_at: Callable
 
 
 # --- the target -------------------------------------------------------------
@@ -589,38 +599,28 @@ class SingleSystem:
     def bind(self, method: str, trials: int) -> Binding:
         """A run of ``trials`` lock-step ``method`` trials from the method's initial state, bound (``Binding``).
 
-        A T = 1 snapshot holds beta (and regs z) rewound, and estimate_at rewinds the estimate alone: regs's
-        beta - z loses the coordinate moves, which beta and z share, so only z's row projections are undone.
+        At T = 1 estimate_at rewinds the estimate alone: beta, or regs's beta - z less z's row moves, as the
+        coordinate moves, which beta and z share, cancel.  The residual is A estimate - y.
         """
         A, y = self.A, self.y
         state = tiled(init_state(method, A, y), trials)
         vectors = (state.beta, state.z, state.residual)
-        read, data_t = functools.partial(estimate, method), A.data.T
-        residuals = lambda s: (read(s) @ data_t - y,)
+        beta, z, data_t = state.beta, state.z, A.data.T
         if trials > 1:
-            return Binding(state, step_kernel(method, A, y, *vectors, np.arange(trials)), read, residuals, None, None)
-        beta, z = state.beta, state.z
-        if method == "regs":
-
-            def snapshot(draws, coef, s):
-                gamma, c = coef
-                j = draws[-1]
-                rewound_z = _rewind_rows(_rewind_coords(z, j, gamma, (s,)), j, c, (s,))
-                return SolverState(_rewind_coords(beta, j, gamma, (s,)), rewound_z)
-
-            def estimate_at(draws, coef, steps):
-                return (beta - z) - _row_moves(coef[1], steps)
-
+            advance = step_kernel(method, A, y, *vectors, np.arange(trials))
+            estimate_at = lambda draws, coef, steps: estimate(method, state)
         else:
-            rewind = rewinder(method)
+            advance = block_kernel(method, A, y, *(None if v is None else v[0] for v in vectors))
+            if method == "regs":
+                estimate_at = lambda draws, coef, steps: (beta - z) - _row_moves(coef[1], steps)
+            else:
+                rewind = rewinder(method)
+                estimate_at = lambda draws, coef, steps: rewind(beta, draws[-1], coef, steps)
 
-            def estimate_at(draws, coef, steps):
-                return rewind(beta, draws[-1], coef, steps)
+        def residuals_at(draws, coef, s):
+            yield estimate_at(draws, coef, (s,)) @ data_t - y
 
-            snapshot = lambda draws, coef, s: SolverState(estimate_at(draws, coef, (s,)))
-
-        advance = block_kernel(method, A, y, *(None if v is None else v[0] for v in vectors))
-        return Binding(state, advance, read, residuals, snapshot, estimate_at)
+        return Binding(state, advance, estimate_at, residuals_at)
 
 
 def default_stride(budget: int) -> int:

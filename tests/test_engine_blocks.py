@@ -1,17 +1,18 @@
 """The lock-step engine against the per-step reference, block path included.
 
 At T=1 the engine advances in windows of MAX_BLOCK (64) steps on every
-target (block-exact stepping), and takes the records and checks that
-fall inside one by rewinding its end state; these tests hold it
-to the sequential reference
+target (block-exact stepping), and takes the records and checks due in
+one at their offsets into it, rewound from its end state (the last offset
+moves nothing); these tests hold it to the sequential reference
 (``reference.run``) on recorded iterations, stop steps and errors.  At
 T >= 2 it runs the same per-step kernel as the reference, and its errors
 match it bit for bit.
 Apart from the engine's scheduling, one block of each block kernel is
-held to the same number of per-step kernel calls, and a rewound block to
-a shorter one.  Each triangle path is held to np.linalg.solve and, through
-the engine, to the reference, and concurrent T = 1 runs to the same runs
-made one after the other.  A run looks up what it reads by name when it
+held to the same number of per-step kernel calls, a rewound block to a
+shorter one, and a block read at its end to its live state.  Each
+triangle path is held to np.linalg.solve and, through the engine, to the
+reference, and concurrent T = 1 runs to the same runs made one after the
+other.  A run looks up what it reads by name when it
 starts, not at each window or step.
 """
 
@@ -76,6 +77,19 @@ def stop_residual(method, target, state) -> float:
         return max(np.linalg.norm(res_u), np.linalg.norm(res_v))
     a, y = target
     return np.linalg.norm(y - a.data @ estimate(method, state))
+
+
+def live_estimate(method, state):
+    """The (T, n) estimates of a bound state, read from its arrays."""
+    return state.b if isinstance(state, interlaced.InterlacedState) else estimate(method, state)
+
+
+def live_parts(target, method, state):
+    """The (T, rows) residual parts of a bound state, computed from its arrays: A estimate - y, or U x - y and
+    then V b - x."""
+    if isinstance(target, FactoredSystem):
+        return [state.x @ target.U.data.T - target.y, state.b @ target.V.data.T - state.x]
+    return [estimate(method, state) @ target.A.data.T - target.y]
 
 
 def expected_run(method, target, budget, seed, trials, stride, tolerance, star):
@@ -369,8 +383,8 @@ def test_one_trial_tolerance_checks_every_m_steps(method, counted_calls, monkeyp
     """A tolerance-stopped T=1 run checks at m, 2m, ... and stops where the per-step path does.
 
     Checks every 20 steps and records every 21 fall inside the target's
-    windows, so they read snapshots rewound from the windows' ends, and no
-    per-step kernel runs.
+    windows, so they read residual parts rewound from the windows' ends, and
+    no per-step kernel runs.
     """
     if method == "rk-rk":
         target, _ = small_factored(20, 5, 10, seed=94)
@@ -380,31 +394,24 @@ def test_one_trial_tolerance_checks_every_m_steps(method, counted_calls, monkeyp
     star = oracle_solution(target)
     steps, calls = counted_calls
     checks = []
-    real_check = _engine._Batch.max_residual
 
-    def snapshotting(cls):
+    def tagging(cls):
         real = cls.bind
 
         def bind(self, method, trials):
             binding = real(self, method, trials)
 
-            def snapshot(draws, coef, s):
-                snap = binding.snapshot(draws, coef, s)
-                snap.step = steps[0] - draws[0].size + s
-                return snap
+            def residuals_at(draws, coef, s):
+                # The step s steps into the window that just ran, whose (B,) draws are given.
+                checks.append(steps[0] - draws[0].size + s)
+                return binding.residuals_at(draws, coef, s)
 
-            return binding._replace(snapshot=snapshot)
+            return binding._replace(residuals_at=residuals_at)
 
         return bind
 
-    def max_residual(self, state, tolerance):
-        # A check at a block's end reads the live state, which has no step of its own.
-        checks.append(getattr(state, "step", steps[0]))
-        return real_check(self, state, tolerance)
-
     for cls in (SingleSystem, FactoredSystem):
-        monkeypatch.setattr(cls, "bind", snapshotting(cls))
-    monkeypatch.setattr(_engine._Batch, "max_residual", max_residual)
+        monkeypatch.setattr(cls, "bind", tagging(cls))
     budget, tol, stride = 100_000, 1e-10, 21
     config = RunConfig(method=method, seed=9, trials=1, budget=budget, stride=stride, tolerance=tol)
     traj = run_experiment(config, target, beta_star=star)
@@ -432,11 +439,11 @@ def test_records_and_checks_cut_no_block(method, counted_calls):
 
 @pytest.mark.parametrize("method", PAIRINGS)
 def test_records_rewind_only_the_estimate(method, counted_calls, monkeypatch):
-    """A T = 1 pairing's records inside a window rewind b alone, in one call per window: with no tolerance no
-    rewind acts on x, and with one x is rewound once at each check step inside a window and nowhere else.  b is
-    rewound once per window that holds records, at all of them, and a check whose U x - y is over the
-    tolerance (1e-300 here) rewinds no b.  x has k = 4 entries and b n = 6, which tells the rewinds apart;
-    records fall every 7 steps and checks every m = 9."""
+    """A T = 1 pairing's records rewind b alone, in one call per window, those at a window's end to its last
+    offset: with no tolerance no rewind acts on x, and with one x is rewound once at each check step and nowhere
+    else.  b is rewound once per window that holds records, at all of them, and a check whose U x - y is over
+    the tolerance (1e-300 here) rewinds no b.  x has k = 4 entries and b n = 6, which tells the rewinds apart;
+    records fall every 7 steps and at the budget, and checks every m = 9."""
     target = make_target(method, 9, 4, 6, seed=8, consistent=False)
     star = oracle_solution(target)
     steps, _ = counted_calls
@@ -452,16 +459,16 @@ def test_records_rewind_only_the_estimate(method, counted_calls, monkeypatch):
         return counted
 
     monkeypatch.setattr(interlaced, "rewinder", counting)
-    inside = lambda every: [e for e in range(every, 2049, every) if e % solvers.MAX_BLOCK]
     for tolerance in (None, 1e-300):
         rewound = {4: [], 6: []}  # length of the rewound vector -> the steps of each rewind call
         steps[0] = 0
         config = RunConfig(method=method, seed=4, trials=1, budget=2048, stride=7, tolerance=tolerance)
         traj = run_experiment(config, target, beta_star=star)
-        checks = [] if tolerance is None else inside(9)
+        checks = [] if tolerance is None else [*range(9, 2049, 9)]
         assert rewound[4] == [[e] for e in checks]
         windows = range(2048 // solvers.MAX_BLOCK)
-        by_window = [[e for e in inside(7) if (e - 1) // solvers.MAX_BLOCK == w] for w in windows]
+        recorded = [*range(7, 2049, 7), 2048]
+        by_window = [[e for e in recorded if (e - 1) // solvers.MAX_BLOCK == w] for w in windows]
         assert rewound[6] == [window for window in by_window if window]
         records, _ = sequential(method, target, 2048, 4, 0, 7, None, star)
         assert_records_match(traj, records, star)
@@ -557,9 +564,9 @@ def test_tall_factors_match_reference(method):
 
 @pytest.mark.parametrize("method", METHODS + PAIRINGS)
 def test_block_rewound_equals_shorter_block(method):
-    """A 32-step block rewound to offset s equals an s-step block from the same start, for s = 1..31,
-    on the state that estimate and residuals read, and so do the estimates at all 31 offsets from one
-    estimate_at call; few rows and columns make the draws repeat."""
+    """A 32-step block read at offset s equals an s-step block from the same start, for s = 1..32, the block's
+    end included: each residual part residuals_at yields equals the shorter block's live part, and so do the
+    estimates at all 32 offsets from one estimate_at call; few rows and columns make the draws repeat."""
     target = make_target(method, 7, 4, 6, seed=10, consistent=False)
     if method not in PAIRINGS:
         target = SingleSystem(*target)
@@ -574,24 +581,47 @@ def test_block_rewound_equals_shorter_block(method):
                 v[0] = value
         return binding
 
+    def close(got, want, what):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), what
+
     draws = tuple(sampler.draw_many(rng.random(32)) for sampler in target.samplers(method))
     assert all(np.unique(d).size < 32 for d in draws)
     ended = bound_at_start()
     coef = ended.advance(draws)
-    estimates = ended.estimate_at(draws, coef, list(range(1, 32)))
-    assert estimates.shape == (31, ended.estimate(ended.state).shape[1])
-    for s in range(1, 32):
+    estimates = ended.estimate_at(draws, coef, list(range(1, 33)))
+    assert estimates.shape == (32, target.n)
+    for s in range(1, 33):
         shorter = bound_at_start()
         shorter.advance(tuple(d[:s] for d in draws))
-        want = vars(shorter.state)
-        snap = ended.snapshot(draws, coef, s)
-        for name in ("beta", "z", "x", "b"):
-            got = getattr(snap, name, None)
-            if got is not None:
-                assert got.shape == want[name].shape == (1, got.size)
-                assert np.abs(got - want[name]).max() <= 1e-12 * np.abs(want[name]).max(), (s, name)
-        want = shorter.estimate(shorter.state)[0]
-        assert np.abs(estimates[s - 1] - want).max() <= 1e-12 * np.abs(want).max(), s
+        got = [*ended.residuals_at(draws, coef, s)]
+        live = live_parts(target, method, shorter.state)
+        assert len(got) == len(live)
+        for k, (part, want) in enumerate(zip(got, live)):
+            close(part, want, (s, k))
+        close(estimates[s - 1 : s], live_estimate(method, shorter.state), s)
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("method", METHODS + PAIRINGS)
+def test_end_offset_reads_the_live_state(method, trials):
+    """Offset B, a window's end, moves nothing: after windows of 64, 37 and 1 steps at T = 1, estimate_at(...,
+    [B]) and each part residuals_at yields at B equal the live estimate and residual parts, as do the estimates
+    and parts after one step at T = 3."""
+    target = make_target(method, 7, 4, 6, seed=19, consistent=False)
+    if method not in PAIRINGS:
+        target = SingleSystem(*target)
+    rng = master_rng(301)
+    binding = target.bind(method, trials)
+    for size in (64, 37, 1) if trials == 1 else (1,):
+        # (B,) draws of a window at T = 1, (T,) draws of a step at T = 3.
+        draws = tuple(sampler.draw_many(rng.random(size * trials)) for sampler in target.samplers(method))
+        coef = binding.advance(draws)
+        got = [*binding.residuals_at(draws, coef, size)]
+        live = live_parts(target, method, binding.state)
+        assert len(got) == len(live)
+        assert all(np.array_equal(part, want) for part, want in zip(got, live)), size
+        assert np.array_equal(binding.estimate_at(draws, coef, [size]), live_estimate(method, binding.state)), size
 
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)

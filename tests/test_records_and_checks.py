@@ -1,11 +1,12 @@
 """Records and tolerance checks of the lock-step engine, held to the sequential reference.
 
 At T = 1 a window takes all its records from one rewind of its end state
-(``estimate_at`` with every recorded step inside it), up to a passing
-check; a check computes its residual parts in order and stops at the
-first over the tolerance, and a pairing's snapshot rewinds b only for a
-check that reads V b - x.  At every T a record writes its errors into
-one run-owned buffer, which grows as the records come.
+(``estimate_at`` with every recorded step in it, its end included), up to
+a passing check; a check computes its residual parts in order
+(``residuals_at``) and stops at the first over the tolerance, so a
+pairing's check rewinds b only when it reads V b - x.  At every T a
+record writes its errors into one run-owned buffer, which grows as the
+records come.
 """
 
 import tracemalloc
@@ -105,8 +106,8 @@ def test_error_buffer_grows_past_its_first_size(trials):
 @pytest.mark.parametrize("method", PAIRINGS)
 def test_checks_read_no_inner_side_while_the_outer_one_fails(method, monkeypatch):
     """A T = 1 pairing whose U x - y never meets its tolerance (y outside range(U), 9 > k = 4) computes U x - y at
-    each of its checks, every 9 steps, and no V b - x, and rewinds x at each check inside a window but no b: with
-    the only record at the budget, a window's end, no record rewinds b either."""
+    each of its checks, every 9 steps, and no V b - x, and rewinds x at each check, to the window's last offset
+    at its end, but no b: with the only record at the budget, no record rewinds b inside a window either."""
     target = make_target(method, 9, 4, 6, seed=16, consistent=False)
     star = oracle_solution(target)
     parts, rewound = [0, 0], {4: 0, 6: 0}  # residual parts computed; rewinds of x (k = 4) and b (n = 6)
@@ -115,12 +116,12 @@ def test_checks_read_no_inner_side_while_the_outer_one_fails(method, monkeypatch
     def bind(self, method, trials):
         binding = real_bind(self, method, trials)
 
-        def residuals(state):
-            for k, part in enumerate(binding.residuals(state)):
+        def residuals_at(draws, coef, s):
+            for k, part in enumerate(binding.residuals_at(draws, coef, s)):
                 parts[k] += 1
                 yield part
 
-        return binding._replace(residuals=residuals)
+        return binding._replace(residuals_at=residuals_at)
 
     def counting(method):
         rewind = solvers.rewinder(method)
@@ -139,7 +140,8 @@ def test_checks_read_no_inner_side_while_the_outer_one_fails(method, monkeypatch
     assert traj.iters.tolist() == [1024]
     checks = 1024 // 9
     assert parts == [checks, 0]
-    assert rewound == {4: sum(1 for e in range(9, 1025, 9) if e % solvers.MAX_BLOCK), 6: 0}
+    # One rewind of x per check, and of b only for the record at the budget, the last window's end.
+    assert rewound == {4: checks, 6: 1}
 
 
 @pytest.mark.parametrize("trials", [1, 3])
@@ -162,11 +164,14 @@ def test_tolerance_stops_equal_reference(method, trials):
 
 @pytest.mark.parametrize("part", ["x", "b"])
 def test_a_nan_residual_never_passes_a_check(part):
-    """max_residual of a pairing state with a nan in x or in b, whose residual part is then nan, is over any
-    tolerance, as the reference's norm comparison is; the other part alone would pass."""
+    """max_residual of the residual parts of a pairing state with a nan in x or in b, whose residual part is then
+    nan, is over any tolerance, as the reference's norm comparison is; the other part alone would pass.  The
+    parts are read at the end of a one-step window, which is the live state."""
     target = make_target("rk-rk", 9, 4, 6, seed=18, consistent=True)
     binding = target.bind("rk-rk", 1)
+    draws = tuple(sampler.draw_many(np.zeros(1)) for sampler in target.samplers("rk-rk"))
+    coef = binding.advance(draws)
     x = np.linalg.lstsq(target.U.data, target.y, rcond=None)[0]
-    state = interlaced.InterlacedState(x[None].copy(), np.linalg.lstsq(target.V.data, x, rcond=None)[0][None])
-    getattr(state, part)[0, 0] = np.nan
-    assert not _engine._Batch(binding).max_residual(state, 1e300) <= 1e300
+    binding.state.x[0], binding.state.b[0] = x, np.linalg.lstsq(target.V.data, x, rcond=None)[0]
+    getattr(binding.state, part)[0, 0] = np.nan
+    assert not _engine._Batch().max_residual(binding.residuals_at(draws, coef, 1), 1e300) <= 1e300
